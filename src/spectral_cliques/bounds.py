@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Callable
 
 from .cliques import clique_counts, is_kfree, vertex_clique_counts
-from .graphs import Graph
+from .graphs import Graph, per_graph
 from .spectral import JACOBI_SWEEP_TOL, Spectrum, spectrum, walk_counts
 
 
@@ -96,6 +96,7 @@ def _skipped(name: str, params: dict) -> BoundReport:
                        in_domain=False)
 
 
+@per_graph
 def _refined_spectrum(g: Graph) -> Spectrum:
     return spectrum(g, solver="jacobi", sweep_tol=0.01 * JACOBI_SWEEP_TOL * g.n)
 
@@ -224,21 +225,6 @@ class Theorem3Report:
         }
 
 
-def _as_fraction(alpha) -> Fraction:
-    """Exact rational view of alpha.
-
-    Fractions, ints and decimal strings convert exactly; floats are taken
-    at their exact binary value.
-    """
-    if isinstance(alpha, Fraction):
-        return alpha
-    if isinstance(alpha, int):
-        return Fraction(alpha)
-    if isinstance(alpha, str):
-        return Fraction(alpha)
-    return Fraction(alpha)
-
-
 @lru_cache(maxsize=65536)
 def _premise_threshold(n: int, r: int, s: int, alpha: Fraction) -> Fraction:
     prod = Fraction(1)
@@ -263,7 +249,7 @@ def theorem3_conditional(g: Graph, r: int, s: int, alpha,
         raise ValueError("need 1 <= s <= r")
     if r < 1:
         raise ValueError("r must be >= 1")
-    a = _as_fraction(alpha)
+    a = Fraction(alpha)
     if a < 0:
         raise ValueError("alpha must be >= 0")
     prof = clique_counts(g)
@@ -346,7 +332,7 @@ def edge_corollary_check(g: Graph, r: int, alpha,
     m >= ((r-1)/(2r) - 2 alpha) n^2."""
     if r < 2:
         raise ValueError("r must be >= 2")
-    a = _as_fraction(alpha)
+    a = Fraction(alpha)
     if a < 0:
         raise ValueError("alpha must be >= 0")
     params = {"r": r, "alpha": float(a)}

@@ -19,9 +19,8 @@ import sys
 from . import graphs
 from .bounds import DEFAULT_TOLS
 from .graphs import Graph, Graph6Error, parse_graph6
-from .scan import (CHECK_AXES, CONJECTURE_CHECKS, CorpusSpec, ScanConfig,
-                   ScanResult, expand_param_grid, read_graph6_lines, run_check,
-                   scan)
+from .scan import (CHECKS, CorpusSpec, ScanConfig, ScanResult, expand_param_grid,
+                   read_graph6_lines, run_check, scan)
 from .stability import stability_report
 
 EXIT_OK = 0
@@ -30,7 +29,7 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_DISCOVERY = 4
 
-_CHECK_COMMAND_NAMES = tuple(n for n in CHECK_AXES if n != "stability")
+_CHECK_COMMAND_NAMES = tuple(n for n in CHECKS if n != "stability")
 
 
 def _emit(obj) -> None:
@@ -98,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     scn.add_argument("--random-count", type=int, default=100)
     scn.add_argument("--random-seed", type=int, default=0)
     scn.add_argument("--check", dest="checks", action="append", required=True,
-                     choices=sorted(CHECK_AXES), help="check name (repeatable)")
+                     choices=sorted(CHECKS), help="check name (repeatable)")
     _grid_flags(scn)
     scn.add_argument("--filter", dest="filters", action="append", default=[],
                      help="connected | nonbipartite | kfree | kfree:R (repeatable)")
@@ -147,8 +146,7 @@ def _config_from_args(args) -> ScanConfig:
     grid = _grid_from_args(args)
     checks = {}
     for name in args.checks:
-        axes = CHECK_AXES[name]
-        checks[name] = {axis: grid[axis] for axis in axes if axis in grid}
+        checks[name] = {axis: grid[axis] for axis in CHECKS[name].axes if axis in grid}
     return ScanConfig(checks=checks,
                       top_k=getattr(args, "top_k", 10),
                       tol_scale=args.tol,
@@ -229,7 +227,7 @@ def _cmd_check(args) -> int:
                         entry["detail"] = oc.report.to_dict()
                     entries.append(entry)
                     if oc.status == "violation":
-                        if name in CONJECTURE_CHECKS:
+                        if CHECKS[name].discovery:
                             conjecture_violation = True
                         else:
                             theorem_violation = True
@@ -245,15 +243,12 @@ def _cmd_check(args) -> int:
 
 def _corpus_from_args(args) -> CorpusSpec:
     filters = []
-    min_r = None
     grid = _grid_from_args(args)
     if "r" in grid:
         min_r = min(grid["r"])
     else:
-        for name in args.checks:
-            default_r = (expand_param_grid(name, {}) or [{}])[0].get("r")
-            if default_r is not None:
-                min_r = default_r if min_r is None else min(min_r, default_r)
+        default_rs = [r for name in args.checks for r in CHECKS[name].defaults.get("r", ())]
+        min_r = min(default_rs, default=None)
     for f in args.filters:
         if f == "kfree":
             if min_r is None:

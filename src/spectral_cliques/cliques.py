@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .graphs import Graph, mask_members
+from .graphs import Graph, mask_members, per_graph
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,7 @@ def _count_extensions(adj: tuple[int, ...], allowed: int, counts: list[int],
             _count_extensions(adj, nxt, counts, size + 1)
 
 
-@lru_cache(maxsize=4096)
+@per_graph
 def clique_counts(g: Graph) -> CliqueProfile:
     """Exact k_s for every s, via recursive neighborhood intersection."""
     counts = [0] * g.n
@@ -68,7 +67,7 @@ def clique_counts(g: Graph) -> CliqueProfile:
     return CliqueProfile(tuple(counts), omega)
 
 
-@lru_cache(maxsize=2048)
+@per_graph
 def vertex_clique_counts(g: Graph) -> VertexCliqueProfile:
     """Exact k_s(u): cliques through u are u plus a clique in its
     neighborhood."""

@@ -3,12 +3,15 @@
 Vertices are 0..n-1.  Row ``adj[u]`` is an int whose bit ``v`` is set iff
 ``uv`` is an edge; vertex sets are plain int bit-masks throughout.  Graphs
 are immutable once built, so they can be shared freely across workers.
+Invariants computed from a graph (spectrum, clique and walk counts) are
+memoized on the graph object itself by :func:`per_graph`.
 """
 
 from __future__ import annotations
 
+import functools
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 DEFAULT_CAP = 64
@@ -53,12 +56,17 @@ def mask_members(mask: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple undirected graph with cached edge and degree counts."""
+    """Immutable simple undirected graph with cached edge and degree counts.
+
+    ``memo`` holds the invariants of :func:`per_graph` functions; it takes no
+    part in equality, hashing or repr.
+    """
 
     n: int
     adj: tuple[int, ...]
     m: int
     degrees: tuple[int, ...]
+    memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
@@ -81,6 +89,24 @@ class Graph:
                 low = row & -row
                 yield u, u + low.bit_length()
                 row ^= low
+
+
+def per_graph(fn):
+    """Memoize ``fn(g, *args)`` in ``g.memo`` under ``(fn.__name__, *args)``.
+
+    Each invariant is computed at most once per graph object and freed with
+    it; nothing is shared between graphs or kept after them.  A call that
+    raises stores nothing.
+    """
+
+    @functools.wraps(fn)
+    def memoized(g: Graph, *args):
+        key = (fn.__name__, *args)
+        if key not in g.memo:
+            g.memo[key] = fn(g, *args)
+        return g.memo[key]
+
+    return memoized
 
 
 def _from_rows(n: int, rows: list[int]) -> Graph:

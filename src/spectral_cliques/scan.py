@@ -7,18 +7,20 @@ equality cases, and the tightest instances.  Work is split into fixed-size
 chunks whose partial results merge in chunk order, so the outcome is
 byte-identical no matter how many workers run.
 
-Check names: wilf, maxmu, maxmu1, polyn, theorem1, theorem2, theorem3,
-conjecture, oldin, momo, edge_corollary, stability.  All are hard claims
-except ``conjecture``: its violations are discoveries to persist, not test
-failures.
+The checks, their parameter axes and default grids are declared once, in
+``CHECKS``.  All are hard claims except those marked ``discovery`` (the
+two-eigenvalue conjecture): their violations are discoveries to persist,
+not test failures.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import multiprocessing
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 from . import bounds
 from .bounds import DEFAULT_TOLS, Tolerances
@@ -26,7 +28,7 @@ from .cliques import CliqueProfile, clique_counts, is_kfree, moon_moser_check
 from .graphs import (Graph, graph_from_edge_mask, is_bipartite, is_connected,
                      emit_graph6, mask_members, mix64, parse_graph6, random_graph)
 from .spectral import WalkOverflowError, WalkProfile
-from .stability import EXHAUSTIVE_MAX_N, alpha_limit, stability_premise, stability_report
+from .stability import EXHAUSTIVE_MAX_N, alpha_limit, stability_report
 
 EXHAUSTIVE_LIMIT = 7
 EXHAUSTIVE_OVERRIDE_LIMIT = 8
@@ -39,36 +41,6 @@ HOLDS = "holds"
 EQUALITY = "equality"
 VIOLATION = "violation"
 INCONCLUSIVE = "inconclusive"
-
-CHECK_AXES: dict[str, tuple[str, ...]] = {
-    "wilf": (),
-    "maxmu": ("s",),
-    "maxmu1": (),
-    "polyn": (),
-    "theorem1": ("r",),
-    "theorem2": ("r",),
-    "theorem3": ("r", "s", "alpha"),
-    "conjecture": ("r",),
-    "oldin": ("s", "l"),
-    "momo": (),
-    "edge_corollary": ("r", "alpha"),
-    "stability": ("r", "alpha"),
-}
-
-CHECK_DEFAULTS: dict[str, dict[str, tuple | None]] = {
-    "maxmu": {"s": (1, 2, 3, 4)},
-    "theorem1": {"r": (2, 3, 4)},
-    "theorem2": {"r": (2, 3)},
-    "theorem3": {"r": (2, 3), "s": None, "alpha": (0,)},
-    "conjecture": {"r": (2, 3)},
-    "oldin": {"s": None, "l": (2, 3)},
-    "edge_corollary": {"r": (2, 3), "alpha": (0,)},
-    "stability": {"r": (2, 3), "alpha": None},
-}
-
-#: checks whose failures are discoveries rather than bugs
-CONJECTURE_CHECKS = frozenset({"conjecture"})
-
 
 @dataclass(frozen=True)
 class CorpusSpec:
@@ -115,10 +87,10 @@ class ScanResult:
     timing_s: float = 0.0
 
     def theorem_violations(self) -> list[dict]:
-        return [v for v in self.violations if v["check"] not in CONJECTURE_CHECKS]
+        return [v for v in self.violations if not CHECKS[v["check"]].discovery]
 
     def conjecture_violations(self) -> list[dict]:
-        return [v for v in self.violations if v["check"] in CONJECTURE_CHECKS]
+        return [v for v in self.violations if CHECKS[v["check"]].discovery]
 
     def to_json_dict(self, deterministic_timing: bool = False) -> dict:
         return {
@@ -216,38 +188,13 @@ def _outcome(rep: bounds.BoundReport) -> CheckOutcome:
                         rep.slack, rep)
 
 
-def run_check(name: str, g: Graph, params: dict, tols: Tolerances = DEFAULT_TOLS,
-              stability_mode: str = "exhaustive") -> list[CheckOutcome]:
-    """Evaluate one named check on one graph; oldin with s=None expands over
-    every valid clique size."""
-    if name == "wilf":
-        return [_outcome(bounds.wilf_bound(g, tols))]
-    if name == "maxmu":
-        return [_outcome(bounds.walk_power_bound(g, params["s"], tols))]
-    if name == "maxmu1":
-        return [_outcome(bounds.turan_edge_bound(g, tols))]
-    if name == "polyn":
-        return [_outcome(bounds.polyn_bound(g, tols))]
-    if name == "theorem1":
-        return [_outcome(bounds.theorem1_bound(g, params["r"], tols))]
-    if name == "theorem2":
-        return [_outcome(bounds.theorem2_lower(g, params["r"], tols))]
-    if name == "theorem3":
-        return [_theorem3_outcome(g, params, tols)]
-    if name == "conjecture":
-        return [_outcome(bounds.conjecture_check(g, params["r"], tols))]
-    if name == "oldin":
-        return _oldin_outcomes(g, params, tols)
-    if name == "momo":
-        return [_momo_outcome(g)]
-    if name == "edge_corollary":
-        return [_outcome(bounds.edge_corollary_check(g, params["r"], params["alpha"], tols))]
-    if name == "stability":
-        return [_stability_outcome(g, params, tols, stability_mode)]
-    raise ValueError(f"unknown check {name!r}")
+def _single(evaluator) -> Callable:
+    """Evaluator of a one-report check whose keyword names are its axes."""
+    return lambda g, params, tols, mode: [_outcome(evaluator(g, **params, tols=tols))]
 
 
-def _theorem3_outcome(g: Graph, params: dict, tols: Tolerances) -> CheckOutcome:
+def _theorem3_outcomes(g: Graph, params: dict, tols: Tolerances,
+                       mode: str) -> list[CheckOutcome]:
     rep = bounds.theorem3_conditional(g, params["r"], params["s"], params["alpha"], tols)
     con = rep.conclusion
     if not rep.in_domain:
@@ -259,10 +206,11 @@ def _theorem3_outcome(g: Graph, params: dict, tols: Tolerances) -> CheckOutcome:
     else:
         status = HOLDS  # vacuously; no slack to rank
     slack = con.slack if rep.premise_holds else None
-    return CheckOutcome("theorem3", rep.params, status, con.lhs, con.rhs, slack, rep)
+    return [CheckOutcome("theorem3", rep.params, status, con.lhs, con.rhs, slack, rep)]
 
 
-def _oldin_outcomes(g: Graph, params: dict, tols: Tolerances) -> list[CheckOutcome]:
+def _oldin_outcomes(g: Graph, params: dict, tols: Tolerances,
+                    mode: str) -> list[CheckOutcome]:
     omega = clique_counts(g).omega
     l = params["l"]
     s_values = range(2, omega + 1) if params.get("s") is None else [params["s"]]
@@ -275,29 +223,30 @@ def _oldin_outcomes(g: Graph, params: dict, tols: Tolerances) -> list[CheckOutco
     return out
 
 
-def _momo_outcome(g: Graph) -> CheckOutcome:
+def _momo_outcomes(g: Graph, params: dict, tols: Tolerances,
+                   mode: str) -> list[CheckOutcome]:
     rep = moon_moser_check(g)
     if rep.monotone:
-        return CheckOutcome("momo", {}, HOLDS, None, None, None, rep)
+        return [CheckOutcome("momo", {}, HOLDS, None, None, None, rep)]
     for t, (a, b) in enumerate(zip(rep.ratios, rep.ratios[1:]), start=1):
         if b < a:
-            return CheckOutcome("momo", {"t": t}, VIOLATION, float(a), float(b),
-                                float(b - a), rep)
+            return [CheckOutcome("momo", {"t": t}, VIOLATION, float(a), float(b),
+                                 float(b - a), rep)]
     raise AssertionError("non-monotone chain without a descent")
 
 
-def _stability_outcome(g: Graph, params: dict, tols: Tolerances,
-                       mode: str) -> CheckOutcome:
+def _stability_outcomes(g: Graph, params: dict, tols: Tolerances,
+                        mode: str) -> list[CheckOutcome]:
     r = params["r"]
     alpha = params["alpha"]
     if alpha is None:
         alpha = alpha_limit(r)
     out_params = {"r": r, "alpha": float(alpha)}
-    if not stability_premise(g, r, alpha, tols):
-        return CheckOutcome("stability", out_params, OOD, None, None, None)
     if mode == "exhaustive" and g.n > EXHAUSTIVE_MAX_N:
         mode = "heuristic"
     rep = stability_report(g, r, alpha, mode, tols)
+    if not rep.premise_ok:
+        return [CheckOutcome("stability", out_params, OOD, None, None, None, rep)]
     if rep.verdict == "witnessed":
         status = HOLDS
     elif rep.verdict == "exhaustive-miss":
@@ -305,19 +254,68 @@ def _stability_outcome(g: Graph, params: dict, tols: Tolerances,
     else:
         status = INCONCLUSIVE
     order = rep.witness.order if rep.witness else 0
-    return CheckOutcome("stability", out_params, status, rep.order_min,
-                        float(order), None, rep)
+    return [CheckOutcome("stability", out_params, status, rep.order_min,
+                         float(order), None, rep)]
+
+
+@dataclass(frozen=True)
+class Check:
+    """A registered check.
+
+    ``defaults`` maps each parameter axis, in grid order, to its default
+    values; None lets the evaluator choose per graph (oldin covers every
+    valid clique size, theorem3 every s <= r, stability the largest
+    admissible alpha).  ``evaluate(g, params, tols, stability_mode)``
+    returns the outcomes of one parameter combination.  A violation of a
+    ``discovery`` check is a finding to persist, not a failed hard claim.
+    """
+
+    defaults: dict[str, tuple | None]
+    evaluate: Callable[[Graph, dict, Tolerances, str], list[CheckOutcome]]
+    discovery: bool = False
+
+    @property
+    def axes(self) -> tuple[str, ...]:
+        return tuple(self.defaults)
+
+
+CHECKS: dict[str, Check] = {
+    "wilf": Check({}, _single(bounds.wilf_bound)),
+    "maxmu": Check({"s": (1, 2, 3, 4)}, _single(bounds.walk_power_bound)),
+    "maxmu1": Check({}, _single(bounds.turan_edge_bound)),
+    "polyn": Check({}, _single(bounds.polyn_bound)),
+    "theorem1": Check({"r": (2, 3, 4)}, _single(bounds.theorem1_bound)),
+    "theorem2": Check({"r": (2, 3)}, _single(bounds.theorem2_lower)),
+    "theorem3": Check({"r": (2, 3), "s": None, "alpha": (0,)}, _theorem3_outcomes),
+    "conjecture": Check({"r": (2, 3)}, _single(bounds.conjecture_check), discovery=True),
+    "oldin": Check({"s": None, "l": (2, 3)}, _oldin_outcomes),
+    "momo": Check({}, _momo_outcomes),
+    "edge_corollary": Check({"r": (2, 3), "alpha": (0,)},
+                            _single(bounds.edge_corollary_check)),
+    "stability": Check({"r": (2, 3), "alpha": None}, _stability_outcomes),
+}
+
+
+def run_check(name: str, g: Graph, params: dict, tols: Tolerances = DEFAULT_TOLS,
+              stability_mode: str = "exhaustive") -> list[CheckOutcome]:
+    """Evaluate one named check on one graph; oldin with s=None expands over
+    every valid clique size.  A walk count beyond the 128-bit range turns
+    the evaluation into one out-of-domain outcome."""
+    check = CHECKS.get(name)
+    if check is None:
+        raise ValueError(f"unknown check {name!r}")
+    try:
+        return check.evaluate(g, params, tols, stability_mode)
+    except WalkOverflowError:
+        return [CheckOutcome(name, dict(params), OOD, None, None, None)]
 
 
 def expand_param_grid(name: str, grid: dict) -> list[dict]:
     """Materialize the parameter combinations for one check."""
-    axes = CHECK_AXES[name]
-    if not axes:
-        return [{}]
-    defaults = CHECK_DEFAULTS.get(name, {})
+    defaults = CHECKS[name].defaults
     values: list[tuple] = []
-    for axis in axes:
-        vals = grid.get(axis, defaults.get(axis))
+    for axis, default in defaults.items():
+        vals = grid.get(axis, default)
         if vals is None:
             values.append((None,))
         else:
@@ -326,8 +324,8 @@ def expand_param_grid(name: str, grid: dict) -> list[dict]:
                 raise ValueError(f"empty grid for axis {axis!r} of check {name!r}")
             values.append(vals)
     combos = []
-    for combo in _product(values):
-        params = dict(zip(axes, combo))
+    for combo in itertools.product(*values):
+        params = dict(zip(defaults, combo))
         if name == "theorem3":
             if params["s"] is None:
                 for s in range(1, params["r"] + 1):
@@ -337,13 +335,6 @@ def expand_param_grid(name: str, grid: dict) -> list[dict]:
                 continue
         combos.append(params)
     return combos
-
-
-def _product(values: list[tuple]) -> list[tuple]:
-    out = [()]
-    for vals in values:
-        out = [prev + (v,) for prev in out for v in vals]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +383,6 @@ def _scan_chunk(chunk: tuple) -> dict:
     top_k = config.top_k
     checked = 0
     ood = 0
-    errors = 0
     violations: list[dict] = []
     equalities: list[dict] = []
     top: list[tuple] = []  # ((slack, graph6, check, params), record) ascending
@@ -403,12 +393,7 @@ def _scan_chunk(chunk: tuple) -> dict:
         g6: str | None = None
         for name, param_list in plan:
             for params in param_list:
-                try:
-                    outcomes = run_check(name, g, params, tols, config.stability_mode)
-                except WalkOverflowError:
-                    errors += 1
-                    continue
-                for oc in outcomes:
+                for oc in run_check(name, g, params, tols, config.stability_mode):
                     if oc.status == OOD:
                         ood += 1
                         continue
@@ -438,7 +423,6 @@ def _scan_chunk(chunk: tuple) -> dict:
     return {
         "checked": checked,
         "ood": ood,
-        "errors": errors,
         "violations": violations,
         "equalities": equalities,
         "cands": top,
@@ -486,7 +470,7 @@ def scan(corpus: CorpusSpec, config: ScanConfig, jobs: int = 1) -> ScanResult:
     recomputed after the merge.
     """
     for name in config.checks:
-        if name not in CHECK_AXES:
+        if name not in CHECKS:
             raise ValueError(f"unknown check {name!r}")
     if config.top_k < 1:
         raise ValueError("top_k must be >= 1")
@@ -503,7 +487,7 @@ def scan(corpus: CorpusSpec, config: ScanConfig, jobs: int = 1) -> ScanResult:
     cands: list[tuple] = []
     for part in partials:
         result.graphs_checked += part["checked"]
-        result.out_of_domain += part["ood"] + part["errors"]
+        result.out_of_domain += part["ood"]
         result.violations.extend(part["violations"])
         result.equalities.extend(part["equalities"])
         cands.extend(part["cands"])

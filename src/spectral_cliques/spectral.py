@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .graphs import Graph, is_bipartite, is_connected, mask_members
+from .graphs import Graph, is_bipartite, is_connected, mask_members, per_graph
 
 INT128_MAX = (1 << 127) - 1
 
@@ -88,7 +87,7 @@ def _spectrum_from(a: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> Spectru
     return Spectrum(tuple(float(x) for x in vals), resid)
 
 
-@lru_cache(maxsize=4096)
+@per_graph
 def _spectrum_lapack(g: Graph) -> Spectrum:
     a = adjacency_matrix(g)
     try:
@@ -208,7 +207,7 @@ def _neighbor_lists(g: Graph) -> list[tuple[int, ...]]:
     return [mask_members(g.adj[u]) for u in range(g.n)]
 
 
-@lru_cache(maxsize=4096)
+@per_graph
 def walk_counts(g: Graph, L: int) -> WalkProfile:
     """Exact integer walk counts up to length L via neighbor-sum updates."""
     if L < 1:

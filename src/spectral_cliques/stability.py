@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import DEFAULT_TOLS, Tolerances, _as_fraction
+from .bounds import DEFAULT_TOLS, Tolerances
 from .cliques import is_kfree, proper_coloring
 from .graphs import Graph, induced_subgraph, mask_from, mask_members
 from .spectral import spectrum
@@ -260,7 +260,7 @@ def niro_premise(g: Graph, r: int, beta) -> bool:
     """
     if r < 2:
         raise ValueError("r must be >= 2")
-    b = _as_fraction(beta)
+    b = Fraction(beta)
     if not 0 < b <= Fraction(1, 512 * r ** 6):
         return False
     if not is_kfree(g, r + 1):

@@ -1,13 +1,16 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from spectral_cliques import emit_graph6, turan_graph
-from spectral_cliques.cli import main
-from spectral_cliques.scan import ScanResult
+from spectral_cliques import complete_graph, emit_graph6, turan_graph
+from spectral_cliques.cli import _build_parser, main
+from spectral_cliques.scan import CHECKS, ScanResult
 
 
 def run_cli(*args, cwd=None, env_extra=None):
@@ -115,6 +118,13 @@ class TestCheck:
         assert strict[0]["status"] == "holds"
         assert sloppy[0]["status"] == "equality"
 
+    def test_walk_overflow_reports_ood_exit_0(self):
+        g6 = emit_graph6(complete_graph(12))
+        proc = run_cli("check", "--g6", g6, "--theorem", "maxmu", "--s", "40")
+        assert proc.returncode == 0, proc.stderr
+        [entry] = json.loads(proc.stdout)
+        assert entry["status"] == "ood"
+
 
 class TestScanCli:
     def test_exhaustive_n5(self):
@@ -194,6 +204,23 @@ class TestWitnessCli:
         payload = json.loads(proc.stdout)
         assert payload["boundary"] is True
         assert payload["verdict"] == "witnessed"
+
+
+def _check_choices(command: str) -> set[str]:
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return set(next(a for a in sub.choices[command]._actions if a.dest == "checks").choices)
+
+
+class TestCheckRegistry:
+    def test_cli_choices_follow_registry(self):
+        assert _check_choices("scan") == set(CHECKS)
+        assert _check_choices("check") == set(CHECKS) - {"stability"}
+
+    def test_readme_lists_registry(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        sentence = re.split(r"\.\s", readme.split("Check names:", 1)[1], maxsplit=1)[0]
+        assert re.findall(r"`([a-z][a-z0-9_]*)`", sentence) == list(CHECKS)
 
 
 class TestExitCodeMapping:

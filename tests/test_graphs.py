@@ -7,7 +7,7 @@ from spectral_cliques import (Graph6Error, build_graph, complement,
                               cycle_graph, emit_graph6, empty_graph,
                               graph_from_edge_mask, is_bipartite, is_connected,
                               parse_graph6, path_graph, random_graph,
-                              star_graph, turan_graph)
+                              spectrum, star_graph, turan_graph)
 from spectral_cliques.graphs import SplitMix64, mask_from, mask_members, mix64
 
 
@@ -62,6 +62,14 @@ class TestBuildGraph:
             assert g.adj[u] >> u & 1 == 0  # zero diagonal
             for v in range(g.n):
                 assert g.has_edge(u, v) == g.has_edge(v, u)
+
+    def test_memo_ignored_by_equality_and_hash(self):
+        a, b = complete_graph(4), complete_graph(4)
+        spectrum(a)
+        assert a.memo and not b.memo
+        assert a == b
+        assert hash(a) == hash(b)
+        assert repr(a) == repr(b)
 
 
 class TestGenerators:

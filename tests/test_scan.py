@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from spectral_cliques import (clique_counts, emit_graph6, is_kfree,
-                              random_graph, turan_graph, walk_counts)
+from spectral_cliques import (clique_counts, complete_graph, emit_graph6,
+                              is_kfree, random_graph, run_check, spectral,
+                              turan_graph, walk_counts)
 from spectral_cliques.graphs import mix64
 from spectral_cliques.scan import (CorpusSpec, ScanConfig, brute_force_cliques,
                                    brute_force_walks, enumerate_labeled,
@@ -151,6 +152,31 @@ class TestScan:
                    ScanConfig(checks={"stability": {"r": [2, 3]}}))
         assert res.violations == []
         assert res.graphs_checked == 2
+
+    def test_jacobi_once_per_refined_graph(self, monkeypatch):
+        solved = []
+        jacobi = spectral.jacobi_eigensystem
+
+        def counting(a, *args, **kwargs):
+            solved.append(a.tobytes())
+            return jacobi(a, *args, **kwargs)
+
+        monkeypatch.setattr(spectral, "jacobi_eigensystem", counting)
+        checks = {name: {} for name in ("wilf", "maxmu", "polyn", "theorem1", "theorem2")}
+        scan(CorpusSpec(kind="exhaustive", n=5), ScanConfig(checks=checks))
+        assert solved
+        assert len(solved) == len(set(solved))
+
+    def test_walk_overflow_is_one_out_of_domain_outcome(self, tmp_path):
+        k12 = complete_graph(12)
+        [oc] = run_check("maxmu", k12, {"s": 40})
+        assert (oc.check, oc.params, oc.status) == ("maxmu", {"s": 40}, "ood")
+        corpus = tmp_path / "k12.g6"
+        corpus.write_text(emit_graph6(k12) + "\n")
+        res = scan(CorpusSpec(kind="file", path=str(corpus)),
+                   ScanConfig(checks={"maxmu": {"s": [2, 40]}}))
+        assert res.out_of_domain == 1
+        assert res.violations == []
 
     def test_out_of_domain_counted(self):
         res = scan(CorpusSpec(kind="exhaustive", n=4),
