@@ -19,11 +19,10 @@ from .scan import (CorpusSpec, ScanConfig, ScanResult, brute_force_cliques,
                    brute_force_walks, enumerate_labeled, run_check, scan,
                    tightness_rank)
 from .spectral import (Spectrum, WalkOverflowError, WalkProfile,
-                       WalkRatioReport, rayleigh_lower_bounds, spectral_radius,
-                       spectrum, walk_counts, walk_ratio_limit_check)
+                       WalkRatioReport, spectral_radius, spectrum, walk_counts,
+                       walk_ratio_limit_check)
 from .stability import (StabilityReport, StabilityWitness,
-                        find_stability_witness, niro_premise,
-                        stability_premise, stability_report, verify_witness,
-                        witness_thresholds)
+                        find_stability_witness, stability_premise,
+                        stability_report, verify_witness, witness_thresholds)
 
 __version__ = "0.1.0"

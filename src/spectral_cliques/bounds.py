@@ -8,8 +8,8 @@ exact rationals, so holds/equality verdicts of the exact checks carry no
 tolerance at all.
 
 Verdicts that land inside the tolerance band (or below it) are recomputed
-with the independent Jacobi eigensolver at a 100x tighter sweep threshold
-before being classified; such reports carry ``refined=True``.
+with the independent Jacobi eigensolver before being classified; such
+reports carry ``refined=True``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Callable
 
 from .cliques import clique_counts, is_kfree, vertex_clique_counts
 from .graphs import Graph, per_graph
-from .spectral import JACOBI_SWEEP_TOL, Spectrum, spectrum, walk_counts
+from .spectral import Spectrum, spectrum, walk_counts
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ def _skipped(name: str, params: dict) -> BoundReport:
 
 @per_graph
 def _refined_spectrum(g: Graph) -> Spectrum:
-    return spectrum(g, solver="jacobi", sweep_tol=0.01 * JACOBI_SWEEP_TOL * g.n)
+    return spectrum(g, solver="jacobi")
 
 
 def _mu_report(name: str, params: dict, g: Graph, tols: Tolerances,

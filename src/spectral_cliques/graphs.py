@@ -71,13 +71,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
-    def neighbors(self, u: int) -> int:
-        """Neighbor set of ``u`` as a bit-mask."""
-        return self.adj[u]
-
-    def degree(self, u: int) -> int:
-        return self.degrees[u]
-
     def vertex_mask(self) -> int:
         return (1 << self.n) - 1
 
@@ -397,11 +390,9 @@ class SplitMix64:
         self._state = seed & _U64
 
     def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _U64
         z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64
-        return z ^ (z >> 31)
+        self._state = (z + _GOLDEN) & _U64
+        return _mix(z)
 
     def uniform(self) -> float:
         """Uniform in [0, 1) with 53 random mantissa bits."""

@@ -16,6 +16,7 @@ not test failures.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import multiprocessing
 import time
@@ -28,7 +29,8 @@ from .cliques import CliqueProfile, clique_counts, is_kfree, moon_moser_check
 from .graphs import (Graph, graph_from_edge_mask, is_bipartite, is_connected,
                      emit_graph6, mask_members, mix64, parse_graph6, random_graph)
 from .spectral import WalkOverflowError, WalkProfile
-from .stability import EXHAUSTIVE_MAX_N, alpha_limit, stability_report
+from .stability import (EXHAUSTIVE_MAX_N, alpha_limit, find_stability_witness,
+                        stability_premise, witness_thresholds)
 
 EXHAUSTIVE_LIMIT = 7
 EXHAUSTIVE_OVERRIDE_LIMIT = 8
@@ -68,7 +70,8 @@ class ScanConfig:
 
     ``checks`` maps a check name to {axis: values}; missing axes fall back
     to per-check defaults (oldin expands s over 2..omega per graph,
-    stability takes the largest admissible alpha per r).
+    theorem3 s over 1..r, stability takes the largest admissible alpha per
+    r).
     """
 
     checks: dict[str, dict]
@@ -154,21 +157,31 @@ def read_graph6_lines(path: str) -> list[str]:
     return lines
 
 
-def _passes_filters(g: Graph, filters: tuple[str, ...]) -> bool:
+def _nonbipartite(g: Graph) -> bool:
+    return not is_bipartite(g)
+
+
+def _filter_predicates(filters: tuple[str, ...]) -> tuple[Callable[[Graph], bool], ...]:
+    """One predicate per corpus filter; a graph passes when all hold.
+
+    Raises ValueError on an unknown or malformed filter."""
+    preds = []
     for f in filters:
         if f == "connected":
-            if not is_connected(g):
-                return False
+            preds.append(is_connected)
         elif f == "nonbipartite":
-            if is_bipartite(g):
-                return False
+            preds.append(_nonbipartite)
         elif f.startswith("kfree:"):
-            r = int(f.split(":", 1)[1])
-            if not is_kfree(g, r + 1):
-                return False
+            try:
+                r = int(f[len("kfree:"):])
+            except ValueError:
+                r = 0  # refused just below, like any R < 1
+            if r < 1:
+                raise ValueError(f"malformed corpus filter {f!r}; kfree:R needs R >= 1")
+            preds.append(functools.partial(is_kfree, k=r + 1))
         else:
             raise ValueError(f"unknown corpus filter {f!r}")
-    return True
+    return tuple(preds)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +208,14 @@ def _single(evaluator) -> Callable:
 
 def _theorem3_outcomes(g: Graph, params: dict, tols: Tolerances,
                        mode: str) -> list[CheckOutcome]:
-    rep = bounds.theorem3_conditional(g, params["r"], params["s"], params["alpha"], tols)
+    r = params["r"]
+    s_values = range(1, r + 1) if params.get("s") is None else [params["s"]]
+    return [_theorem3_outcome(g, r, s, params["alpha"], tols)
+            for s in s_values if s <= r]
+
+
+def _theorem3_outcome(g: Graph, r: int, s: int, alpha, tols: Tolerances) -> CheckOutcome:
+    rep = bounds.theorem3_conditional(g, r, s, alpha, tols)
     con = rep.conclusion
     if not rep.in_domain:
         status = OOD
@@ -206,7 +226,7 @@ def _theorem3_outcomes(g: Graph, params: dict, tols: Tolerances,
     else:
         status = HOLDS  # vacuously; no slack to rank
     slack = con.slack if rep.premise_holds else None
-    return [CheckOutcome("theorem3", rep.params, status, con.lhs, con.rhs, slack, rep)]
+    return CheckOutcome("theorem3", rep.params, status, con.lhs, con.rhs, slack, rep)
 
 
 def _oldin_outcomes(g: Graph, params: dict, tols: Tolerances,
@@ -242,20 +262,20 @@ def _stability_outcomes(g: Graph, params: dict, tols: Tolerances,
     if alpha is None:
         alpha = alpha_limit(r)
     out_params = {"r": r, "alpha": float(alpha)}
+    if not stability_premise(g, r, alpha, tols):
+        return [CheckOutcome("stability", out_params, OOD, None, None, None)]
     if mode == "exhaustive" and g.n > EXHAUSTIVE_MAX_N:
         mode = "heuristic"
-    rep = stability_report(g, r, alpha, mode, tols)
-    if not rep.premise_ok:
-        return [CheckOutcome("stability", out_params, OOD, None, None, None, rep)]
-    if rep.verdict == "witnessed":
+    w = find_stability_witness(g, r, alpha, mode, tols)
+    if w is not None:
         status = HOLDS
-    elif rep.verdict == "exhaustive-miss":
+    elif mode == "exhaustive":
         status = VIOLATION
     else:
         status = INCONCLUSIVE
-    order = rep.witness.order if rep.witness else 0
-    return [CheckOutcome("stability", out_params, status, rep.order_min,
-                         float(order), None, rep)]
+    order_min, _ = witness_thresholds(g.n, r, float(alpha))
+    return [CheckOutcome("stability", out_params, status, order_min,
+                         float(w.order if w else 0), None)]
 
 
 @dataclass(frozen=True)
@@ -298,8 +318,8 @@ CHECKS: dict[str, Check] = {
 
 def run_check(name: str, g: Graph, params: dict, tols: Tolerances = DEFAULT_TOLS,
               stability_mode: str = "exhaustive") -> list[CheckOutcome]:
-    """Evaluate one named check on one graph; oldin with s=None expands over
-    every valid clique size.  A walk count beyond the 128-bit range turns
+    """Evaluate one named check on one graph; oldin and theorem3 with s=None
+    expand over every valid s.  A walk count beyond the 128-bit range turns
     the evaluation into one out-of-domain outcome."""
     check = CHECKS.get(name)
     if check is None:
@@ -323,18 +343,7 @@ def expand_param_grid(name: str, grid: dict) -> list[dict]:
             if not vals:
                 raise ValueError(f"empty grid for axis {axis!r} of check {name!r}")
             values.append(vals)
-    combos = []
-    for combo in itertools.product(*values):
-        params = dict(zip(defaults, combo))
-        if name == "theorem3":
-            if params["s"] is None:
-                for s in range(1, params["r"] + 1):
-                    combos.append({**params, "s": s})
-                continue
-            if params["s"] > params["r"]:
-                continue
-        combos.append(params)
-    return combos
+    return [dict(zip(defaults, combo)) for combo in itertools.product(*values)]
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +353,14 @@ def expand_param_grid(name: str, grid: dict) -> list[dict]:
 _WORKER: dict = {}
 
 
-def _init_scan_worker(corpus: CorpusSpec, config: ScanConfig) -> None:
+def _init_scan_worker(corpus: CorpusSpec, config: ScanConfig,
+                      filters: tuple[Callable[[Graph], bool], ...]) -> None:
     plan = [(name, expand_param_grid(name, grid))
             for name, grid in config.checks.items()]
     _WORKER.update(
         corpus=corpus,
         config=config,
+        filters=filters,
         plan=plan,
         tols=DEFAULT_TOLS.scaled(config.tol_scale),
     )
@@ -376,9 +387,9 @@ def _params_key(params: dict) -> tuple:
 
 
 def _scan_chunk(chunk: tuple) -> dict:
-    corpus: CorpusSpec = _WORKER["corpus"]
     config: ScanConfig = _WORKER["config"]
     tols: Tolerances = _WORKER["tols"]
+    filters = _WORKER["filters"]
     plan = _WORKER["plan"]
     top_k = config.top_k
     checked = 0
@@ -387,7 +398,7 @@ def _scan_chunk(chunk: tuple) -> dict:
     equalities: list[dict] = []
     top: list[tuple] = []  # ((slack, graph6, check, params), record) ascending
     for g in _chunk_graphs(chunk):
-        if not _passes_filters(g, corpus.filters):
+        if not all(keep(g) for keep in filters):
             continue
         checked += 1
         g6: str | None = None
@@ -474,14 +485,15 @@ def scan(corpus: CorpusSpec, config: ScanConfig, jobs: int = 1) -> ScanResult:
             raise ValueError(f"unknown check {name!r}")
     if config.top_k < 1:
         raise ValueError("top_k must be >= 1")
+    filters = _filter_predicates(corpus.filters)
     started = time.perf_counter()
     chunks = _make_chunks(corpus)
     if jobs <= 1 or len(chunks) <= 1:
-        _init_scan_worker(corpus, config)
+        _init_scan_worker(corpus, config, filters)
         partials = [_scan_chunk(c) for c in chunks]
     else:
         with multiprocessing.Pool(processes=jobs, initializer=_init_scan_worker,
-                                  initargs=(corpus, config)) as pool:
+                                  initargs=(corpus, config, filters)) as pool:
             partials = list(pool.imap(_scan_chunk, chunks, chunksize=1))
     result = ScanResult()
     cands: list[tuple] = []

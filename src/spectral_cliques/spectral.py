@@ -1,8 +1,10 @@
 """Adjacency eigenvalues and exact walk counting.
 
-Eigenvalues come from dense symmetric diagonalization (LAPACK through
-numpy); a cyclic-Jacobi solver is kept alongside as an independent second
-route, used when an inequality verdict sits close to the tolerance band.
+Only eigenvalues are kept: every inequality of the paper reads the spectral
+radius or the second eigenvalue alone.  They come from dense symmetric
+diagonalization (LAPACK ``eigh`` through numpy, its eigenvectors dropped); a
+cyclic-Jacobi solver is kept alongside as an independent second route,
+used when an inequality verdict sits close to the tolerance band.
 Walk counts are exact integers throughout; floating point enters only at
 the final division of the ratio-limit check.
 """
@@ -18,8 +20,10 @@ from .graphs import Graph, is_bipartite, is_connected, mask_members, per_graph
 
 INT128_MAX = (1 << 127) - 1
 
-#: default off-diagonal Frobenius threshold factor for the Jacobi sweeps
-JACOBI_SWEEP_TOL = 1e-12
+#: Jacobi sweeps stop once the off-diagonal Frobenius norm is at most this
+#: factor times n (or the round-off floor, if that is larger)
+JACOBI_SWEEP_TOL = 1e-14
+JACOBI_MAX_SWEEPS = 60
 
 
 class WalkOverflowError(OverflowError):
@@ -28,14 +32,9 @@ class WalkOverflowError(OverflowError):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """All adjacency eigenvalues, sorted descending, plus a residual bound.
-
-    ``residual_bound`` is the largest euclidean norm of A x - lambda x over
-    the computed eigenpairs.
-    """
+    """All adjacency eigenvalues, sorted descending."""
 
     eigenvalues: tuple[float, ...]
-    residual_bound: float
 
     @property
     def mu(self) -> float:
@@ -45,27 +44,6 @@ class Spectrum:
     def mu2(self) -> float:
         """Second largest eigenvalue; 0 for a one-vertex graph."""
         return self.eigenvalues[1] if len(self.eigenvalues) > 1 else 0.0
-
-    @property
-    def mu_min(self) -> float:
-        return self.eigenvalues[-1]
-
-    def multiplicities(self, atol: float = 1e-7) -> tuple[tuple[float, int], ...]:
-        """Group eigenvalues within ``atol`` of their neighbors.
-
-        Returns (representative, count) pairs, descending; the representative
-        is the group mean.
-        """
-        groups: list[tuple[float, int]] = []
-        run: list[float] = []
-        for x in self.eigenvalues:
-            if run and abs(run[-1] - x) > atol:
-                groups.append((sum(run) / len(run), len(run)))
-                run = []
-            run.append(x)
-        if run:
-            groups.append((sum(run) / len(run), len(run)))
-        return tuple(groups)
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
@@ -79,64 +57,53 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return a
 
 
-def _spectrum_from(a: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> Spectrum:
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    vecs = vecs[:, order]
-    resid = float(np.linalg.norm(a @ vecs - vecs * vals, axis=0).max()) if len(vals) else 0.0
-    return Spectrum(tuple(float(x) for x in vals), resid)
+def _descending(vals: np.ndarray) -> Spectrum:
+    return Spectrum(tuple(float(x) for x in vals[np.argsort(vals)[::-1]]))
 
 
 @per_graph
 def _spectrum_lapack(g: Graph) -> Spectrum:
-    a = adjacency_matrix(g)
+    # eigh, not eigvalsh: the two differ in the last bits, and every
+    # reported figure is pinned to eigh's
     try:
-        vals, vecs = np.linalg.eigh(a)
+        vals, _ = np.linalg.eigh(adjacency_matrix(g))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - not seen at n <= 64
         raise ArithmeticError(f"eigensolver failed to converge: {exc}") from exc
-    return _spectrum_from(a, vals, vecs)
+    return _descending(vals)
 
 
-def spectrum(g: Graph, solver: str = "lapack", sweep_tol: float | None = None) -> Spectrum:
+def spectrum(g: Graph, solver: str = "lapack") -> Spectrum:
     """All n eigenvalues of the 0/1 adjacency matrix, sorted descending.
 
-    ``solver`` is "lapack" (default) or "jacobi".  ``sweep_tol`` applies to
-    the Jacobi route only: sweeps stop once the off-diagonal Frobenius norm
-    drops below it (default JACOBI_SWEEP_TOL * n).
+    ``solver`` is "lapack" (default) or "jacobi", the independent second
+    route, whose sweeps stop at JACOBI_SWEEP_TOL * n.
     """
     if solver == "lapack":
-        if sweep_tol is not None:
-            raise ValueError("sweep_tol only applies to the jacobi solver")
         return _spectrum_lapack(g)
     if solver == "jacobi":
-        a = adjacency_matrix(g)
-        tol = JACOBI_SWEEP_TOL * g.n if sweep_tol is None else sweep_tol
-        vals, vecs = jacobi_eigensystem(a, tol)
-        return _spectrum_from(a, vals, vecs)
+        return _descending(jacobi_eigenvalues(adjacency_matrix(g), JACOBI_SWEEP_TOL * g.n))
     raise ValueError(f"unknown solver {solver!r}")
 
 
-def jacobi_eigensystem(a: np.ndarray, sweep_tol: float,
-                       max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic two-sided Jacobi rotations on a symmetric matrix.
+def jacobi_eigenvalues(a: np.ndarray, sweep_tol: float) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix by cyclic two-sided Jacobi rotations.
 
     Terminates when the off-diagonal Frobenius norm is at most
-    max(sweep_tol, round-off floor); raises ArithmeticError if the sweep
-    budget runs out first.
+    max(sweep_tol, round-off floor); raises ArithmeticError if
+    JACOBI_MAX_SWEEPS sweeps run out first.
     """
     a = np.array(a, dtype=float)
     n = a.shape[0]
-    v = np.eye(n)
     if n == 1:
-        return a.diagonal().copy(), v
+        return a.diagonal().copy()
     # quadratic convergence stalls at round-off; don't demand more than that
     floor = 8.0 * np.finfo(float).eps * n * max(1.0, float(np.linalg.norm(a)))
     tol = max(sweep_tol, floor)
-    for sweep in range(max_sweeps + 1):
+    for sweep in range(JACOBI_MAX_SWEEPS + 1):
         off = math.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2)))
         if off <= tol:
             break
-        if sweep == max_sweeps:
+        if sweep == JACOBI_MAX_SWEEPS:
             raise ArithmeticError("jacobi sweeps exhausted without convergence")
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -159,25 +126,12 @@ def jacobi_eigensystem(a: np.ndarray, sweep_tol: float,
                 a[:, p] = c * cp - s * cq
                 a[:, q] = s * cp + c * cq
                 a[p, q] = a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    return a.diagonal().copy(), v
+    return a.diagonal().copy()
 
 
 def spectral_radius(g: Graph) -> float:
     """Largest adjacency eigenvalue (the Perron root when connected)."""
     return spectrum(g).mu
-
-
-def rayleigh_lower_bounds(g: Graph) -> tuple[float, float]:
-    """(2m/n, sqrt(mean of squared degrees)); both lower-bound the spectral
-    radius, and the second dominates the first."""
-    n = g.n
-    first = 2.0 * g.m / n
-    second = math.sqrt(sum(d * d for d in g.degrees) / n)
-    return first, second
 
 
 # ---------------------------------------------------------------------------

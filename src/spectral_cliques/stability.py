@@ -252,22 +252,6 @@ def verify_witness(g: Graph, r: int, alpha, w: StabilityWitness,
     return _order_ok(order, thr_o, boundary, n) and _degree_ok(dmin, thr_d, boundary, n, r)
 
 
-def niro_premise(g: Graph, r: int, beta) -> bool:
-    """Edge-count premise variant: K_{r+1}-free, 0 < beta <= 2^-9 r^-6, and
-    m >= ((r-1)/(2r) - beta) n^2 (exact rational comparison).
-
-    Offered for exploration only; no conclusion is asserted from it.
-    """
-    if r < 2:
-        raise ValueError("r must be >= 2")
-    b = Fraction(beta)
-    if not 0 < b <= Fraction(1, 512 * r ** 6):
-        return False
-    if not is_kfree(g, r + 1):
-        return False
-    return g.m >= (Fraction(r - 1, 2 * r) - b) * g.n * g.n
-
-
 def stability_report(g: Graph, r: int, alpha, mode: str = "exhaustive",
                      tols: Tolerances = DEFAULT_TOLS) -> StabilityReport:
     """Premise check plus witness search, packaged for reporting."""

@@ -178,6 +178,13 @@ class TestScanCli:
         proc = run_cli("scan", "--exhaustive-n", "5")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("bad", ["bogus", "kfree:x", "kfree:0"])
+    def test_bad_filter_exit_2_on_empty_corpus(self, tmp_path, bad):
+        corpus = tmp_path / "empty.g6"
+        corpus.write_text("")
+        assert main(["scan", "--file", str(corpus), "--check", "wilf",
+                     "--filter", bad]) == 2
+
 
 class TestWitnessCli:
     def test_t36_witnessed(self):

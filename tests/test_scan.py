@@ -71,15 +71,19 @@ class TestParamGrid:
         assert expand_param_grid("wilf", {}) == [{}]
         assert expand_param_grid("maxmu", {}) == [{"s": s} for s in (1, 2, 3, 4)]
 
-    def test_theorem3_s_capped_by_r(self):
-        combos = expand_param_grid("theorem3", {"r": [2, 3], "s": [1, 2, 3],
-                                                "alpha": [0]})
-        assert {(c["r"], c["s"]) for c in combos} == {
-            (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)}
+    @staticmethod
+    def _theorem3_rs(g, grid):
+        return [(oc.params["r"], oc.params["s"])
+                for params in expand_param_grid("theorem3", grid)
+                for oc in run_check("theorem3", g, params)]
 
-    def test_theorem3_default_s_expands(self):
-        combos = expand_param_grid("theorem3", {"r": [3], "alpha": [0]})
-        assert [(c["r"], c["s"]) for c in combos] == [(3, 1), (3, 2), (3, 3)]
+    def test_theorem3_s_capped_by_r(self, k4):
+        pairs = self._theorem3_rs(k4, {"r": [2, 3], "s": [1, 2, 3], "alpha": [0]})
+        assert set(pairs) == {(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)}
+
+    def test_theorem3_default_s_expands(self, k4):
+        pairs = self._theorem3_rs(k4, {"r": [3], "alpha": [0]})
+        assert pairs == [(3, 1), (3, 2), (3, 3)]
 
     def test_oldin_valid_sentinel(self):
         combos = expand_param_grid("oldin", {"l": [2]})
@@ -155,13 +159,13 @@ class TestScan:
 
     def test_jacobi_once_per_refined_graph(self, monkeypatch):
         solved = []
-        jacobi = spectral.jacobi_eigensystem
+        jacobi = spectral.jacobi_eigenvalues
 
         def counting(a, *args, **kwargs):
             solved.append(a.tobytes())
             return jacobi(a, *args, **kwargs)
 
-        monkeypatch.setattr(spectral, "jacobi_eigensystem", counting)
+        monkeypatch.setattr(spectral, "jacobi_eigenvalues", counting)
         checks = {name: {} for name in ("wilf", "maxmu", "polyn", "theorem1", "theorem2")}
         scan(CorpusSpec(kind="exhaustive", n=5), ScanConfig(checks=checks))
         assert solved

@@ -1,12 +1,10 @@
 from dataclasses import replace
-from fractions import Fraction
 
 import pytest
 
-from spectral_cliques import (find_stability_witness, niro_premise,
-                              random_graph, stability_premise,
-                              stability_report, turan_graph, verify_witness,
-                              witness_thresholds)
+from spectral_cliques import (find_stability_witness, random_graph,
+                              stability_premise, stability_report, turan_graph,
+                              verify_witness, witness_thresholds)
 from spectral_cliques.stability import StabilityWitness, alpha_limit
 
 
@@ -126,22 +124,6 @@ class TestVerifyWitness:
         # a 4-class partition is not a 3-partition
         bad = replace(w, partition=((0, 1), (2,), (3,), (4, 5)))
         assert not verify_witness(t36, 3, a, bad)
-
-
-class TestNiro:
-    def test_t28(self):
-        assert niro_premise(turan_graph(2, 8), 2, Fraction(1, 2 ** 9 * 2 ** 6))
-
-    def test_c5(self, c5):
-        assert not niro_premise(c5, 2, Fraction(1, 2 ** 9 * 2 ** 6))
-
-    def test_k4_not_free(self, k4):
-        assert not niro_premise(k4, 3, Fraction(1, 10 ** 6))
-
-    def test_beta_range(self):
-        g = turan_graph(2, 8)
-        assert not niro_premise(g, 2, 0)
-        assert not niro_premise(g, 2, Fraction(1, 100))
 
 
 class TestReport:

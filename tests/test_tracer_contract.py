@@ -1,0 +1,38 @@
+"""The benchmark's layer tracer (perfbench/tracer.py) wraps package
+functions by module and name, and splits ``spectrum`` calls by their solver
+argument; these tests keep the package to that contract."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+from spectral_cliques import complete_graph, wilf_bound
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _tracer_module():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_functions_resolve():
+    tracer = _tracer_module()
+    for module, fname in tracer.TRACED:
+        fn = getattr(importlib.import_module(f"{tracer.PACKAGE}.{module}"), fname, None)
+        assert callable(fn), f"{module}.{fname}"
+
+
+def test_refinement_reaches_spectrum_as_jacobi():
+    tracer = _tracer_module().LayerTracer()
+    k3 = complete_graph(3)
+    tracer.install()
+    try:
+        rep = wilf_bound(k3)
+    finally:
+        tracer.uninstall()
+    assert rep.refined
+    assert tracer.calls("spectral", "jacobi") == 1
+    assert tracer.jacobi_graphs == {(k3.n, k3.adj)}
