@@ -1,8 +1,18 @@
 """Exact clique statistics and structural recognizers.
 
-Counting walks the clique tree once: every clique is visited exactly one
-time by extending with vertices above the current maximum, so the counts
-of all sizes fall out of a single traversal over bit-mask intersections.
+Clique counts come from a pivot tree (Jain and Seshadhri, "The Power of
+Pivoting for Exact Clique Counting", WSDM 2020), not from visiting every
+clique.  A node of the tree holds h vertices, has q pivot vertices, and
+its candidates are the common neighbours of all of them.  It picks the
+candidate p with the most candidate neighbours as its pivot.  A clique
+among the candidates either avoids every candidate outside N(p) + p and
+lies under the child that adds p to the pivots (candidates N(p)), or its
+first such vertex v is held in a child of its own (candidates N(v), less
+the non-neighbours of p handled before v).  A leaf, with no candidates
+left, stands for the 2^q cliques made of its held vertices and any subset
+of its pivots: C(q, j) cliques of size h + j.  Each held vertex lies in
+all of them, each pivot vertex in C(q - 1, j) of size h + 1 + j.  A complete
+graph is one root-to-leaf path.
 """
 
 from __future__ import annotations
@@ -44,42 +54,95 @@ class VertexCliqueProfile:
         return row[s - 1] if s <= len(row) else 0
 
 
-def _count_extensions(adj: tuple[int, ...], allowed: int, counts: list[int],
-                      size: int) -> None:
-    # each pick extends the current clique with a vertex above all previous
-    a = allowed
-    while a:
-        low = a & -a
-        v = low.bit_length() - 1
-        a ^= low
-        counts[size] += 1
-        nxt = allowed & adj[v] & -(low << 1)
-        if nxt:
-            _count_extensions(adj, nxt, counts, size + 1)
+def _pivot_tree(adj: tuple[int, ...], cand: int, pre: int, w: int,
+                rows: list[int] | None) -> int:
+    """Clique counts below one node of the pivot tree, packed in an int.
+
+    A count vector c_0, c_1, ... is packed as sum(c_s << s * w), which is
+    the polynomial sum(c_s x^s) at x = 2^w.  ``pre`` is x^h (1 + x)^q for
+    the node's h held and q pivot vertices, so a leaf's cliques are ``pre``
+    itself.  When ``rows`` is given, ``rows[u]`` gains the packed counts of
+    the cliques through u under the node: all of a held child's cliques,
+    and x / (1 + x) times a pivot child's.  Every slot counts distinct
+    vertex sets of one size, fewer than 2^n, so w = n keeps the slots apart
+    and the division exact.
+    """
+    top = cand.bit_count() - 1
+    best = -1
+    c = cand
+    while c:
+        low = c & -c
+        c ^= low
+        d = (adj[low.bit_length() - 1] & cand).bit_count()
+        if d > best:
+            best = d
+            pivot = low
+            if d == top:
+                break
+    p = pivot.bit_length() - 1
+    # a child with fewer than two candidates is a leaf or one pivot away
+    # from one; both are counted in place, which saves most calls
+    total = 0
+    rest = cand & ~adj[p] ^ pivot
+    if rest:
+        held = pre << w
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            cand ^= low
+            v = low.bit_length() - 1
+            sub = cand & adj[v]
+            if not sub:
+                s = held
+            elif sub & (sub - 1):
+                s = _pivot_tree(adj, sub, held, w, rows)
+            else:
+                s = held + (held << w)
+                if rows is not None:
+                    rows[sub.bit_length() - 1] += held << w
+            total += s
+            if rows is not None:
+                rows[v] += s
+    sub = cand & adj[p]
+    pre += pre << w
+    if not sub:
+        s = pre
+    elif sub & (sub - 1):
+        s = _pivot_tree(adj, sub, pre, w, rows)
+    else:
+        s = pre + (pre << w)
+        if rows is not None:
+            rows[sub.bit_length() - 1] += pre << w
+    if rows is not None:
+        rows[p] += s // ((1 << w) + 1) << w
+    return total + s
+
+
+def _unpack(packed: int, w: int, omega: int) -> tuple[int, ...]:
+    # slots 1..omega; a plain loop is several times faster than a generator
+    mask = (1 << w) - 1
+    out = []
+    for _ in range(omega):
+        packed >>= w
+        out.append(packed & mask)
+    return tuple(out)
 
 
 @per_graph
 def clique_counts(g: Graph) -> CliqueProfile:
-    """Exact k_s for every s, via recursive neighborhood intersection."""
-    counts = [0] * g.n
-    _count_extensions(g.adj, g.vertex_mask(), counts, 0)
-    omega = max(s + 1 for s, c in enumerate(counts) if c > 0)
-    return CliqueProfile(tuple(counts), omega)
+    """Exact k_s for every s, from the pivot tree."""
+    packed = _pivot_tree(g.adj, g.vertex_mask(), 1, g.n, None)
+    omega = (packed.bit_length() - 1) // g.n
+    return CliqueProfile(_unpack(packed, g.n, omega) + (0,) * (g.n - omega), omega)
 
 
 @per_graph
 def vertex_clique_counts(g: Graph) -> VertexCliqueProfile:
-    """Exact k_s(u): cliques through u are u plus a clique in its
-    neighborhood."""
-    omega = clique_counts(g).omega
-    rows = []
-    for u in range(g.n):
-        counts = [0] * max(g.n, 1)
-        counts[0] = 1
-        if g.adj[u]:
-            _count_extensions(g.adj, g.adj[u], counts, 1)
-        rows.append(tuple(counts[:omega]))
-    return VertexCliqueProfile(tuple(rows), omega)
+    """Exact k_s(u) for 1 <= s <= omega, from the same pivot tree."""
+    rows = [0] * g.n
+    packed = _pivot_tree(g.adj, g.vertex_mask(), 1, g.n, rows)
+    omega = (packed.bit_length() - 1) // g.n
+    return VertexCliqueProfile(tuple(_unpack(r, g.n, omega) for r in rows), omega)
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,9 @@ from typing import Callable
 from . import bounds
 from .bounds import DEFAULT_TOLS, Tolerances
 from .cliques import CliqueProfile, clique_counts, is_kfree, moon_moser_check
-from .graphs import (Graph, graph_from_edge_mask, is_bipartite, is_connected,
-                     emit_graph6, mask_members, mix64, parse_graph6, random_graph)
+from .graphs import (Graph, Graph6Error, graph_from_edge_mask, is_bipartite,
+                     is_connected, emit_graph6, mask_members, mix64, parse_graph6,
+                     random_graph)
 from .spectral import WalkOverflowError, WalkProfile
 from .stability import (EXHAUSTIVE_MAX_N, alpha_limit, find_stability_witness,
                         stability_premise, witness_thresholds)
@@ -142,19 +143,28 @@ def enumerate_labeled(n: int, allow_n8: bool = False):
         yield graph_from_edge_mask(n, mask)
 
 
-def read_graph6_lines(path: str) -> list[str]:
-    """graph6 lines from a file; blanks and '#' comments are skipped, and a
-    leading '>>graph6<<' marker is tolerated."""
+def read_graph6_lines(path: str) -> list[tuple[int, str]]:
+    """(line number, graph6 text) for each graph in a file, numbered from 1;
+    blanks and '#' comments are skipped but counted, and a leading
+    '>>graph6<<' marker is tolerated."""
     lines = []
     with open(path, "r", encoding="ascii") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if line.startswith(">>graph6<<"):
                 line = line[len(">>graph6<<"):]
             if not line or line.startswith("#"):
                 continue
-            lines.append(line)
+            lines.append((lineno, line))
     return lines
+
+
+def parse_graph6_line(path: str, lineno: int, text: str) -> Graph:
+    """Decode one line of a graph6 file; an error names the file and line."""
+    try:
+        return parse_graph6(text)
+    except Graph6Error as exc:
+        raise Graph6Error(f"{path}, line {lineno}: {exc}") from None
 
 
 def _nonbipartite(g: Graph) -> bool:
@@ -374,8 +384,8 @@ def _chunk_graphs(chunk: tuple):
         for mask in range(start, stop):
             yield graph_from_edge_mask(n, mask)
     elif kind == "lines":
-        for line in chunk[1]:
-            yield parse_graph6(line)
+        for lineno, line in chunk[1]:
+            yield parse_graph6_line(corpus.path, lineno, line)
     else:
         _, start, stop = chunk
         for i in range(start, stop):

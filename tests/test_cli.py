@@ -13,11 +13,21 @@ from spectral_cliques.cli import _build_parser, main
 from spectral_cliques.scan import CHECKS, ScanResult
 
 
-def run_cli(*args, cwd=None, env_extra=None):
+def run_cli(*args, cwd=None, env_extra=None, timeout=None):
     env = dict(os.environ, **env_extra) if env_extra else None
     proc = subprocess.run([sys.executable, "-m", "spectral_cliques", *args],
-                          capture_output=True, text=True, cwd=cwd, env=env)
+                          capture_output=True, text=True, cwd=cwd, env=env,
+                          timeout=timeout)
     return proc
+
+
+def _corpus_with_bad_line(tmp_path):
+    """A graph6 file whose line 603 is truncated; it lies past the first
+    512-graph chunk, so a two-worker scan parses it in a worker."""
+    corpus = tmp_path / "c.g6"
+    good = emit_graph6(turan_graph(2, 4))
+    corpus.write_text("# corpus\n\n" + f"{good}\n" * 600 + "C\n" + f"{good}\n")
+    return corpus, f"{corpus}, line 603: truncated graph6 bit payload"
 
 
 class TestGen:
@@ -97,6 +107,20 @@ class TestCheck:
         proc = run_cli("check", "--g6", "###", "--theorem", "wilf")
         assert proc.returncode == 2
 
+    def test_malformed_file_line_named(self, tmp_path):
+        corpus, message = _corpus_with_bad_line(tmp_path)
+        proc = run_cli("check", "--file", str(corpus), "--theorem", "wilf")
+        assert proc.returncode == 2
+        assert message in proc.stderr
+
+    def test_k40_polyn_and_oldin(self):
+        g6 = emit_graph6(complete_graph(40))
+        proc = run_cli("check", "--g6", g6, "--theorem", "polyn",
+                       "--theorem", "oldin", timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        entries = json.loads(proc.stdout)
+        assert {e["check"] for e in entries} == {"polyn", "oldin"}
+
     def test_momo_detail(self):
         proc = run_cli("check", "--g6", "Bw", "--theorem", "momo")
         entry = json.loads(proc.stdout)[0]
@@ -169,6 +193,14 @@ class TestScanCli:
         assert saved["timing_s"] > 0
         header = csv_path.read_text().splitlines()[0]
         assert header == "kind,graph6,check,params,lhs,rhs,slack"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_malformed_file_line_named(self, tmp_path, jobs):
+        corpus, message = _corpus_with_bad_line(tmp_path)
+        proc = run_cli("--jobs", jobs, "scan", "--file", str(corpus),
+                       "--check", "maxmu1")
+        assert proc.returncode == 2
+        assert message in proc.stderr
 
     def test_missing_file_exit_3(self):
         proc = run_cli("scan", "--file", "/no/such/file.g6", "--check", "wilf")

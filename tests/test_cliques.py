@@ -1,15 +1,18 @@
 from fractions import Fraction
+from itertools import combinations
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectral_cliques import (build_graph, clique_counts,
+from spectral_cliques import (build_graph, clique_counts, complete_graph,
                               complete_multipartite, empty_graph,
                               graph_from_edge_mask,
                               is_complete_multipartite_plus_isolated, is_kfree,
                               moon_moser_check, path_graph, proper_coloring,
-                              random_graph, star_graph, vertex_clique_counts)
+                              random_graph, star_graph, turan_graph,
+                              vertex_clique_counts)
 from spectral_cliques.scan import brute_force_cliques, enumerate_labeled
 
 graphs_strategy = st.builds(
@@ -17,6 +20,63 @@ graphs_strategy = st.builds(
     st.integers(min_value=1, max_value=9).flatmap(
         lambda n: st.tuples(st.just(n), st.integers(
             min_value=0, max_value=(1 << (n * (n - 1) // 2)) - 1))))
+
+# dense enough that pivot-tree leaves hold several pivot vertices
+dense_graphs_strategy = st.builds(
+    random_graph,
+    st.integers(min_value=1, max_value=16),
+    st.floats(min_value=0.0, max_value=0.95),
+    st.integers(min_value=0, max_value=2**32))
+
+
+def _count_extensions(adj, allowed, counts, size):
+    # visits every clique once, extending by vertices above the current maximum
+    a = allowed
+    while a:
+        low = a & -a
+        v = low.bit_length() - 1
+        a ^= low
+        counts[size] += 1
+        nxt = allowed & adj[v] & -(low << 1)
+        if nxt:
+            _count_extensions(adj, nxt, counts, size + 1)
+
+
+def oracle_clique_counts(g):
+    """(k_1..k_n, omega) by visiting every clique once."""
+    counts = [0] * g.n
+    _count_extensions(g.adj, g.vertex_mask(), counts, 0)
+    omega = max(s + 1 for s, c in enumerate(counts) if c > 0)
+    return tuple(counts), omega
+
+
+def oracle_vertex_rows(g):
+    """k_s(u) for s <= omega: u plus each clique of its neighbourhood."""
+    omega = oracle_clique_counts(g)[1]
+    rows = []
+    for u in range(g.n):
+        counts = [0] * g.n
+        counts[0] = 1
+        if g.adj[u]:
+            _count_extensions(g.adj, g.adj[u], counts, 1)
+        rows.append(tuple(counts[:omega]))
+    return tuple(rows)
+
+
+def subset_vertex_rows(g):
+    """k_s(u) for s <= omega by testing every vertex subset."""
+    rows = [[0] * g.n for _ in range(g.n)]
+    for size in range(1, g.n + 1):
+        for members in combinations(range(g.n), size):
+            if all(g.has_edge(u, v) for u, v in combinations(members, 2)):
+                for u in members:
+                    rows[u][size - 1] += 1
+    omega = brute_force_cliques(g).omega
+    return tuple(tuple(row[:omega]) for row in rows)
+
+
+def elementary_symmetric(sizes, s):
+    return sum(prod(c) for c in combinations(sizes, s))
 
 
 class TestCliqueCounts:
@@ -46,6 +106,32 @@ class TestCliqueCounts:
     def test_against_subset_enumeration(self, g):
         assert clique_counts(g) == brute_force_cliques(g)
 
+    @given(dense_graphs_strategy)
+    @settings(max_examples=80, deadline=None)
+    def test_against_enumeration_oracle(self, g):
+        prof = clique_counts(g)
+        assert (prof.counts, prof.omega) == oracle_clique_counts(g)
+
+    @pytest.mark.parametrize("n", [1, 2, 40, 64])
+    def test_complete_graph_closed_form(self, n):
+        prof = clique_counts(complete_graph(n))
+        assert prof.counts == tuple(comb(n, s) for s in range(1, n + 1))
+        assert prof.omega == n
+
+    @pytest.mark.parametrize("parts,isolated", [
+        ((3, 3, 3, 2), 0),   # T(4, 11)
+        ((4, 4, 4, 4, 4), 0),  # T(5, 20)
+        ((5, 4, 2, 1), 3), ((1, 1, 1, 1), 2), ((6, 1), 5),
+    ])
+    def test_multipartite_closed_form(self, parts, isolated):
+        g = (turan_graph(len(parts), sum(parts)) if isolated == 0
+             else complete_multipartite(list(parts), isolated))
+        prof = clique_counts(g)
+        assert prof.omega == len(parts)
+        assert prof.count(1) == sum(parts) + isolated
+        for s in range(2, g.n + 1):
+            assert prof.count(s) == elementary_symmetric(parts, s)
+
     @given(graphs_strategy)
     @settings(max_examples=40, deadline=None)
     def test_k1_k2_and_omega(self, g):
@@ -70,6 +156,36 @@ class TestVertexCliqueCounts:
     def test_c5_no_triangles(self, c5):
         per = vertex_clique_counts(c5)
         assert all(per.count(u, 3) == 0 for u in range(5))
+
+    @given(dense_graphs_strategy)
+    @settings(max_examples=80, deadline=None)
+    def test_against_enumeration_oracle(self, g):
+        per = vertex_clique_counts(g)
+        assert per.rows == oracle_vertex_rows(g)
+        assert per.omega == clique_counts(g).omega
+
+    @given(graphs_strategy)
+    @settings(max_examples=60, deadline=None)
+    def test_against_subset_enumeration(self, g):
+        assert vertex_clique_counts(g).rows == subset_vertex_rows(g)
+
+    @pytest.mark.parametrize("n", [1, 2, 40, 64])
+    def test_complete_graph_closed_form(self, n):
+        per = vertex_clique_counts(complete_graph(n))
+        row = tuple(comb(n - 1, s - 1) for s in range(1, n + 1))
+        assert per.rows == (row,) * n and per.omega == n
+
+    def test_multipartite_closed_form(self):
+        parts, isolated = [5, 4, 2, 1], 3
+        g = complete_multipartite(parts, isolated)
+        per = vertex_clique_counts(g)
+        flag, classes, iso = is_complete_multipartite_plus_isolated(g)
+        assert flag and len(iso) == isolated
+        for cls in classes:
+            others = [len(c) for c in classes if c is not cls]
+            row = tuple(elementary_symmetric(others, s - 1) for s in range(1, 5))
+            assert all(per.rows[u] == row for u in cls)
+        assert all(per.rows[u] == (1, 0, 0, 0) for u in iso)
 
     @given(graphs_strategy)
     @settings(max_examples=40, deadline=None)

@@ -145,7 +145,7 @@ class TestScan:
         path = tmp_path / "corpus.g6"
         lines = [emit_graph6(turan_graph(2, 4)), emit_graph6(turan_graph(3, 6))]
         path.write_text("# comment\n\n" + "\n".join(lines) + "\n")
-        assert read_graph6_lines(str(path)) == lines
+        assert read_graph6_lines(str(path)) == [(3, lines[0]), (4, lines[1])]
         res = scan(CorpusSpec(kind="file", path=str(path)),
                    ScanConfig(checks={"maxmu1": {}}))
         assert res.graphs_checked == 2
