@@ -18,7 +18,7 @@ from .graphs import (Graph, Graph6Error, build_graph, complement,
 from .scan import (CorpusSpec, ScanConfig, ScanResult, brute_force_cliques,
                    brute_force_walks, enumerate_labeled, run_check, scan,
                    tightness_rank)
-from .spectral import (Spectrum, WalkOverflowError, WalkProfile,
+from .spectral import (EigensolverError, Spectrum, WalkOverflowError, WalkProfile,
                        WalkRatioReport, spectral_radius, spectrum, walk_counts,
                        walk_ratio_limit_check)
 from .stability import (StabilityReport, StabilityWitness,

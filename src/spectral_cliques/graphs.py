@@ -89,7 +89,8 @@ def per_graph(fn):
 
     Each invariant is computed at most once per graph object and freed with
     it; nothing is shared between graphs or kept after them.  A call that
-    raises stores nothing.
+    raises stores nothing.  ``memoized.prime(g, value, *args)`` stores a
+    value computed elsewhere (say, in a batch) under the same key.
     """
 
     @functools.wraps(fn)
@@ -99,6 +100,10 @@ def per_graph(fn):
             g.memo[key] = fn(g, *args)
         return g.memo[key]
 
+    def prime(g: Graph, value, *args) -> None:
+        g.memo[(fn.__name__, *args)] = value
+
+    memoized.prime = prime
     return memoized
 
 

@@ -29,7 +29,7 @@ from .cliques import CliqueProfile, clique_counts, is_kfree, moon_moser_check
 from .graphs import (Graph, Graph6Error, graph_from_edge_mask, is_bipartite,
                      is_connected, emit_graph6, mask_members, mix64, parse_graph6,
                      random_graph)
-from .spectral import WalkOverflowError, WalkProfile
+from .spectral import EigensolverError, WalkOverflowError, WalkProfile, prime_spectra
 from .stability import (EXHAUSTIVE_MAX_N, alpha_limit, find_stability_witness,
                         stability_premise, witness_thresholds)
 
@@ -298,11 +298,14 @@ class Check:
     admissible alpha).  ``evaluate(g, params, tols, stability_mode)``
     returns the outcomes of one parameter combination.  A violation of a
     ``discovery`` check is a finding to persist, not a failed hard claim.
+    A scan whose plan has a check that ``reads_spectrum`` solves each
+    chunk's LAPACK spectra in stacks before evaluating it.
     """
 
     defaults: dict[str, tuple | None]
     evaluate: Callable[[Graph, dict, Tolerances, str], list[CheckOutcome]]
     discovery: bool = False
+    reads_spectrum: bool = False
 
     @property
     def axes(self) -> tuple[str, ...]:
@@ -310,33 +313,39 @@ class Check:
 
 
 CHECKS: dict[str, Check] = {
-    "wilf": Check({}, _single(bounds.wilf_bound)),
-    "maxmu": Check({"s": (1, 2, 3, 4)}, _single(bounds.walk_power_bound)),
+    "wilf": Check({}, _single(bounds.wilf_bound), reads_spectrum=True),
+    "maxmu": Check({"s": (1, 2, 3, 4)}, _single(bounds.walk_power_bound),
+                   reads_spectrum=True),
     "maxmu1": Check({}, _single(bounds.turan_edge_bound)),
-    "polyn": Check({}, _single(bounds.polyn_bound)),
-    "theorem1": Check({"r": (2, 3, 4)}, _single(bounds.theorem1_bound)),
-    "theorem2": Check({"r": (2, 3)}, _single(bounds.theorem2_lower)),
+    "polyn": Check({}, _single(bounds.polyn_bound), reads_spectrum=True),
+    "theorem1": Check({"r": (2, 3, 4)}, _single(bounds.theorem1_bound),
+                      reads_spectrum=True),
+    "theorem2": Check({"r": (2, 3)}, _single(bounds.theorem2_lower),
+                      reads_spectrum=True),
     "theorem3": Check({"r": (2, 3), "s": None, "alpha": (0,)}, _theorem3_outcomes),
-    "conjecture": Check({"r": (2, 3)}, _single(bounds.conjecture_check), discovery=True),
+    "conjecture": Check({"r": (2, 3)}, _single(bounds.conjecture_check),
+                        discovery=True, reads_spectrum=True),
     "oldin": Check({"s": None, "l": (2, 3)}, _oldin_outcomes),
     "momo": Check({}, _momo_outcomes),
     "edge_corollary": Check({"r": (2, 3), "alpha": (0,)},
-                            _single(bounds.edge_corollary_check)),
-    "stability": Check({"r": (2, 3), "alpha": None}, _stability_outcomes),
+                            _single(bounds.edge_corollary_check), reads_spectrum=True),
+    "stability": Check({"r": (2, 3), "alpha": None}, _stability_outcomes,
+                       reads_spectrum=True),
 }
 
 
 def run_check(name: str, g: Graph, params: dict, tols: Tolerances = DEFAULT_TOLS,
               stability_mode: str = "exhaustive") -> list[CheckOutcome]:
     """Evaluate one named check on one graph; oldin and theorem3 with s=None
-    expand over every valid s.  A walk count beyond the 128-bit range turns
-    the evaluation into one out-of-domain outcome."""
+    expand over every valid s.  A walk count beyond the 128-bit range, or an
+    eigensolver that does not converge, turns the evaluation into one
+    out-of-domain outcome."""
     check = CHECKS.get(name)
     if check is None:
         raise ValueError(f"unknown check {name!r}")
     try:
         return check.evaluate(g, params, tols, stability_mode)
-    except WalkOverflowError:
+    except (WalkOverflowError, EigensolverError):
         return [CheckOutcome(name, dict(params), OOD, None, None, None)]
 
 
@@ -372,6 +381,7 @@ def _init_scan_worker(corpus: CorpusSpec, config: ScanConfig,
         config=config,
         filters=filters,
         plan=plan,
+        reads_spectrum=any(CHECKS[name].reads_spectrum for name, _ in plan),
         tols=DEFAULT_TOLS.scaled(config.tol_scale),
     )
 
@@ -402,15 +412,14 @@ def _scan_chunk(chunk: tuple) -> dict:
     filters = _WORKER["filters"]
     plan = _WORKER["plan"]
     top_k = config.top_k
-    checked = 0
     ood = 0
     violations: list[dict] = []
     equalities: list[dict] = []
     top: list[tuple] = []  # ((slack, graph6, check, params), record) ascending
-    for g in _chunk_graphs(chunk):
-        if not all(keep(g) for keep in filters):
-            continue
-        checked += 1
+    graphs = [g for g in _chunk_graphs(chunk) if all(keep(g) for keep in filters)]
+    if _WORKER["reads_spectrum"]:
+        prime_spectra(graphs)
+    for g in graphs:
         g6: str | None = None
         for name, param_list in plan:
             for params in param_list:
@@ -442,7 +451,7 @@ def _scan_chunk(chunk: tuple) -> dict:
                     bisect.insort(top, (key, rec))
                     del top[top_k:]
     return {
-        "checked": checked,
+        "checked": len(graphs),
         "ood": ood,
         "violations": violations,
         "equalities": equalities,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -25,9 +26,17 @@ INT128_MAX = (1 << 127) - 1
 JACOBI_SWEEP_TOL = 1e-14
 JACOBI_MAX_SWEEPS = 60
 
+#: a stacked LAPACK solve holds at most this many matrix entries (2 MiB of
+#: float64): 5,349 graphs of order 7, 40 of order 80, one of order 512
+STACK_ENTRIES = 1 << 18
+
 
 class WalkOverflowError(OverflowError):
     """A walk total left the 128-bit range; the requested length is too large."""
+
+
+class EigensolverError(ArithmeticError):
+    """An eigensolver did not converge on a graph."""
 
 
 @dataclass(frozen=True)
@@ -46,42 +55,91 @@ class Spectrum:
         return self.eigenvalues[1] if len(self.eigenvalues) > 1 else 0.0
 
 
+def _adjacency_stack(graphs: Sequence[Graph]) -> np.ndarray:
+    """0/1 adjacency matrices of graphs of one order, shape (k, n, n).
+
+    Each bit row becomes ceil(n/8) little-endian bytes, which numpy unpacks,
+    so every order up to the hard cap takes the same route.
+    """
+    n = graphs[0].n
+    width = (n + 7) // 8
+    raw = b"".join(row.to_bytes(width, "little") for g in graphs for row in g.adj)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(graphs), n, width)
+    return np.unpackbits(packed, axis=-1, count=n, bitorder="little").astype(float)
+
+
 def adjacency_matrix(g: Graph) -> np.ndarray:
-    a = np.zeros((g.n, g.n))
-    for u in range(g.n):
-        row = g.adj[u]
-        while row:
-            low = row & -row
-            a[u, low.bit_length() - 1] = 1.0
-            row ^= low
-    return a
+    return _adjacency_stack([g])[0]
 
 
-def _descending(vals: np.ndarray) -> Spectrum:
-    return Spectrum(tuple(float(x) for x in vals[np.argsort(vals)[::-1]]))
+def _descending(vals: np.ndarray) -> np.ndarray:
+    """Each row of a (k, n) eigenvalue array, sorted descending."""
+    order = np.argsort(vals, axis=-1)[:, ::-1]
+    return vals[np.arange(len(vals))[:, None], order]
+
+
+def _eigh_spectra(graphs: Sequence[Graph]) -> list[Spectrum | None]:
+    # eigh, not eigvalsh: the two differ in the last bits, and every
+    # reported figure is pinned to eigh's.  A stacked eigh equals one call
+    # per matrix bit for bit.
+    try:
+        vals, _ = np.linalg.eigh(_adjacency_stack(graphs))
+    except np.linalg.LinAlgError:
+        if len(graphs) == 1:
+            return [None]
+        return [_eigh_spectra([g])[0] for g in graphs]
+    return [Spectrum(tuple(row)) for row in _descending(vals).tolist()]
+
+
+def lapack_spectra(graphs: Sequence[Graph]) -> list[Spectrum | None]:
+    """LAPACK spectra of many graphs, one stacked ``eigh`` per order.
+
+    An order's graphs are solved in stacks of at most STACK_ENTRIES matrix
+    entries.  If a stack fails to converge, its graphs are solved one at a
+    time, and a graph that fails alone maps to None.
+    """
+    out: list[Spectrum | None] = [None] * len(graphs)
+    by_order: dict[int, list[int]] = {}
+    for i, g in enumerate(graphs):
+        by_order.setdefault(g.n, []).append(i)
+    for n, members in by_order.items():
+        step = max(1, STACK_ENTRIES // (n * n))
+        for lo in range(0, len(members), step):
+            part = members[lo:lo + step]
+            for i, sp in zip(part, _eigh_spectra([graphs[i] for i in part])):
+                out[i] = sp
+    return out
 
 
 @per_graph
 def _spectrum_lapack(g: Graph) -> Spectrum:
-    # eigh, not eigvalsh: the two differ in the last bits, and every
-    # reported figure is pinned to eigh's
-    try:
-        vals, _ = np.linalg.eigh(adjacency_matrix(g))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - not seen at n <= 64
-        raise ArithmeticError(f"eigensolver failed to converge: {exc}") from exc
-    return _descending(vals)
+    (sp,) = lapack_spectra([g])
+    if sp is None:
+        raise EigensolverError("LAPACK eigh failed to converge")
+    return sp
+
+
+def prime_spectra(graphs: Sequence[Graph]) -> None:
+    """Solve the graphs' LAPACK spectra in stacks and store each in its
+    graph's memo, where ``spectrum(g)`` finds it.  A graph the solver fails
+    on is left out, so its own ``spectrum`` call raises."""
+    for g, sp in zip(graphs, lapack_spectra(graphs)):
+        if sp is not None:
+            _spectrum_lapack.prime(g, sp)
 
 
 def spectrum(g: Graph, solver: str = "lapack") -> Spectrum:
     """All n eigenvalues of the 0/1 adjacency matrix, sorted descending.
 
     ``solver`` is "lapack" (default) or "jacobi", the independent second
-    route, whose sweeps stop at JACOBI_SWEEP_TOL * n.
+    route, whose sweeps stop at JACOBI_SWEEP_TOL * n.  Raises
+    EigensolverError if the solver does not converge.
     """
     if solver == "lapack":
         return _spectrum_lapack(g)
     if solver == "jacobi":
-        return _descending(jacobi_eigenvalues(adjacency_matrix(g), JACOBI_SWEEP_TOL * g.n))
+        vals = jacobi_eigenvalues(adjacency_matrix(g), JACOBI_SWEEP_TOL * g.n)
+        return Spectrum(tuple(_descending(vals[np.newaxis])[0].tolist()))
     raise ValueError(f"unknown solver {solver!r}")
 
 
@@ -89,7 +147,7 @@ def jacobi_eigenvalues(a: np.ndarray, sweep_tol: float) -> np.ndarray:
     """Eigenvalues of a symmetric matrix by cyclic two-sided Jacobi rotations.
 
     Terminates when the off-diagonal Frobenius norm is at most
-    max(sweep_tol, round-off floor); raises ArithmeticError if
+    max(sweep_tol, round-off floor); raises EigensolverError if
     JACOBI_MAX_SWEEPS sweeps run out first.
     """
     a = np.array(a, dtype=float)
@@ -104,7 +162,7 @@ def jacobi_eigenvalues(a: np.ndarray, sweep_tol: float) -> np.ndarray:
         if off <= tol:
             break
         if sweep == JACOBI_MAX_SWEEPS:
-            raise ArithmeticError("jacobi sweeps exhausted without convergence")
+            raise EigensolverError("jacobi sweeps exhausted without convergence")
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = a[p, q]

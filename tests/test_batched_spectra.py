@@ -1,0 +1,238 @@
+"""Stacked LAPACK spectra: bit identity with one ``eigh`` per graph, one
+stacked call per scan chunk and order, solver failures as out-of-domain
+outcomes, and scan output that does not depend on how graphs were batched."""
+
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from spectral_cliques import (complete_graph, cycle_graph, emit_graph6,
+                              empty_graph, graph_from_edge_mask, parse_graph6,
+                              path_graph, random_graph, run_check, spectral,
+                              spectrum, turan_graph)
+from spectral_cliques.cli import main
+from spectral_cliques.graphs import mix64
+from spectral_cliques.scan import expand_param_grid, tightness_rank
+from spectral_cliques.spectral import adjacency_matrix, lapack_spectra
+
+
+def _one_eigh_per_graph(g) -> tuple[float, ...]:
+    """The per-graph route: a dense matrix built entry by entry, one eigh,
+    eigenvalues sorted descending."""
+    a = np.zeros((g.n, g.n))
+    for u in range(g.n):
+        for v in range(g.n):
+            if g.has_edge(u, v):
+                a[u, v] = 1.0
+    vals, _ = np.linalg.eigh(a)
+    return tuple(float(x) for x in vals[np.argsort(vals)[::-1]])
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _assert_bit_identical(graphs):
+    batched = [sp.eigenvalues for sp in lapack_spectra(graphs)]
+    reference = [_one_eigh_per_graph(g) for g in graphs]
+    assert batched == reference
+    assert [_bits(v) for v in batched] == [_bits(v) for v in reference]
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Shapes of the arrays passed to np.linalg.eigh while the test runs."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+def _fail_eigh_on(monkeypatch, target):
+    """np.linalg.eigh raises LinAlgError on any stack holding target's matrix."""
+    bad = adjacency_matrix(target)
+    eigh = np.linalg.eigh
+
+    def failing(a, *args, **kwargs):
+        a = np.asarray(a)
+        if a.shape[-1] == bad.shape[-1] and np.all(a == bad, axis=(-2, -1)).any():
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+
+
+def _write_corpus(path, graphs):
+    path.write_text("".join(emit_graph6(g) + "\n" for g in graphs))
+    return str(path)
+
+
+def _scan_stdout(capsys, *args) -> dict:
+    assert main(["--jobs", "1", "scan", *args]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+class TestBitIdentity:
+    def test_all_labeled_n6(self):
+        _assert_bit_identical([graph_from_edge_mask(6, m) for m in range(1 << 15)])
+
+    @pytest.mark.parametrize("n", [16, 40, 64])
+    def test_random_rows_up_to_64_bits(self, n):
+        _assert_bit_identical([random_graph(n, p, mix64(n, i))
+                               for i, p in enumerate((0.1, 0.3, 0.5, 0.7, 0.9) * 4)])
+
+    @pytest.mark.parametrize("n,count", [(80, 50), (200, 10)])
+    def test_sub_batches_above_64(self, n, count, monkeypatch, eigh_calls):
+        monkeypatch.setenv("SCL_MAX_N", "200")
+        graphs = [random_graph(n, 0.3, mix64(n, i)) for i in range(count)]
+        step = spectral.STACK_ENTRIES // (n * n)
+        assert step < count  # the order's graphs span more than one stack
+        _assert_bit_identical(graphs)
+        stacked = [shape for shape in eigh_calls if len(shape) == 3]
+        assert [shape[0] for shape in stacked] == [step] * (count // step) + (
+            [count % step] if count % step else [])
+
+    def test_zero_eigenvalues_keep_sign_and_position(self):
+        graphs = [complete_graph(1)] + [empty_graph(n) for n in range(1, 6)] + [
+            path_graph(3), turan_graph(2, 5), cycle_graph(4)]
+        _assert_bit_identical(graphs)
+        assert _bits(spectrum(complete_graph(1)).eigenvalues) == _bits((0.0,))
+        assert _bits(spectrum(empty_graph(4)).eigenvalues) == _bits((0.0,) * 4)
+
+    def test_failing_stack_falls_back_to_one_graph_at_a_time(self, monkeypatch):
+        graphs = [cycle_graph(5), path_graph(5), complete_graph(5)]
+        _fail_eigh_on(monkeypatch, graphs[1])
+        spectra = lapack_spectra(graphs)
+        assert spectra[1] is None
+        assert [spectra[0].eigenvalues, spectra[2].eigenvalues] == [
+            _one_eigh_per_graph(graphs[0]), _one_eigh_per_graph(graphs[2])]
+
+
+class TestOneStackPerChunk:
+    def test_exhaustive_n6_one_call_per_chunk(self, capsys, eigh_calls):
+        _scan_stdout(capsys, "--exhaustive-n", "6", "--check", "wilf")
+        assert eigh_calls == [(4096, 6, 6)] * 8
+
+    def test_file_one_call_per_chunk_and_order(self, tmp_path, capsys, eigh_calls):
+        # 600 lines: chunks of 512 and 88 lines, each holding orders 3, 4, 5
+        graphs = [random_graph(3 + i % 3, 0.5, mix64(5, i)) for i in range(600)]
+        corpus = _write_corpus(tmp_path / "mixed.g6", graphs)
+        _scan_stdout(capsys, "--file", corpus, "--check", "conjecture", "--r", "2")
+        assert sorted(eigh_calls) == sorted([(171, 3, 3), (171, 4, 4), (170, 5, 5),
+                                             (29, 3, 3), (29, 4, 4), (30, 5, 5)])
+
+    def test_plans_without_spectral_checks_solve_nothing(self, capsys, eigh_calls):
+        _scan_stdout(capsys, "--exhaustive-n", "5", "--check", "momo",
+                     "--check", "maxmu1", "--check", "oldin", "--check", "theorem3")
+        assert eigh_calls == []
+
+
+class TestSolverFailureIsOutOfDomain:
+    def test_check_lapack_failure(self, monkeypatch, capsys):
+        c5 = cycle_graph(5)
+        _fail_eigh_on(monkeypatch, c5)
+        code = main(["check", "--g6", emit_graph6(c5), "--check", "wilf",
+                     "--check", "maxmu1"])
+        entries = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert [(e["check"], e["status"]) for e in entries] == [
+            ("wilf", "ood"), ("maxmu1", "holds")]
+
+    def test_check_jacobi_sweeps_exhausted(self, monkeypatch, capsys):
+        # wilf is tight on K3, so its verdict is re-verified by Jacobi
+        monkeypatch.setattr(spectral, "JACOBI_MAX_SWEEPS", 0)
+        code = main(["check", "--g6", emit_graph6(complete_graph(3)), "--check", "wilf"])
+        [entry] = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert entry["status"] == "ood"
+
+    def test_scan_lapack_failure_on_one_graph(self, tmp_path, monkeypatch, capsys):
+        c5, p4, k4 = cycle_graph(5), path_graph(4), complete_graph(4)
+        corpus = _write_corpus(tmp_path / "three.g6", [c5, p4, k4])
+        args = ("--file", corpus, "--check", "wilf", "--check", "conjecture",
+                "--check", "maxmu1", "--r", "2")
+        clean = _scan_stdout(capsys, *args)
+        _fail_eigh_on(monkeypatch, p4)
+        failed = _scan_stdout(capsys, *args)
+        # P4 is triangle-free: its wilf and conjecture evaluations read the
+        # spectrum, its maxmu1 evaluation does not
+        assert failed["graphs_checked"] == 3
+        assert failed["out_of_domain"] == clean["out_of_domain"] + 2
+        p4_g6 = emit_graph6(p4)
+        for key in ("equalities", "violations"):
+            assert failed[key] == [rec for rec in clean[key]
+                                   if rec["graph6"] != p4_g6 or rec["check"] == "maxmu1"]
+
+    def test_scan_jacobi_failure_on_the_refined_graph(self, tmp_path, monkeypatch, capsys):
+        k3 = complete_graph(3)
+        corpus = _write_corpus(tmp_path / "three.g6", [cycle_graph(5), path_graph(4), k3])
+        args = ("--file", corpus, "--check", "wilf")
+        clean = _scan_stdout(capsys, *args)
+        assert [rec["graph6"] for rec in clean["equalities"]] == [emit_graph6(k3)]
+        monkeypatch.setattr(spectral, "JACOBI_MAX_SWEEPS", 0)
+        failed = _scan_stdout(capsys, *args)
+        assert failed["out_of_domain"] == clean["out_of_domain"] + 1
+        assert failed["equalities"] == []
+
+
+class TestBatchingLeavesOutputAlone:
+    """Chunks mixing orders 1 to 16, Turan hosts and graphs above 64
+    vertices: the scan's stdout is the same at any --jobs and equals the
+    checks applied graph by graph to freshly parsed graphs."""
+
+    ARGS = ("scan", "--check", "conjecture", "--check", "stability", "--r", "2,3")
+
+    @staticmethod
+    def _corpus(path) -> list[str]:
+        graphs = [random_graph(1 + i % 16, 0.5, mix64(11, i)) for i in range(1100)]
+        graphs += [turan_graph(r, n) for r in (2, 3) for n in range(r + 1, 13)]
+        graphs += [random_graph(n, 0.05, mix64(13, n), cap=80) for n in (66, 72, 80)]
+        lines = [emit_graph6(g) for g in graphs]
+        path.write_text("".join(line + "\n" for line in lines))
+        return lines
+
+    def _expected_stdout(self, lines) -> str:
+        ood = 0
+        violations, equalities, ranked = [], [], []
+        for line in lines:
+            g = parse_graph6(line)
+            for name in ("conjecture", "stability"):
+                for params in expand_param_grid(name, {"r": [2, 3]}):
+                    for oc in run_check(name, g, params):
+                        if oc.status == "ood":
+                            ood += 1
+                        elif oc.status == "violation":
+                            violations.append(oc.record(line))
+                        elif oc.status in ("holds", "equality") and oc.slack is not None:
+                            ranked.append(oc.record(line))
+                            if oc.status == "equality":
+                                equalities.append(oc.record(line))
+        result = {"graphs_checked": len(lines), "violations": violations,
+                  "equalities": equalities, "tightest": tightness_rank(ranked, 10),
+                  "out_of_domain": ood, "timing_s": None}
+        return json.dumps(result, sort_keys=True, separators=(",", ":")) + "\n"
+
+    def test_jobs_and_graph_by_graph_agree(self, tmp_path, monkeypatch):
+        corpus = tmp_path / "mixed.g6"
+        lines = self._corpus(corpus)
+        env = dict(os.environ, SCL_MAX_N="80")
+        outs = []
+        for jobs in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "spectral_cliques", "--jobs", jobs, *self.ARGS,
+                 "--file", str(corpus)],
+                capture_output=True, text=True, env=env, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+        monkeypatch.setenv("SCL_MAX_N", "80")
+        assert outs[0] == self._expected_stdout(lines)
