@@ -15,8 +15,7 @@ from .graphs import (Graph, Graph6Error, build_graph, complement,
                      is_bipartite, is_connected, parse_graph6, path_graph,
                      petersen_graph, random_graph, star_graph, turan_graph,
                      vertex_cap)
-from .scan import (CorpusSpec, ScanConfig, ScanResult, brute_force_cliques,
-                   brute_force_walks, enumerate_labeled, run_check, scan,
+from .scan import (CorpusSpec, ScanConfig, ScanResult, run_check, scan,
                    tightness_rank)
 from .spectral import (EigensolverError, Spectrum, WalkOverflowError, WalkProfile,
                        WalkRatioReport, spectral_radius, spectrum, walk_counts,

@@ -7,9 +7,11 @@ radius are floating point; premise products with rational alpha stay in
 exact rationals, so holds/equality verdicts of the exact checks carry no
 tolerance at all.
 
-Verdicts that land inside the tolerance band (or below it) are recomputed
-with the independent Jacobi eigensolver before being classified; such
-reports carry ``refined=True``.
+Verdicts that land inside the tolerance band (or below it) are certified
+before being classified: each eigenvalue they read is bracketed between
+rationals by exact inertia counts, and the slack is evaluated exactly on the
+brackets.  Such reports carry ``refined=True`` and keep the LAPACK figures;
+a verdict the brackets cannot decide is None (status ``inconclusive``).
 """
 
 from __future__ import annotations
@@ -20,8 +22,19 @@ from functools import lru_cache
 from typing import Callable
 
 from .cliques import clique_counts, is_kfree, vertex_clique_counts
-from .graphs import Graph, per_graph
-from .spectral import Spectrum, spectrum, walk_counts
+from .graphs import DEFAULT_CAP, Graph
+from .spectral import eigenvalue_bracket, spectrum, walk_counts
+
+#: near-threshold verdicts are certified up to this order and inconclusive
+#: above it: the cost of an exact count grows like n^4 (a first bracket
+#: takes 2 ms at n = 16 and 0.44 s at n = 64, where all CERTIFY_HALVINGS
+#: halvings take 8 s more)
+CERTIFY_MAX_N = DEFAULT_CAP
+#: a slack interval that straddles a threshold is narrowed at most this
+#: many times, by halving its eigenvalue brackets
+CERTIFY_HALVINGS = 24
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -41,7 +54,11 @@ DEFAULT_TOLS = Tolerances()
 
 @dataclass
 class BoundReport:
-    """One inequality evaluation with slack oriented so >= 0 means holds."""
+    """One inequality evaluation with slack oriented so >= 0 means holds.
+
+    ``holds`` and ``equality`` are None when a certified (``refined``)
+    report could not decide them.
+    """
 
     name: str
     params: dict
@@ -49,8 +66,8 @@ class BoundReport:
     rhs: float | None
     slack: float | None
     scale: float
-    holds: bool
-    equality: bool
+    holds: bool | None
+    equality: bool | None
     in_domain: bool = True
     exact: bool = False
     refined: bool = False
@@ -72,8 +89,8 @@ class BoundReport:
 
 
 def _report(name: str, params: dict, lhs: float, rhs: float, tols: Tolerances,
-            *, exact_slack: Fraction | int | None = None, in_domain: bool = True,
-            refined: bool = False) -> BoundReport:
+            *, exact_slack: Fraction | int | None = None,
+            in_domain: bool = True) -> BoundReport:
     lhs_f = float(lhs)
     rhs_f = float(rhs)
     slack = rhs_f - lhs_f
@@ -87,7 +104,7 @@ def _report(name: str, params: dict, lhs: float, rhs: float, tols: Tolerances,
         equality = abs(slack) <= tols.equality * scale
         exact = False
     return BoundReport(name, params, lhs_f, rhs_f, slack, scale, holds,
-                       equality, in_domain=in_domain, exact=exact, refined=refined)
+                       equality, in_domain=in_domain, exact=exact)
 
 
 def _skipped(name: str, params: dict) -> BoundReport:
@@ -96,20 +113,86 @@ def _skipped(name: str, params: dict) -> BoundReport:
                        in_domain=False)
 
 
-@per_graph
-def _refined_spectrum(g: Graph) -> Spectrum:
-    return spectrum(g, solver="jacobi")
+def _ratio(a: int, b: int, like: float | Fraction) -> float | Fraction:
+    """a / b in the arithmetic of ``like``: the float ``a / b`` next to a
+    float eigenvalue, the exact rational next to a Fraction."""
+    return Fraction(a, b) if isinstance(like, Fraction) else a / b
+
+
+def _slack_range(build: Callable, brackets: list[tuple[Fraction, Fraction]]
+                 ) -> tuple[Fraction, Fraction]:
+    """Least and greatest slack rhs - lhs while each eigenvalue ranges over
+    its bracket.
+
+    Every side is nondecreasing in mu_1 on mu_1 >= 0 (which holds on every
+    graph: the trace is 0) and reads mu_2 only through mu_2^2.  So both
+    sides are least at mu_1's lower end (raised to 0) with mu_2 nearest 0
+    (0 itself if its bracket holds 0), and greatest at mu_1's upper end with
+    mu_2 farthest from 0.
+    """
+    (lo, hi), *rest = brackets
+    least = [max(lo, _ZERO)]
+    most = [hi]
+    for lo, hi in rest:
+        near, far = sorted((lo, hi), key=abs)
+        least.append(_ZERO if lo < 0 < hi else near)
+        most.append(far)
+    lhs_least, rhs_least = build(*least)
+    lhs_most, rhs_most = build(*most)
+    return rhs_least - lhs_most, rhs_most - lhs_least
+
+
+def _certify(g: Graph, build: Callable, ranks: int, tols: Tolerances,
+             scale: float) -> tuple[bool | None, bool | None]:
+    """(holds, equality) of the exact slack, from eigenvalue brackets.
+
+    A verdict is decided once the slack interval lies on one side of its
+    thresholds (-hold * scale for holds, +-equality * scale for equality);
+    until then the brackets are halved, at most CERTIFY_HALVINGS times.  A
+    verdict still undecided, one whose LAPACK value the counts refute, or
+    one on a graph above CERTIFY_MAX_N vertices, is None.
+    """
+    if g.n > CERTIFY_MAX_N:
+        return None, None
+    hold = Fraction(tols.hold) * Fraction(scale)
+    band = Fraction(tols.equality) * Fraction(scale)
+    for halvings in range(CERTIFY_HALVINGS + 1):
+        brackets = [eigenvalue_bracket(g, rank, halvings) for rank in range(1, ranks + 1)]
+        if None in brackets:
+            return None, None
+        lo, hi = _slack_range(build, brackets)
+        if lo >= -hold:
+            holds = True
+        elif hi < -hold:
+            holds = False
+        else:
+            holds = None
+        if hi < -band or lo > band:
+            equality = False
+        elif -band <= lo and hi <= band:
+            equality = True
+        else:
+            equality = None
+        if holds is not None and equality is not None:
+            break
+    return holds, equality
 
 
 def _mu_report(name: str, params: dict, g: Graph, tols: Tolerances,
-               build: Callable[[Spectrum], tuple[float, float]]) -> BoundReport:
-    """Build an eigenvalue-dependent report; re-verify near misses with the
-    second solver before classifying them."""
-    lhs, rhs = build(spectrum(g))
+               build: Callable, ranks: int = 1) -> BoundReport:
+    """Build an eigenvalue-dependent report; certify near misses exactly
+    before classifying them.
+
+    ``build(mu_1, ..., mu_ranks)`` returns (lhs, rhs).  It is called with
+    the LAPACK floats, and for a report whose slack is at most
+    hold * scale, with the Fraction ends of exact eigenvalue brackets
+    (:func:`_certify`); the report keeps the LAPACK figures.
+    """
+    lhs, rhs = build(*spectrum(g).eigenvalues[:ranks])
     rep = _report(name, params, lhs, rhs, tols)
-    if rep.slack < tols.hold * rep.scale:
-        lhs, rhs = build(_refined_spectrum(g))
-        rep = _report(name, params, lhs, rhs, tols, refined=True)
+    if rep.slack <= tols.hold * rep.scale:
+        rep.holds, rep.equality = _certify(g, build, ranks, tols, rep.scale)
+        rep.refined = True
     return rep
 
 
@@ -121,7 +204,7 @@ def wilf_bound(g: Graph, tols: Tolerances = DEFAULT_TOLS) -> BoundReport:
     """mu <= (1 - 1/omega) n."""
     omega = clique_counts(g).omega
     return _mu_report("wilf", {}, g, tols,
-                      lambda sp: (sp.mu, (omega - 1) / omega * g.n))
+                      lambda mu: (mu, _ratio(omega - 1, omega, mu) * g.n))
 
 
 def walk_power_bound(g: Graph, s: int, tols: Tolerances = DEFAULT_TOLS) -> BoundReport:
@@ -131,7 +214,7 @@ def walk_power_bound(g: Graph, s: int, tols: Tolerances = DEFAULT_TOLS) -> Bound
     omega = clique_counts(g).omega
     ws = walk_counts(g, s).total(s)
     return _mu_report("maxmu", {"s": s}, g, tols,
-                      lambda sp: (sp.mu ** s, (omega - 1) / omega * ws))
+                      lambda mu: (mu ** s, _ratio(omega - 1, omega, mu) * ws))
 
 
 def turan_edge_bound(g: Graph, tols: Tolerances = DEFAULT_TOLS) -> BoundReport:
@@ -152,8 +235,7 @@ def polyn_bound(g: Graph, tols: Tolerances = DEFAULT_TOLS) -> BoundReport:
     if omega == 1:
         return _report("polyn", {"omega": 1}, 0.0, 0.0, tols)
 
-    def build(sp: Spectrum) -> tuple[float, float]:
-        mu = sp.mu
+    def build(mu):
         rhs = sum((s - 1) * prof.count(s) * mu ** (omega - s)
                   for s in range(2, omega + 1))
         return mu ** omega, rhs
@@ -168,8 +250,7 @@ def theorem1_bound(g: Graph, r: int, tols: Tolerances = DEFAULT_TOLS) -> BoundRe
         raise ValueError("r must be >= 2")
     prof = clique_counts(g)
 
-    def build(sp: Spectrum) -> tuple[float, float]:
-        mu = sp.mu
+    def build(mu):
         rhs = (r + 1) * prof.count(r + 1) + sum(
             (s - 1) * prof.count(s) * mu ** (r + 1 - s) for s in range(2, r + 1))
         return mu ** (r + 1), rhs
@@ -188,9 +269,10 @@ def theorem2_lower(g: Graph, r: int, tols: Tolerances = DEFAULT_TOLS) -> BoundRe
     k = clique_counts(g).count(r + 1)
     n = g.n
 
-    def build(sp: Spectrum) -> tuple[float, float]:
-        bound = (sp.mu / n - 1.0 + 1.0 / r) * (r * (r - 1) / (r + 1)) * (n / r) ** (r + 1)
-        return bound, float(k)
+    def build(mu):
+        bound = ((mu / n - 1 + _ratio(1, r, mu)) * _ratio(r * (r - 1), r + 1, mu)
+                 * _ratio(n, r, mu) ** (r + 1))
+        return bound, k
 
     return _mu_report("theorem2", {"r": r}, g, tols, build)
 
@@ -273,7 +355,7 @@ def theorem3_conditional(g: Graph, r: int, s: int, alpha,
 
 
 # ---------------------------------------------------------------------------
-# two-eigenvalue strengthening (open conjecture: violations are discoveries)
+# two-eigenvalue strengthening (open for r >= 3: violations are discoveries)
 
 
 def conjecture_check(g: Graph, r: int, tols: Tolerances = DEFAULT_TOLS) -> BoundReport:
@@ -282,8 +364,9 @@ def conjecture_check(g: Graph, r: int, tols: Tolerances = DEFAULT_TOLS) -> Bound
 
     Graphs with a K_{r+1} or with fewer than r+1 vertices are out of
     domain (on order r the complete graph already exceeds the bound, so the
-    claim starts one vertex later).  Near misses are re-verified with the
-    second eigensolver before being reported.
+    claim starts one vertex later).  Near misses are certified exactly
+    before being reported.  Lin, Ning and Wu (Combin. Probab. Comput. 30,
+    2021) proved the case r = 2.
     """
     if r < 2:
         raise ValueError("r must be >= 2")
@@ -291,12 +374,11 @@ def conjecture_check(g: Graph, r: int, tols: Tolerances = DEFAULT_TOLS) -> Bound
     prof = clique_counts(g)
     if prof.omega > r or g.n < r + 1:
         return _skipped("conjecture", params)
-    rhs = (r - 1) / r * 2.0 * g.m
 
-    def build(sp: Spectrum) -> tuple[float, float]:
-        return sp.mu ** 2 + sp.mu2 ** 2, rhs
+    def build(mu, mu2):
+        return mu ** 2 + mu2 ** 2, _ratio(r - 1, r, mu) * 2 * g.m
 
-    return _mu_report("conjecture", params, g, tols, build)
+    return _mu_report("conjecture", params, g, tols, build, ranks=2)
 
 
 # ---------------------------------------------------------------------------

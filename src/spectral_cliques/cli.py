@@ -1,8 +1,9 @@
 """Command-line surface: gen / check / scan / witness.
 
 Machine-readable JSON goes to stdout, prose to stderr.  Exit codes:
-0 success (no violations), 1 theorem violation or exhaustive witness miss,
-2 usage or malformed input, 3 I/O failure, 4 conjecture discovery.
+0 success (no violations), 1 theorem violation (the two-eigenvalue
+conjecture at r = 2 included) or exhaustive witness miss, 2 usage or
+malformed input, 3 I/O failure, 4 conjecture discovery (r >= 3).
 Identical invocations produce byte-identical stdout; wall-clock timing is
 therefore reported on stderr only.
 """
@@ -227,7 +228,7 @@ def _cmd_check(args) -> int:
                         entry["detail"] = oc.report.to_dict()
                     entries.append(entry)
                     if oc.status == "violation":
-                        if CHECKS[name].discovery:
+                        if CHECKS[name].discovery(oc.params):
                             conjecture_violation = True
                         else:
                             theorem_violation = True

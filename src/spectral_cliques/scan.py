@@ -8,9 +8,9 @@ chunks whose partial results merge in chunk order, so the outcome is
 byte-identical no matter how many workers run.
 
 The checks, their parameter axes and default grids are declared once, in
-``CHECKS``.  All are hard claims except those marked ``discovery`` (the
-two-eigenvalue conjecture): their violations are discoveries to persist,
-not test failures.
+``CHECKS``.  All are hard claims except where a check's ``discovery`` rule
+says otherwise (the two-eigenvalue conjecture for r >= 3): those
+violations are discoveries to persist, not test failures.
 """
 
 from __future__ import annotations
@@ -25,11 +25,11 @@ from typing import Callable
 
 from . import bounds
 from .bounds import DEFAULT_TOLS, Tolerances
-from .cliques import CliqueProfile, clique_counts, is_kfree, moon_moser_check
+from .cliques import clique_counts, is_kfree, moon_moser_check
 from .graphs import (Graph, Graph6Error, graph_from_edge_mask, is_bipartite,
-                     is_connected, emit_graph6, mask_members, mix64, parse_graph6,
+                     is_connected, emit_graph6, mix64, parse_graph6,
                      random_graph)
-from .spectral import EigensolverError, WalkOverflowError, WalkProfile, prime_spectra
+from .spectral import EigensolverError, WalkOverflowError, prime_spectra
 from .stability import (EXHAUSTIVE_MAX_N, alpha_limit, find_stability_witness,
                         stability_premise, witness_thresholds)
 
@@ -91,10 +91,11 @@ class ScanResult:
     timing_s: float = 0.0
 
     def theorem_violations(self) -> list[dict]:
-        return [v for v in self.violations if not CHECKS[v["check"]].discovery]
+        return [v for v in self.violations
+                if not CHECKS[v["check"]].discovery(v["params"])]
 
     def conjecture_violations(self) -> list[dict]:
-        return [v for v in self.violations if CHECKS[v["check"]].discovery]
+        return [v for v in self.violations if CHECKS[v["check"]].discovery(v["params"])]
 
     def to_json_dict(self, deterministic_timing: bool = False) -> dict:
         return {
@@ -132,15 +133,6 @@ class CheckOutcome:
 
 # ---------------------------------------------------------------------------
 # corpora
-
-
-def enumerate_labeled(n: int, allow_n8: bool = False):
-    """Yield all 2^(n(n-1)/2) labeled graphs of order n in edge-mask order."""
-    limit = EXHAUSTIVE_OVERRIDE_LIMIT if allow_n8 else EXHAUSTIVE_LIMIT
-    if not 1 <= n <= limit:
-        raise ValueError(f"exhaustive enumeration limited to 1..{limit} vertices")
-    for mask in range(1 << (n * (n - 1) // 2)):
-        yield graph_from_edge_mask(n, mask)
 
 
 def read_graph6_lines(path: str) -> list[tuple[int, str]]:
@@ -201,8 +193,10 @@ def _filter_predicates(filters: tuple[str, ...]) -> tuple[Callable[[Graph], bool
 def _outcome(rep: bounds.BoundReport) -> CheckOutcome:
     if not rep.in_domain:
         status = OOD
-    elif not rep.holds:
+    elif rep.holds is False:
         status = VIOLATION
+    elif rep.holds is None or rep.equality is None:
+        status = INCONCLUSIVE
     elif rep.equality:
         status = EQUALITY
     else:
@@ -288,6 +282,17 @@ def _stability_outcomes(g: Graph, params: dict, tols: Tolerances,
                          float(w.order if w else 0), None)]
 
 
+def _hard_claim(params: dict) -> bool:
+    return False
+
+
+def _open_conjecture(params: dict) -> bool:
+    """The two-eigenvalue conjecture is open for r >= 3; Lin, Ning and Wu
+    (Combin. Probab. Comput. 30, 2021) proved r = 2, so a violation there is
+    a failed hard claim."""
+    return params["r"] >= 3
+
+
 @dataclass(frozen=True)
 class Check:
     """A registered check.
@@ -296,15 +301,16 @@ class Check:
     values; None lets the evaluator choose per graph (oldin covers every
     valid clique size, theorem3 every s <= r, stability the largest
     admissible alpha).  ``evaluate(g, params, tols, stability_mode)``
-    returns the outcomes of one parameter combination.  A violation of a
-    ``discovery`` check is a finding to persist, not a failed hard claim.
+    returns the outcomes of one parameter combination.  A violation whose
+    params satisfy ``discovery`` is a finding to persist, not a failed hard
+    claim.
     A scan whose plan has a check that ``reads_spectrum`` solves each
     chunk's LAPACK spectra in stacks before evaluating it.
     """
 
     defaults: dict[str, tuple | None]
     evaluate: Callable[[Graph, dict, Tolerances, str], list[CheckOutcome]]
-    discovery: bool = False
+    discovery: Callable[[dict], bool] = _hard_claim
     reads_spectrum: bool = False
 
     @property
@@ -324,7 +330,7 @@ CHECKS: dict[str, Check] = {
                       reads_spectrum=True),
     "theorem3": Check({"r": (2, 3), "s": None, "alpha": (0,)}, _theorem3_outcomes),
     "conjecture": Check({"r": (2, 3)}, _single(bounds.conjecture_check),
-                        discovery=True, reads_spectrum=True),
+                        discovery=_open_conjecture, reads_spectrum=True),
     "oldin": Check({"s": None, "l": (2, 3)}, _oldin_outcomes),
     "momo": Check({}, _momo_outcomes),
     "edge_corollary": Check({"r": (2, 3), "alpha": (0,)},
@@ -526,52 +532,3 @@ def scan(corpus: CorpusSpec, config: ScanConfig, jobs: int = 1) -> ScanResult:
     result.tightest = [rec for _, rec in cands[:config.top_k]]
     result.timing_s = time.perf_counter() - started
     return result
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracles (independent of the production counting paths)
-
-
-def brute_force_cliques(g: Graph) -> CliqueProfile:
-    """Clique counts by enumerating all vertex subsets and testing
-    pairwise adjacency."""
-    if g.n > 20:
-        raise ValueError("subset enumeration limited to n <= 20")
-    counts = [0] * g.n
-    for mask in range(1, 1 << g.n):
-        bits = mask
-        complete = True
-        while bits:
-            low = bits & -bits
-            v = low.bit_length() - 1
-            bits ^= low
-            if g.adj[v] & mask != mask ^ low:
-                complete = False
-                break
-        if complete:
-            counts[mask.bit_count() - 1] += 1
-    omega = max(s + 1 for s, c in enumerate(counts) if c > 0)
-    return CliqueProfile(tuple(counts), omega)
-
-
-def brute_force_walks(g: Graph, L: int) -> WalkProfile:
-    """Walk counts by explicit enumeration of vertex sequences."""
-    if L > 8 or g.n > 10:
-        raise ValueError("walk enumeration limited to L <= 8 and n <= 10")
-    if L < 1:
-        raise ValueError("walk length must be >= 1")
-    totals = [0] * L
-    per = [[0] * g.n for _ in range(L)]
-    nbrs = [mask_members(g.adj[u]) for u in range(g.n)]
-
-    def extend(start: int, last: int, length: int) -> None:
-        totals[length - 1] += 1
-        per[length - 1][start] += 1
-        if length == L:
-            return
-        for v in nbrs[last]:
-            extend(start, v, length + 1)
-
-    for u in range(g.n):
-        extend(u, u, 1)
-    return WalkProfile(tuple(totals), tuple(tuple(row) for row in per))

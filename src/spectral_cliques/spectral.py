@@ -2,9 +2,9 @@
 
 Only eigenvalues are kept: every inequality of the paper reads the spectral
 radius or the second eigenvalue alone.  They come from dense symmetric
-diagonalization (LAPACK ``eigh`` through numpy, its eigenvectors dropped); a
-cyclic-Jacobi solver is kept alongside as an independent second route,
-used when an inequality verdict sits close to the tolerance band.
+diagonalization (LAPACK ``eigh`` through numpy, its eigenvectors dropped).
+When a verdict sits close to the tolerance band, an eigenvalue is bracketed
+between rationals by exact integer counts instead (``eigenvalue_bracket``).
 Walk counts are exact integers throughout; floating point enters only at
 the final division of the ratio-limit check.
 """
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -21,10 +22,10 @@ from .graphs import Graph, is_bipartite, is_connected, mask_members, per_graph
 
 INT128_MAX = (1 << 127) - 1
 
-#: Jacobi sweeps stop once the off-diagonal Frobenius norm is at most this
-#: factor times n (or the round-off floor, if that is larger)
-JACOBI_SWEEP_TOL = 1e-14
-JACOBI_MAX_SWEEPS = 60
+#: a first eigenvalue bracket has ends on the grid of 2^-(BRACKET_BITS+1),
+#: at least 2^-(BRACKET_BITS+1) ~ 4.7e-10 from the LAPACK value, far above
+#: LAPACK's error on any order up to the hard cap
+BRACKET_BITS = 30
 
 #: a stacked LAPACK solve holds at most this many matrix entries (2 MiB of
 #: float64): 5,349 graphs of order 7, 40 of order 80, one of order 512
@@ -36,7 +37,7 @@ class WalkOverflowError(OverflowError):
 
 
 class EigensolverError(ArithmeticError):
-    """An eigensolver did not converge on a graph."""
+    """LAPACK's eigensolver did not converge on a graph."""
 
 
 @dataclass(frozen=True)
@@ -48,11 +49,6 @@ class Spectrum:
     @property
     def mu(self) -> float:
         return self.eigenvalues[0]
-
-    @property
-    def mu2(self) -> float:
-        """Second largest eigenvalue; 0 for a one-vertex graph."""
-        return self.eigenvalues[1] if len(self.eigenvalues) > 1 else 0.0
 
 
 def _adjacency_stack(graphs: Sequence[Graph]) -> np.ndarray:
@@ -66,10 +62,6 @@ def _adjacency_stack(graphs: Sequence[Graph]) -> np.ndarray:
     raw = b"".join(row.to_bytes(width, "little") for g in graphs for row in g.adj)
     packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(graphs), n, width)
     return np.unpackbits(packed, axis=-1, count=n, bitorder="little").astype(float)
-
-
-def adjacency_matrix(g: Graph) -> np.ndarray:
-    return _adjacency_stack([g])[0]
 
 
 def _descending(vals: np.ndarray) -> np.ndarray:
@@ -128,63 +120,77 @@ def prime_spectra(graphs: Sequence[Graph]) -> None:
             _spectrum_lapack.prime(g, sp)
 
 
-def spectrum(g: Graph, solver: str = "lapack") -> Spectrum:
-    """All n eigenvalues of the 0/1 adjacency matrix, sorted descending.
-
-    ``solver`` is "lapack" (default) or "jacobi", the independent second
-    route, whose sweeps stop at JACOBI_SWEEP_TOL * n.  Raises
-    EigensolverError if the solver does not converge.
+def spectrum(g: Graph) -> Spectrum:
+    """All n eigenvalues of the 0/1 adjacency matrix, sorted descending,
+    from LAPACK.  Raises EigensolverError if the solver does not converge.
     """
-    if solver == "lapack":
-        return _spectrum_lapack(g)
-    if solver == "jacobi":
-        vals = jacobi_eigenvalues(adjacency_matrix(g), JACOBI_SWEEP_TOL * g.n)
-        return Spectrum(tuple(_descending(vals[np.newaxis])[0].tolist()))
-    raise ValueError(f"unknown solver {solver!r}")
+    return _spectrum_lapack(g)
 
 
-def jacobi_eigenvalues(a: np.ndarray, sweep_tol: float) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic two-sided Jacobi rotations.
+def eigenvalues_above(g: Graph, shift: Fraction) -> int:
+    """Exact number of adjacency eigenvalues above a non-integer rational.
 
-    Terminates when the off-diagonal Frobenius norm is at most
-    max(sweep_tol, round-off floor); raises EigensolverError if
-    JACOBI_MAX_SWEEPS sweeps run out first.
+    With shift = p/q, the eigenvalues of A below the shift are as many as
+    the negative eigenvalues of qA - pI, which by Sylvester's law of inertia
+    are as many as the sign changes in its leading principal minors
+    1, D_1, ..., D_n.  Fraction-free (Bareiss) elimination yields D_k as its
+    k-th pivot, in exact integers.  D_k is, up to sign, q^k times the monic
+    integer characteristic polynomial of A's leading k-by-k block at p/q, and
+    a rational that is not an integer is never a root of such a polynomial,
+    so no pivot is zero and no row is exchanged.
     """
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    if n == 1:
-        return a.diagonal().copy()
-    # quadratic convergence stalls at round-off; don't demand more than that
-    floor = 8.0 * np.finfo(float).eps * n * max(1.0, float(np.linalg.norm(a)))
-    tol = max(sweep_tol, floor)
-    for sweep in range(JACOBI_MAX_SWEEPS + 1):
-        off = math.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2)))
-        if off <= tol:
-            break
-        if sweep == JACOBI_MAX_SWEEPS:
-            raise EigensolverError("jacobi sweeps exhausted without convergence")
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if theta == 0.0:
-                    t = 1.0
-                else:
-                    t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = a[q, p] = 0.0
-    return a.diagonal().copy()
+    p, q = shift.numerator, shift.denominator
+    if q == 1:
+        raise ValueError(f"shift {shift} is an integer")
+    n = g.n
+    # only the upper triangle is read or written: every intermediate matrix
+    # of Bareiss elimination on a symmetric matrix is symmetric
+    rows = [[q if g.adj[i] >> j & 1 else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        rows[i][i] = -p
+    below = 0
+    prev = 1
+    for k in range(n):
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        if (pivot < 0) != (prev < 0):
+            below += 1
+        for i in range(k + 1, n):
+            row = rows[i]
+            a = pivot_row[i]
+            for j in range(i, n):
+                row[j] = (row[j] * pivot - a * pivot_row[j]) // prev
+        prev = pivot
+    return n - below
+
+
+@per_graph
+def eigenvalue_bracket(g: Graph, rank: int,
+                       halvings: int) -> tuple[Fraction, Fraction] | None:
+    """Non-integer dyadic rationals lo < hi with lo < mu_rank < hi, where
+    mu_rank is the rank-th largest adjacency eigenvalue, proven by exact
+    counts (:func:`eigenvalues_above`).
+
+    With no halvings the bracket is about 2^-29 wide around the LAPACK
+    value; it is None if the counts refute that value.  Each halving splits
+    the previous bracket at a non-integer dyadic point near its middle and
+    keeps the half that holds the eigenvalue, at the cost of one count.
+    """
+    if halvings == 0:
+        j = math.floor(spectrum(g).eigenvalues[rank - 1] * (1 << BRACKET_BITS))
+        lo = Fraction(2 * j - 1, 1 << (BRACKET_BITS + 1))
+        hi = Fraction(2 * j + 3, 1 << (BRACKET_BITS + 1))
+        if eigenvalues_above(g, lo) >= rank > eigenvalues_above(g, hi):
+            return lo, hi
+        return None
+    prev = eigenvalue_bracket(g, rank, halvings - 1)
+    if prev is None:
+        return None
+    lo, hi = prev
+    mid = (lo + hi) / 2
+    if mid.denominator == 1:
+        mid += (hi - lo) / 4
+    return (mid, hi) if eigenvalues_above(g, mid) >= rank else (lo, mid)
 
 
 def spectral_radius(g: Graph) -> float:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from .bounds import DEFAULT_TOLS, Tolerances
 from .cliques import is_kfree, proper_coloring
 from .graphs import Graph, induced_subgraph, mask_from, mask_members
-from .spectral import spectrum
+from .spectral import EigensolverError, spectrum
 
 EXHAUSTIVE_MAX_N = 16
 
@@ -56,7 +56,7 @@ class StabilityReport:
     degree_min: float
     witness: StabilityWitness | None
     search_mode: str
-    verdict: str  # witnessed | heuristic-miss | exhaustive-miss | premise-failed
+    verdict: str  # witnessed | heuristic-miss | exhaustive-miss | premise-failed | ood
     boundary: bool
 
     def to_dict(self) -> dict:
@@ -254,11 +254,19 @@ def verify_witness(g: Graph, r: int, alpha, w: StabilityWitness,
 
 def stability_report(g: Graph, r: int, alpha, mode: str = "exhaustive",
                      tols: Tolerances = DEFAULT_TOLS) -> StabilityReport:
-    """Premise check plus witness search, packaged for reporting."""
+    """Premise check plus witness search, packaged for reporting.
+
+    If the eigensolver fails on the graph, the premise cannot be evaluated:
+    the verdict is "ood" and no search runs.
+    """
     a = float(alpha)
     thr_o, thr_d = witness_thresholds(g.n, r, a)
     boundary = a == 0.0
-    if not stability_premise(g, r, alpha, tols):
+    try:
+        premise = stability_premise(g, r, alpha, tols)
+    except EigensolverError:
+        return StabilityReport(False, r, a, thr_o, thr_d, None, mode, "ood", boundary)
+    if not premise:
         return StabilityReport(False, r, a, thr_o, thr_d, None, mode,
                                "premise-failed", boundary)
     w = find_stability_witness(g, r, alpha, mode, tols)

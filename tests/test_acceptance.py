@@ -20,9 +20,10 @@ from spectral_cliques import (clique_counts, conjecture_check, emit_graph6,
                               turan_graph, verify_witness, walk_counts,
                               walk_ratio_limit_check)
 from spectral_cliques.graphs import mix64
-from spectral_cliques.scan import (CorpusSpec, ScanConfig, brute_force_cliques,
-                                   brute_force_walks, enumerate_labeled, scan)
+from spectral_cliques.scan import CorpusSpec, ScanConfig, scan
 from spectral_cliques.stability import alpha_limit
+
+from oracles import brute_force_cliques, brute_force_walks, enumerate_labeled
 
 JOBS = min(8, os.cpu_count() or 1)
 EXTENDED = bool(os.environ.get("SCL_EXTENDED"))

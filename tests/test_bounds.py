@@ -11,7 +11,8 @@ from spectral_cliques import (clique_counts, complete_graph, conjecture_check,
                               theorem3_conditional, turan_edge_bound,
                               turan_graph, walk_power_bound, wilf_bound)
 from spectral_cliques.bounds import Tolerances
-from spectral_cliques.scan import enumerate_labeled
+
+from oracles import enumerate_labeled
 
 
 class TestWilf:

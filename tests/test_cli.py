@@ -6,11 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from spectral_cliques import complete_graph, emit_graph6, turan_graph
 from spectral_cliques.cli import _build_parser, main
-from spectral_cliques.scan import CHECKS, ScanResult
+from spectral_cliques.scan import CHECKS, CheckOutcome, ScanResult
 
 
 def run_cli(*args, cwd=None, env_extra=None, timeout=None):
@@ -235,6 +238,17 @@ class TestWitnessCli:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["verdict"] == "premise-failed"
 
+    def test_eigensolver_failure_reports_ood_exit_0(self, monkeypatch, capsys):
+        def failing(a, *args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        assert main(["witness", "--g6", "C]", "--r", "2", "--alpha", "0"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdict"] == "ood"
+        assert payload["premise_ok"] is False
+        assert payload["witness"] is None
+
     def test_t28_alpha_zero_boundary(self):
         g6 = emit_graph6(turan_graph(2, 8))
         proc = run_cli("witness", "--g6", g6, "--r", "2", "--alpha", "0",
@@ -265,9 +279,9 @@ class TestCheckRegistry:
 class TestExitCodeMapping:
     def test_conjecture_violation_maps_to_discovery(self):
         # no real counterexample is known; exercise the mapping on a
-        # fabricated result
+        # fabricated result (at r >= 3, where the conjecture is open)
         res = ScanResult(graphs_checked=1, violations=[
-            {"graph6": "Bw", "check": "conjecture", "params": {"r": 2},
+            {"graph6": "Bw", "check": "conjecture", "params": {"r": 3},
              "lhs": 2.0, "rhs": 1.0, "slack": -1.0}])
         assert res.theorem_violations() == []
         assert len(res.conjecture_violations()) == 1
@@ -280,3 +294,37 @@ class TestExitCodeMapping:
 
     def test_main_returns_usage_on_no_args(self):
         assert main([]) == 2
+
+
+def _fake_conjecture_violation(g, params, tols, mode):
+    return [CheckOutcome("conjecture", dict(params), "violation", 10.0, 8.0, -2.0)]
+
+
+class TestConjectureAtRTwoIsAHardClaim:
+    """Lin, Ning and Wu proved the r = 2 case: a violation there fails a
+    hard claim (exit 1, reproducer file); at r >= 3 it is a discovery
+    (exit 4, discovery file)."""
+
+    @pytest.fixture(autouse=True)
+    def violated(self, monkeypatch):
+        monkeypatch.setitem(CHECKS, "conjecture", replace(
+            CHECKS["conjecture"], evaluate=_fake_conjecture_violation))
+
+    @pytest.mark.parametrize("r,code", [("2", 1), ("3", 4)])
+    def test_check(self, r, code, capsys):
+        g6 = emit_graph6(turan_graph(2, 6))
+        assert main(["check", "--g6", g6, "--check", "conjecture", "--r", r]) == code
+        [entry] = json.loads(capsys.readouterr().out)
+        assert (entry["status"], entry["params"]) == ("violation", {"r": int(r)})
+
+    @pytest.mark.parametrize("r,code,artifact", [
+        ("2", 1, "violation_reproducer.json"),
+        ("3", 4, "discovery_conjecture_0000.json")])
+    def test_scan(self, r, code, artifact, tmp_path, capsys):
+        corpus = tmp_path / "one.g6"
+        corpus.write_text(emit_graph6(turan_graph(2, 6)) + "\n")
+        out = tmp_path / "artifacts"
+        assert main(["scan", "--file", str(corpus), "--check", "conjecture",
+                     "--r", r, "--artifact-dir", str(out)]) == code
+        assert len(json.loads(capsys.readouterr().out)["violations"]) == 1
+        assert sorted(os.listdir(out)) == [artifact]

@@ -13,7 +13,8 @@ from spectral_cliques import (build_graph, clique_counts, complete_graph,
                               moon_moser_check, path_graph, proper_coloring,
                               random_graph, star_graph, turan_graph,
                               vertex_clique_counts)
-from spectral_cliques.scan import brute_force_cliques, enumerate_labeled
+
+from oracles import brute_force_cliques, enumerate_labeled
 
 graphs_strategy = st.builds(
     lambda n_mask: graph_from_edge_mask(*n_mask),

@@ -6,10 +6,10 @@ from spectral_cliques import (clique_counts, complete_graph, emit_graph6,
                               is_kfree, random_graph, run_check, spectral,
                               turan_graph, walk_counts)
 from spectral_cliques.graphs import mix64
-from spectral_cliques.scan import (CorpusSpec, ScanConfig, brute_force_cliques,
-                                   brute_force_walks, enumerate_labeled,
-                                   expand_param_grid, read_graph6_lines, scan,
-                                   tightness_rank)
+from spectral_cliques.scan import (CorpusSpec, ScanConfig, expand_param_grid,
+                                   read_graph6_lines, scan, tightness_rank)
+
+from oracles import brute_force_cliques, brute_force_walks, enumerate_labeled
 
 
 class TestEnumerate:
@@ -157,19 +157,19 @@ class TestScan:
         assert res.violations == []
         assert res.graphs_checked == 2
 
-    def test_jacobi_once_per_refined_graph(self, monkeypatch):
-        solved = []
-        jacobi = spectral.jacobi_eigenvalues
+    def test_bracketing_once_per_refined_graph(self, monkeypatch):
+        counted = []
+        count = spectral.eigenvalues_above
 
-        def counting(a, *args, **kwargs):
-            solved.append(a.tobytes())
-            return jacobi(a, *args, **kwargs)
+        def counting(g, shift):
+            counted.append((g.adj, shift))
+            return count(g, shift)
 
-        monkeypatch.setattr(spectral, "jacobi_eigenvalues", counting)
+        monkeypatch.setattr(spectral, "eigenvalues_above", counting)
         checks = {name: {} for name in ("wilf", "maxmu", "polyn", "theorem1", "theorem2")}
         scan(CorpusSpec(kind="exhaustive", n=5), ScanConfig(checks=checks))
-        assert solved
-        assert len(solved) == len(set(solved))
+        assert counted
+        assert len(counted) == len(set(counted))
 
     def test_walk_overflow_is_one_out_of_domain_outcome(self, tmp_path):
         k12 = complete_graph(12)

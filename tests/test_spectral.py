@@ -8,8 +8,8 @@ from spectral_cliques import (WalkOverflowError, build_graph, complete_graph,
                               cycle_graph, empty_graph, graph_from_edge_mask,
                               random_graph, spectral_radius, spectrum,
                               star_graph, walk_counts, walk_ratio_limit_check)
-from spectral_cliques.scan import brute_force_walks
-from spectral_cliques.spectral import adjacency_matrix, jacobi_eigenvalues
+
+from oracles import brute_force_walks
 
 graphs_strategy = st.builds(
     lambda n_mask: graph_from_edge_mask(*n_mask),
@@ -48,17 +48,6 @@ class TestSpectrum:
         assert abs(sum(sp.eigenvalues)) <= 1e-8 * g.n
         assert abs(sum(x * x for x in sp.eigenvalues) - 2 * g.m) <= 1e-8 * g.n ** 2
 
-    def test_jacobi_agrees_with_lapack(self):
-        for seed in range(8):
-            g = random_graph(9, 0.5, seed)
-            a = adjacency_matrix(g)
-            vals = jacobi_eigenvalues(a, 1e-12 * g.n)
-            lapack = spectrum(g).eigenvalues
-            assert sorted(vals, reverse=True) == pytest.approx(lapack, abs=1e-9)
-
-    def test_jacobi_solver_route(self, k3):
-        sp = spectrum(k3, solver="jacobi")
-        assert sp.eigenvalues == pytest.approx((2.0, -1.0, -1.0), abs=1e-9)
 
 
 class TestSpectralRadius:
