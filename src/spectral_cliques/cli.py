@@ -105,8 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
     scn.add_argument("--top-k", type=int, default=10)
     scn.add_argument("--allow-n8", action="store_true",
                      help="raise the exhaustive limit to n = 8")
-    scn.add_argument("--stability-mode", choices=["exhaustive", "heuristic"],
-                     default="exhaustive")
     scn.add_argument("--out", help="also write the result JSON here")
     scn.add_argument("--csv", help="also write reported instances as CSV")
     scn.add_argument("--artifact-dir", default=".",
@@ -150,8 +148,7 @@ def _config_from_args(args) -> ScanConfig:
         checks[name] = {axis: grid[axis] for axis in CHECKS[name].axes if axis in grid}
     return ScanConfig(checks=checks,
                       top_k=getattr(args, "top_k", 10),
-                      tol_scale=args.tol,
-                      stability_mode=getattr(args, "stability_mode", "exhaustive"))
+                      tol_scale=args.tol)
 
 
 def _input_graphs(args) -> list[tuple[str, Graph]]:
@@ -212,12 +209,18 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _exit_code(violations: list[dict]) -> int:
+    """Exit 1 if any violation fails a hard claim, else 4 if there are
+    discoveries, else 0."""
+    if any(not CHECKS[v["check"]].discovery(v["params"]) for v in violations):
+        return EXIT_VIOLATION
+    return EXIT_DISCOVERY if violations else EXIT_OK
+
+
 def _cmd_check(args) -> int:
     tols = DEFAULT_TOLS.scaled(args.tol)
     config = _config_from_args(args)
     entries = []
-    theorem_violation = False
-    conjecture_violation = False
     for g6, g in _input_graphs(args):
         for name, grid in config.checks.items():
             for params in expand_param_grid(name, grid):
@@ -227,19 +230,10 @@ def _cmd_check(args) -> int:
                     if oc.report is not None and hasattr(oc.report, "to_dict"):
                         entry["detail"] = oc.report.to_dict()
                     entries.append(entry)
-                    if oc.status == "violation":
-                        if CHECKS[name].discovery(oc.params):
-                            conjecture_violation = True
-                        else:
-                            theorem_violation = True
+    violations = [e for e in entries if e["status"] == "violation"]
     _emit(entries)
-    _note(f"{len(entries)} evaluation(s); "
-          f"violations: {sum(e['status'] == 'violation' for e in entries)}")
-    if theorem_violation:
-        return EXIT_VIOLATION
-    if conjecture_violation:
-        return EXIT_DISCOVERY
-    return EXIT_OK
+    _note(f"{len(entries)} evaluation(s); violations: {len(violations)}")
+    return _exit_code(violations)
 
 
 def _corpus_from_args(args) -> CorpusSpec:
@@ -315,11 +309,7 @@ def _cmd_scan(args) -> int:
     if result.violations:
         for path in _persist_artifacts(args, result):
             _note(f"artifact written: {path}")
-    if result.theorem_violations():
-        return EXIT_VIOLATION
-    if result.conjecture_violations():
-        return EXIT_DISCOVERY
-    return EXIT_OK
+    return _exit_code(result.violations)
 
 
 def _cmd_witness(args) -> int:

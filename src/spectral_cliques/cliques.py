@@ -202,32 +202,33 @@ def is_complete_multipartite_plus_isolated(
     return True, tuple(classes), isolated
 
 
-def proper_coloring(g: Graph, r: int) -> tuple[tuple[int, ...], ...] | None:
-    """Partition V into at most r independent sets by backtracking.
+def proper_coloring(g: Graph, r: int,
+                    mask: int | None = None) -> tuple[tuple[int, ...], ...] | None:
+    """Partition the vertex set ``mask`` (default: all of V) into at most r
+    independent sets of the induced subgraph, by backtracking.
 
     Deterministic in vertex order; new color indices are capped at one past
     the current maximum to skip symmetric assignments.  Returns the
-    nonempty classes, or None when no proper r-coloring exists.
+    nonempty classes in host labels, or None when no proper r-coloring
+    exists.
     """
     if r < 1:
         raise ValueError("color count must be >= 1")
-    n = g.n
-    colors = [-1] * n
+    members = mask_members(g.vertex_mask() if mask is None else mask)
     class_masks = [0] * r
 
-    def assign(u: int, used: int) -> bool:
-        if u == n:
+    def assign(i: int, used: int) -> bool:
+        if i == len(members):
             return True
+        u = members[i]
         row = g.adj[u]
         for c in range(min(used + 1, r - 1) + 1):
             if class_masks[c] & row:
                 continue
-            colors[u] = c
             class_masks[c] |= 1 << u
-            if assign(u + 1, max(used, c)):
+            if assign(i + 1, max(used, c)):
                 return True
             class_masks[c] &= ~(1 << u)
-        colors[u] = -1
         return False
 
     if not assign(0, -1):

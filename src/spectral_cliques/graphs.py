@@ -162,23 +162,6 @@ def complement(g: Graph) -> Graph:
     return _from_rows(g.n, rows)
 
 
-def induced_subgraph(g: Graph, mask: int) -> tuple[Graph, tuple[int, ...]]:
-    """Subgraph induced by ``mask``, relabeled 0..k-1, plus the label map.
-
-    ``labels[i]`` is the original vertex of new vertex ``i`` (ascending).
-    """
-    labels = mask_members(mask)
-    index = {v: i for i, v in enumerate(labels)}
-    rows = [0] * len(labels)
-    for i, v in enumerate(labels):
-        row = g.adj[v] & mask
-        while row:
-            low = row & -row
-            rows[i] |= 1 << index[low.bit_length() - 1]
-            row ^= low
-    return _from_rows(len(labels), rows), labels
-
-
 # ---------------------------------------------------------------------------
 # generators
 

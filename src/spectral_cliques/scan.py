@@ -30,8 +30,7 @@ from .graphs import (Graph, Graph6Error, graph_from_edge_mask, is_bipartite,
                      is_connected, emit_graph6, mix64, parse_graph6,
                      random_graph)
 from .spectral import EigensolverError, WalkOverflowError, prime_spectra
-from .stability import (EXHAUSTIVE_MAX_N, alpha_limit, find_stability_witness,
-                        stability_premise, witness_thresholds)
+from .stability import alpha_limit, stability_verdict, witness_thresholds
 
 EXHAUSTIVE_LIMIT = 7
 EXHAUSTIVE_OVERRIDE_LIMIT = 8
@@ -78,7 +77,6 @@ class ScanConfig:
     checks: dict[str, dict]
     top_k: int = 10
     tol_scale: float = 1.0
-    stability_mode: str = "exhaustive"
 
 
 @dataclass
@@ -207,11 +205,10 @@ def _outcome(rep: bounds.BoundReport) -> CheckOutcome:
 
 def _single(evaluator) -> Callable:
     """Evaluator of a one-report check whose keyword names are its axes."""
-    return lambda g, params, tols, mode: [_outcome(evaluator(g, **params, tols=tols))]
+    return lambda g, params, tols: [_outcome(evaluator(g, **params, tols=tols))]
 
 
-def _theorem3_outcomes(g: Graph, params: dict, tols: Tolerances,
-                       mode: str) -> list[CheckOutcome]:
+def _theorem3_outcomes(g: Graph, params: dict, tols: Tolerances) -> list[CheckOutcome]:
     r = params["r"]
     s_values = range(1, r + 1) if params.get("s") is None else [params["s"]]
     return [_theorem3_outcome(g, r, s, params["alpha"], tols)
@@ -233,8 +230,7 @@ def _theorem3_outcome(g: Graph, r: int, s: int, alpha, tols: Tolerances) -> Chec
     return CheckOutcome("theorem3", rep.params, status, con.lhs, con.rhs, slack, rep)
 
 
-def _oldin_outcomes(g: Graph, params: dict, tols: Tolerances,
-                    mode: str) -> list[CheckOutcome]:
+def _oldin_outcomes(g: Graph, params: dict, tols: Tolerances) -> list[CheckOutcome]:
     omega = clique_counts(g).omega
     l = params["l"]
     s_values = range(2, omega + 1) if params.get("s") is None else [params["s"]]
@@ -247,8 +243,7 @@ def _oldin_outcomes(g: Graph, params: dict, tols: Tolerances,
     return out
 
 
-def _momo_outcomes(g: Graph, params: dict, tols: Tolerances,
-                   mode: str) -> list[CheckOutcome]:
+def _momo_outcomes(g: Graph, params: dict, tols: Tolerances) -> list[CheckOutcome]:
     rep = moon_moser_check(g)
     if rep.monotone:
         return [CheckOutcome("momo", {}, HOLDS, None, None, None, rep)]
@@ -259,24 +254,19 @@ def _momo_outcomes(g: Graph, params: dict, tols: Tolerances,
     raise AssertionError("non-monotone chain without a descent")
 
 
-def _stability_outcomes(g: Graph, params: dict, tols: Tolerances,
-                        mode: str) -> list[CheckOutcome]:
+#: a witness-search verdict's outcome status; premise-failed and ood are OOD
+_STABILITY_STATUS = {"witnessed": HOLDS, "exhaustive-miss": VIOLATION,
+                     "heuristic-miss": INCONCLUSIVE}
+
+
+def _stability_outcomes(g: Graph, params: dict, tols: Tolerances) -> list[CheckOutcome]:
     r = params["r"]
-    alpha = params["alpha"]
-    if alpha is None:
-        alpha = alpha_limit(r)
+    alpha = alpha_limit(r) if params["alpha"] is None else params["alpha"]
     out_params = {"r": r, "alpha": float(alpha)}
-    if not stability_premise(g, r, alpha, tols):
+    verdict, w = stability_verdict(g, r, alpha, tols=tols)
+    status = _STABILITY_STATUS.get(verdict, OOD)
+    if status == OOD:
         return [CheckOutcome("stability", out_params, OOD, None, None, None)]
-    if mode == "exhaustive" and g.n > EXHAUSTIVE_MAX_N:
-        mode = "heuristic"
-    w = find_stability_witness(g, r, alpha, mode, tols)
-    if w is not None:
-        status = HOLDS
-    elif mode == "exhaustive":
-        status = VIOLATION
-    else:
-        status = INCONCLUSIVE
     order_min, _ = witness_thresholds(g.n, r, float(alpha))
     return [CheckOutcome("stability", out_params, status, order_min,
                          float(w.order if w else 0), None)]
@@ -300,16 +290,15 @@ class Check:
     ``defaults`` maps each parameter axis, in grid order, to its default
     values; None lets the evaluator choose per graph (oldin covers every
     valid clique size, theorem3 every s <= r, stability the largest
-    admissible alpha).  ``evaluate(g, params, tols, stability_mode)``
-    returns the outcomes of one parameter combination.  A violation whose
-    params satisfy ``discovery`` is a finding to persist, not a failed hard
-    claim.
+    admissible alpha).  ``evaluate(g, params, tols)`` returns the outcomes
+    of one parameter combination.  A violation whose params satisfy
+    ``discovery`` is a finding to persist, not a failed hard claim.
     A scan whose plan has a check that ``reads_spectrum`` solves each
     chunk's LAPACK spectra in stacks before evaluating it.
     """
 
     defaults: dict[str, tuple | None]
-    evaluate: Callable[[Graph, dict, Tolerances, str], list[CheckOutcome]]
+    evaluate: Callable[[Graph, dict, Tolerances], list[CheckOutcome]]
     discovery: Callable[[dict], bool] = _hard_claim
     reads_spectrum: bool = False
 
@@ -340,8 +329,8 @@ CHECKS: dict[str, Check] = {
 }
 
 
-def run_check(name: str, g: Graph, params: dict, tols: Tolerances = DEFAULT_TOLS,
-              stability_mode: str = "exhaustive") -> list[CheckOutcome]:
+def run_check(name: str, g: Graph, params: dict,
+              tols: Tolerances = DEFAULT_TOLS) -> list[CheckOutcome]:
     """Evaluate one named check on one graph; oldin and theorem3 with s=None
     expand over every valid s.  A walk count beyond the 128-bit range, or an
     eigensolver that does not converge, turns the evaluation into one
@@ -350,7 +339,7 @@ def run_check(name: str, g: Graph, params: dict, tols: Tolerances = DEFAULT_TOLS
     if check is None:
         raise ValueError(f"unknown check {name!r}")
     try:
-        return check.evaluate(g, params, tols, stability_mode)
+        return check.evaluate(g, params, tols)
     except (WalkOverflowError, EigensolverError):
         return [CheckOutcome(name, dict(params), OOD, None, None, None)]
 
@@ -408,8 +397,11 @@ def _chunk_graphs(chunk: tuple):
             yield random_graph(corpus.n, corpus.p, mix64(corpus.seed, i))
 
 
-def _params_key(params: dict) -> tuple:
-    return tuple(sorted(params.items()))
+def _rank_key(rec: dict) -> tuple:
+    """Tightness order: slack clamped at zero, then graph6 string, check
+    name and parameters."""
+    return (max(rec["slack"], 0.0), rec["graph6"], rec["check"],
+            tuple(sorted(rec["params"].items())))
 
 
 def _scan_chunk(chunk: tuple) -> dict:
@@ -421,7 +413,7 @@ def _scan_chunk(chunk: tuple) -> dict:
     ood = 0
     violations: list[dict] = []
     equalities: list[dict] = []
-    top: list[tuple] = []  # ((slack, graph6, check, params), record) ascending
+    top: list[tuple] = []  # (_rank_key(record), record), ascending
     graphs = [g for g in _chunk_graphs(chunk) if all(keep(g) for keep in filters)]
     if _WORKER["reads_spectrum"]:
         prime_spectra(graphs)
@@ -429,7 +421,7 @@ def _scan_chunk(chunk: tuple) -> dict:
         g6: str | None = None
         for name, param_list in plan:
             for params in param_list:
-                for oc in run_check(name, g, params, tols, config.stability_mode):
+                for oc in run_check(name, g, params, tols):
                     if oc.status == OOD:
                         ood += 1
                         continue
@@ -442,16 +434,16 @@ def _scan_chunk(chunk: tuple) -> dict:
                         continue
                     if oc.slack is None:
                         continue
-                    slack = max(oc.slack, 0.0)
                     # reject clearly loose candidates before emitting graph6
-                    if oc.status != EQUALITY and len(top) == top_k and slack > top[-1][0][0]:
+                    if (oc.status != EQUALITY and len(top) == top_k
+                            and max(oc.slack, 0.0) > top[-1][0][0]):
                         continue
                     if g6 is None:
                         g6 = emit_graph6(g)
                     rec = oc.record(g6)
                     if oc.status == EQUALITY:
                         equalities.append(rec)
-                    key = (slack, g6, oc.check, _params_key(oc.params))
+                    key = _rank_key(rec)
                     if len(top) == top_k and key >= top[-1][0]:
                         continue
                     bisect.insort(top, (key, rec))
@@ -461,7 +453,7 @@ def _scan_chunk(chunk: tuple) -> dict:
         "ood": ood,
         "violations": violations,
         "equalities": equalities,
-        "cands": top,
+        "cands": [rec for _, rec in top],
     }
 
 
@@ -470,11 +462,8 @@ def tightness_rank(records: list[dict], k: int) -> list[dict]:
     ties break on graph6 string, then check name, then parameters."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    items = sorted(
-        ((max(rec["slack"], 0.0), rec["graph6"], rec["check"],
-          _params_key(rec["params"])), rec)
-        for rec in records if rec.get("slack") is not None)
-    return [rec for _, rec in items[:k]]
+    return sorted((rec for rec in records if rec.get("slack") is not None),
+                  key=_rank_key)[:k]
 
 
 def _make_chunks(corpus: CorpusSpec) -> list[tuple]:
@@ -521,14 +510,13 @@ def scan(corpus: CorpusSpec, config: ScanConfig, jobs: int = 1) -> ScanResult:
                                   initargs=(corpus, config, filters)) as pool:
             partials = list(pool.imap(_scan_chunk, chunks, chunksize=1))
     result = ScanResult()
-    cands: list[tuple] = []
+    cands: list[dict] = []
     for part in partials:
         result.graphs_checked += part["checked"]
         result.out_of_domain += part["ood"]
         result.violations.extend(part["violations"])
         result.equalities.extend(part["equalities"])
         cands.extend(part["cands"])
-    cands.sort(key=lambda item: item[0])
-    result.tightest = [rec for _, rec in cands[:config.top_k]]
+    result.tightest = tightness_rank(cands, config.top_k)
     result.timing_s = time.perf_counter() - started
     return result

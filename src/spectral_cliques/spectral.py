@@ -103,28 +103,24 @@ def lapack_spectra(graphs: Sequence[Graph]) -> list[Spectrum | None]:
     return out
 
 
-@per_graph
-def _spectrum_lapack(g: Graph) -> Spectrum:
-    (sp,) = lapack_spectra([g])
-    if sp is None:
-        raise EigensolverError("LAPACK eigh failed to converge")
-    return sp
-
-
 def prime_spectra(graphs: Sequence[Graph]) -> None:
     """Solve the graphs' LAPACK spectra in stacks and store each in its
     graph's memo, where ``spectrum(g)`` finds it.  A graph the solver fails
     on is left out, so its own ``spectrum`` call raises."""
     for g, sp in zip(graphs, lapack_spectra(graphs)):
         if sp is not None:
-            _spectrum_lapack.prime(g, sp)
+            spectrum.prime(g, sp)
 
 
+@per_graph
 def spectrum(g: Graph) -> Spectrum:
     """All n eigenvalues of the 0/1 adjacency matrix, sorted descending,
     from LAPACK.  Raises EigensolverError if the solver does not converge.
     """
-    return _spectrum_lapack(g)
+    (sp,) = lapack_spectra([g])
+    if sp is None:
+        raise EigensolverError("LAPACK eigh failed to converge")
+    return sp
 
 
 def eigenvalues_above(g: Graph, shift: Fraction) -> int:

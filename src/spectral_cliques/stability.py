@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .bounds import DEFAULT_TOLS, Tolerances
 from .cliques import is_kfree, proper_coloring
-from .graphs import Graph, induced_subgraph, mask_from, mask_members
+from .graphs import Graph, mask_from, mask_members
 from .spectral import EigensolverError, spectrum
 
 EXHAUSTIVE_MAX_N = 16
@@ -73,7 +73,9 @@ class StabilityReport:
 
 
 def alpha_limit(r: int) -> float:
-    """Largest admissible alpha for a given r."""
+    """Largest admissible alpha for a given r >= 2."""
+    if r < 2:
+        raise ValueError("r must be >= 2")
     return 2.0 ** -10 / r ** 6
 
 
@@ -87,10 +89,9 @@ def stability_premise(g: Graph, r: int, alpha,
                       tols: Tolerances = DEFAULT_TOLS) -> bool:
     """K_{r+1}-free, alpha within [0, 2^-10 r^-6], and spectral radius at
     least (1 - 1/r - alpha) n (up to the usual epsilon)."""
-    if r < 2:
-        raise ValueError("r must be >= 2")
+    limit = alpha_limit(r)
     a = float(alpha)
-    if a < 0 or a > alpha_limit(r):
+    if a < 0 or a > limit:
         return False
     if not is_kfree(g, r + 1):
         return False
@@ -140,12 +141,9 @@ def find_stability_witness(g: Graph, r: int, alpha, mode: str = "exhaustive",
                 dmin = min((g.adj[v] & mask).bit_count() for v in combo)
                 if not _degree_ok(dmin, thr_d, boundary, n, r):
                     continue
-                sub, labels = induced_subgraph(g, mask)
-                classes = proper_coloring(sub, r)
-                if classes is None:
-                    continue
-                mapped = tuple(tuple(labels[i] for i in cls) for cls in classes)
-                return StabilityWitness(mask, mapped, size, dmin)
+                classes = proper_coloring(g, r, mask)
+                if classes is not None:
+                    return StabilityWitness(mask, classes, size, dmin)
         return None
     return _heuristic_witness(g, r, thr_o, thr_d, boundary)
 
@@ -252,28 +250,34 @@ def verify_witness(g: Graph, r: int, alpha, w: StabilityWitness,
     return _order_ok(order, thr_o, boundary, n) and _degree_ok(dmin, thr_d, boundary, n, r)
 
 
-def stability_report(g: Graph, r: int, alpha, mode: str = "exhaustive",
-                     tols: Tolerances = DEFAULT_TOLS) -> StabilityReport:
-    """Premise check plus witness search, packaged for reporting.
+def stability_verdict(g: Graph, r: int, alpha, mode: str | None = None,
+                      tols: Tolerances = DEFAULT_TOLS
+                      ) -> tuple[str, StabilityWitness | None]:
+    """Premise check plus witness search: (verdict, witness or None).
 
-    If the eigensolver fails on the graph, the premise cannot be evaluated:
-    the verdict is "ood" and no search runs.
+    The verdict is "witnessed", "exhaustive-miss", "heuristic-miss",
+    "premise-failed", or "ood" when the eigensolver fails on the graph (the
+    premise cannot be evaluated, so no search runs).  With no mode, the
+    search is exhaustive up to EXHAUSTIVE_MAX_N vertices and heuristic above.
     """
-    a = float(alpha)
-    thr_o, thr_d = witness_thresholds(g.n, r, a)
-    boundary = a == 0.0
     try:
-        premise = stability_premise(g, r, alpha, tols)
+        if not stability_premise(g, r, alpha, tols):
+            return "premise-failed", None
     except EigensolverError:
-        return StabilityReport(False, r, a, thr_o, thr_d, None, mode, "ood", boundary)
-    if not premise:
-        return StabilityReport(False, r, a, thr_o, thr_d, None, mode,
-                               "premise-failed", boundary)
+        return "ood", None
+    if mode is None:
+        mode = "exhaustive" if g.n <= EXHAUSTIVE_MAX_N else "heuristic"
     w = find_stability_witness(g, r, alpha, mode, tols)
     if w is not None:
-        verdict = "witnessed"
-    elif mode == "exhaustive":
-        verdict = "exhaustive-miss"
-    else:
-        verdict = "heuristic-miss"
-    return StabilityReport(True, r, a, thr_o, thr_d, w, mode, verdict, boundary)
+        return "witnessed", w
+    return ("exhaustive-miss" if mode == "exhaustive" else "heuristic-miss"), None
+
+
+def stability_report(g: Graph, r: int, alpha, mode: str = "exhaustive",
+                     tols: Tolerances = DEFAULT_TOLS) -> StabilityReport:
+    """:func:`stability_verdict` packaged with the thresholds for reporting."""
+    verdict, w = stability_verdict(g, r, alpha, mode, tols)
+    a = float(alpha)
+    thr_o, thr_d = witness_thresholds(g.n, r, a)
+    return StabilityReport(verdict not in ("premise-failed", "ood"), r, a,
+                           thr_o, thr_d, w, mode, verdict, a == 0.0)

@@ -91,7 +91,7 @@ class TestBracket:
 
     def test_refuted_lapack_value_gives_none(self):
         k3 = complete_graph(3)
-        spectral._spectrum_lapack.prime(k3, Spectrum((2.5, -1.0, -1.5)))
+        spectral.spectrum.prime(k3, Spectrum((2.5, -1.0, -1.5)))
         assert eigenvalue_bracket(k3, 1, 0) is None
         rep = wilf_bound(k3)
         assert rep.refined and rep.holds is None and rep.equality is None

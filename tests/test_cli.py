@@ -259,6 +259,21 @@ class TestWitnessCli:
         assert payload["verdict"] == "witnessed"
 
 
+class TestRBelowTwo:
+    """r < 2 is a usage error (exit 2), checked before any division by r."""
+
+    def test_witness(self, capsys):
+        assert main(["witness", "--g6", "Bw", "--r", "0", "--alpha", "0"]) == 2
+        assert "error: r must be >= 2" in capsys.readouterr().err
+
+    def test_scan_stability(self, tmp_path, capsys):
+        corpus = tmp_path / "x.g6"
+        corpus.write_text("Bw\n")
+        assert main(["scan", "--file", str(corpus), "--check", "stability",
+                     "--r", "0"]) == 2
+        assert "error: r must be >= 2" in capsys.readouterr().err
+
+
 def _check_choices(command: str) -> set[str]:
     parser = _build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -296,7 +311,7 @@ class TestExitCodeMapping:
         assert main([]) == 2
 
 
-def _fake_conjecture_violation(g, params, tols, mode):
+def _fake_conjecture_violation(g, params, tols):
     return [CheckOutcome("conjecture", dict(params), "violation", 10.0, 8.0, -2.0)]
 
 

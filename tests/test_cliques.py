@@ -302,6 +302,11 @@ class TestColoring:
     def test_deterministic(self, c5):
         assert proper_coloring(c5, 3) == proper_coloring(c5, 3)
 
+    def test_mask_colors_in_host_labels(self, c5):
+        # C5 less vertex 2 is the path 3-4-0-1
+        assert proper_coloring(c5, 2, 0b11011) == ((0, 3), (1, 4))
+        assert proper_coloring(c5, 1, 0b11011) is None
+
     def test_bad_r(self, c5):
         with pytest.raises(ValueError):
             proper_coloring(c5, 0)

@@ -4,7 +4,7 @@ import pytest
 
 from spectral_cliques import (clique_counts, complete_graph, emit_graph6,
                               is_kfree, random_graph, run_check, spectral,
-                              turan_graph, walk_counts)
+                              stability, turan_graph, walk_counts)
 from spectral_cliques.graphs import mix64
 from spectral_cliques.scan import (CorpusSpec, ScanConfig, expand_param_grid,
                                    read_graph6_lines, scan, tightness_rank)
@@ -156,6 +156,22 @@ class TestScan:
                    ScanConfig(checks={"stability": {"r": [2, 3]}}))
         assert res.violations == []
         assert res.graphs_checked == 2
+
+    @pytest.mark.parametrize("r,n,mode", [(2, 16, "exhaustive"),
+                                          (2, 18, "heuristic"),
+                                          (3, 18, "heuristic")])
+    def test_stability_search_mode_follows_order(self, r, n, mode, monkeypatch):
+        modes = []
+        search = stability.find_stability_witness
+
+        def spy(*args):  # (g, r, alpha, mode, tols), as stability_verdict passes them
+            modes.append(args[3])
+            return search(*args)
+
+        monkeypatch.setattr(stability, "find_stability_witness", spy)
+        [oc] = run_check("stability", turan_graph(r, n), {"r": r, "alpha": None})
+        assert oc.status == "holds"
+        assert modes == [mode]
 
     def test_bracketing_once_per_refined_graph(self, monkeypatch):
         counted = []

@@ -6,7 +6,9 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from spectral_cliques import complete_graph, wilf_bound
+import pytest
+
+from spectral_cliques import complete_graph, spectral, wilf_bound
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -38,3 +40,16 @@ def test_refinement_reaches_spectrum_as_jacobi():
     assert rep.refined
     assert tracer.calls("spectral", "jacobi") == 0
     assert tracer.jacobi_graphs == set()
+
+
+def test_priming_reaches_the_traced_spectrum(monkeypatch):
+    tracer = _tracer_module().LayerTracer()
+    k4 = complete_graph(4)
+    tracer.install()
+    try:
+        spectral.prime_spectra([k4])
+        monkeypatch.setattr(spectral, "lapack_spectra", None)  # no second solve
+        assert spectral.spectrum(k4).mu == pytest.approx(3.0)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls("spectral", "lapack") == 1
