@@ -128,21 +128,27 @@ def _unpack(packed: int, w: int, omega: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _profile(packed: int, n: int) -> CliqueProfile:
+    omega = (packed.bit_length() - 1) // n
+    return CliqueProfile(_unpack(packed, n, omega) + (0,) * (n - omega), omega)
+
+
 @per_graph
 def clique_counts(g: Graph) -> CliqueProfile:
     """Exact k_s for every s, from the pivot tree."""
-    packed = _pivot_tree(g.adj, g.vertex_mask(), 1, g.n, None)
-    omega = (packed.bit_length() - 1) // g.n
-    return CliqueProfile(_unpack(packed, g.n, omega) + (0,) * (g.n - omega), omega)
+    return _profile(_pivot_tree(g.adj, g.vertex_mask(), 1, g.n, None), g.n)
 
 
 @per_graph
 def vertex_clique_counts(g: Graph) -> VertexCliqueProfile:
-    """Exact k_s(u) for 1 <= s <= omega, from the same pivot tree."""
+    """Exact k_s(u) for 1 <= s <= omega, from the same pivot tree.  The
+    tree walk also yields the totals, so it primes :func:`clique_counts`
+    too: call this first when both are needed, and the tree runs once."""
     rows = [0] * g.n
-    packed = _pivot_tree(g.adj, g.vertex_mask(), 1, g.n, rows)
-    omega = (packed.bit_length() - 1) // g.n
-    return VertexCliqueProfile(tuple(_unpack(r, g.n, omega) for r in rows), omega)
+    prof = _profile(_pivot_tree(g.adj, g.vertex_mask(), 1, g.n, rows), g.n)
+    clique_counts.prime(g, prof)
+    return VertexCliqueProfile(tuple(_unpack(r, g.n, prof.omega) for r in rows),
+                               prof.omega)
 
 
 @dataclass(frozen=True)

@@ -23,13 +23,15 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from . import bounds
+import numpy as np
+
+from . import bounds, screen
 from .bounds import DEFAULT_TOLS, Tolerances
 from .cliques import clique_counts, is_kfree, moon_moser_check
 from .graphs import (Graph, Graph6Error, graph_from_edge_mask, is_bipartite,
                      is_connected, emit_graph6, mix64, parse_graph6,
                      random_graph)
-from .spectral import EigensolverError, WalkOverflowError, prime_spectra
+from .spectral import EigensolverError, WalkOverflowError
 from .stability import alpha_limit, stability_verdict, witness_thresholds
 
 EXHAUSTIVE_LIMIT = 7
@@ -210,6 +212,9 @@ def _single(evaluator) -> Callable:
 
 def _theorem3_outcomes(g: Graph, params: dict, tols: Tolerances) -> list[CheckOutcome]:
     r = params["r"]
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    # an explicit s grid is capped by r, as the default s grid 1..r is
     s_values = range(1, r + 1) if params.get("s") is None else [params["s"]]
     return [_theorem3_outcome(g, r, s, params["alpha"], tols)
             for s in s_values if s <= r]
@@ -294,13 +299,16 @@ class Check:
     of one parameter combination.  A violation whose params satisfy
     ``discovery`` is a finding to persist, not a failed hard claim.
     A scan whose plan has a check that ``reads_spectrum`` solves each
-    chunk's LAPACK spectra in stacks before evaluating it.
+    chunk's LAPACK spectra in stacks before evaluating it.  A ``screen``
+    (see :mod:`screen`) decides on a chunk's arrays which evaluations a
+    scan must send through ``evaluate``; without one, every evaluation is.
     """
 
     defaults: dict[str, tuple | None]
     evaluate: Callable[[Graph, dict, Tolerances], list[CheckOutcome]]
     discovery: Callable[[dict], bool] = _hard_claim
     reads_spectrum: bool = False
+    screen: screen.ScreenFn | None = None
 
     @property
     def axes(self) -> tuple[str, ...]:
@@ -308,20 +316,23 @@ class Check:
 
 
 CHECKS: dict[str, Check] = {
-    "wilf": Check({}, _single(bounds.wilf_bound), reads_spectrum=True),
+    "wilf": Check({}, _single(bounds.wilf_bound), reads_spectrum=True,
+                  screen=screen.screen_wilf),
     "maxmu": Check({"s": (1, 2, 3, 4)}, _single(bounds.walk_power_bound),
-                   reads_spectrum=True),
-    "maxmu1": Check({}, _single(bounds.turan_edge_bound)),
-    "polyn": Check({}, _single(bounds.polyn_bound), reads_spectrum=True),
+                   reads_spectrum=True, screen=screen.screen_maxmu),
+    "maxmu1": Check({}, _single(bounds.turan_edge_bound), screen=screen.screen_maxmu1),
+    "polyn": Check({}, _single(bounds.polyn_bound), reads_spectrum=True,
+                   screen=screen.screen_polyn),
     "theorem1": Check({"r": (2, 3, 4)}, _single(bounds.theorem1_bound),
-                      reads_spectrum=True),
+                      reads_spectrum=True, screen=screen.screen_theorem1),
     "theorem2": Check({"r": (2, 3)}, _single(bounds.theorem2_lower),
-                      reads_spectrum=True),
+                      reads_spectrum=True, screen=screen.screen_theorem2),
     "theorem3": Check({"r": (2, 3), "s": None, "alpha": (0,)}, _theorem3_outcomes),
     "conjecture": Check({"r": (2, 3)}, _single(bounds.conjecture_check),
-                        discovery=_open_conjecture, reads_spectrum=True),
-    "oldin": Check({"s": None, "l": (2, 3)}, _oldin_outcomes),
-    "momo": Check({}, _momo_outcomes),
+                        discovery=_open_conjecture, reads_spectrum=True,
+                        screen=screen.screen_conjecture),
+    "oldin": Check({"s": None, "l": (2, 3)}, _oldin_outcomes, screen=screen.screen_oldin),
+    "momo": Check({}, _momo_outcomes, screen=screen.screen_momo),
     "edge_corollary": Check({"r": (2, 3), "alpha": (0,)},
                             _single(bounds.edge_corollary_check), reads_spectrum=True),
     "stability": Check({"r": (2, 3), "alpha": None}, _stability_outcomes,
@@ -369,14 +380,16 @@ _WORKER: dict = {}
 
 def _init_scan_worker(corpus: CorpusSpec, config: ScanConfig,
                       filters: tuple[Callable[[Graph], bool], ...]) -> None:
-    plan = [(name, expand_param_grid(name, grid))
-            for name, grid in config.checks.items()]
+    combos = [(name, params) for name, grid in config.checks.items()
+              for params in expand_param_grid(name, grid)]
     _WORKER.update(
         corpus=corpus,
         config=config,
         filters=filters,
-        plan=plan,
-        reads_spectrum=any(CHECKS[name].reads_spectrum for name, _ in plan),
+        combos=combos,
+        screens=[CHECKS[name].screen for name, _ in combos],
+        reads_spectrum=any(CHECKS[name].reads_spectrum for name in config.checks),
+        vertex="oldin" in config.checks,
         tols=DEFAULT_TOLS.scaled(config.tol_scale),
     )
 
@@ -408,46 +421,48 @@ def _scan_chunk(chunk: tuple) -> dict:
     config: ScanConfig = _WORKER["config"]
     tols: Tolerances = _WORKER["tols"]
     filters = _WORKER["filters"]
-    plan = _WORKER["plan"]
+    combos = _WORKER["combos"]
     top_k = config.top_k
-    ood = 0
     violations: list[dict] = []
     equalities: list[dict] = []
     top: list[tuple] = []  # (_rank_key(record), record), ascending
     graphs = [g for g in _chunk_graphs(chunk) if all(keep(g) for keep in filters)]
-    if _WORKER["reads_spectrum"]:
-        prime_spectra(graphs)
-    for g in graphs:
+    # the screen decides the evaluations that cannot be reported; the
+    # others take the reporting path below, graph by graph in plan order
+    take, ood = screen.screen_chunk(graphs, combos, _WORKER["screens"], tols, top_k,
+                                    _WORKER["reads_spectrum"], _WORKER["vertex"])
+    for gi in np.flatnonzero(take.any(axis=0)).tolist():
+        g = graphs[gi]
         g6: str | None = None
-        for name, param_list in plan:
-            for params in param_list:
-                for oc in run_check(name, g, params, tols):
-                    if oc.status == OOD:
-                        ood += 1
-                        continue
-                    if oc.status == INCONCLUSIVE:
-                        continue
-                    if oc.status == VIOLATION:
-                        if g6 is None:
-                            g6 = emit_graph6(g)
-                        violations.append(oc.record(g6))
-                        continue
-                    if oc.slack is None:
-                        continue
-                    # reject clearly loose candidates before emitting graph6
-                    if (oc.status != EQUALITY and len(top) == top_k
-                            and max(oc.slack, 0.0) > top[-1][0][0]):
-                        continue
+        for ci in np.flatnonzero(take[:, gi]).tolist():
+            name, params = combos[ci]
+            for oc in run_check(name, g, params, tols):
+                if oc.status == OOD:
+                    ood += 1
+                    continue
+                if oc.status == INCONCLUSIVE:
+                    continue
+                if oc.status == VIOLATION:
                     if g6 is None:
                         g6 = emit_graph6(g)
-                    rec = oc.record(g6)
-                    if oc.status == EQUALITY:
-                        equalities.append(rec)
-                    key = _rank_key(rec)
-                    if len(top) == top_k and key >= top[-1][0]:
-                        continue
-                    bisect.insort(top, (key, rec))
-                    del top[top_k:]
+                    violations.append(oc.record(g6))
+                    continue
+                if oc.slack is None:
+                    continue
+                # reject clearly loose candidates before emitting graph6
+                if (oc.status != EQUALITY and len(top) == top_k
+                        and max(oc.slack, 0.0) > top[-1][0][0]):
+                    continue
+                if g6 is None:
+                    g6 = emit_graph6(g)
+                rec = oc.record(g6)
+                if oc.status == EQUALITY:
+                    equalities.append(rec)
+                key = _rank_key(rec)
+                if len(top) == top_k and key >= top[-1][0]:
+                    continue
+                bisect.insort(top, (key, rec))
+                del top[top_k:]
     return {
         "checked": len(graphs),
         "ood": ood,

@@ -51,8 +51,8 @@ class Spectrum:
         return self.eigenvalues[0]
 
 
-def _adjacency_stack(graphs: Sequence[Graph]) -> np.ndarray:
-    """0/1 adjacency matrices of graphs of one order, shape (k, n, n).
+def adjacency_stack(graphs: Sequence[Graph]) -> np.ndarray:
+    """0/1 adjacency matrices of graphs of one order, shape (k, n, n), uint8.
 
     Each bit row becomes ceil(n/8) little-endian bytes, which numpy unpacks,
     so every order up to the hard cap takes the same route.
@@ -61,55 +61,60 @@ def _adjacency_stack(graphs: Sequence[Graph]) -> np.ndarray:
     width = (n + 7) // 8
     raw = b"".join(row.to_bytes(width, "little") for g in graphs for row in g.adj)
     packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(graphs), n, width)
-    return np.unpackbits(packed, axis=-1, count=n, bitorder="little").astype(float)
+    return np.unpackbits(packed, axis=-1, count=n, bitorder="little")
 
 
-def _descending(vals: np.ndarray) -> np.ndarray:
-    """Each row of a (k, n) eigenvalue array, sorted descending."""
-    order = np.argsort(vals, axis=-1)[:, ::-1]
-    return vals[np.arange(len(vals))[:, None], order]
-
-
-def _eigh_spectra(graphs: Sequence[Graph]) -> list[Spectrum | None]:
+def _eigh_rows(adj: np.ndarray) -> np.ndarray:
     # eigh, not eigvalsh: the two differ in the last bits, and every
     # reported figure is pinned to eigh's.  A stacked eigh equals one call
     # per matrix bit for bit.
     try:
-        vals, _ = np.linalg.eigh(_adjacency_stack(graphs))
+        vals, _ = np.linalg.eigh(adj.astype(float))
     except np.linalg.LinAlgError:
-        if len(graphs) == 1:
-            return [None]
-        return [_eigh_spectra([g])[0] for g in graphs]
-    return [Spectrum(tuple(row)) for row in _descending(vals).tolist()]
+        if len(adj) == 1:
+            return np.full((1, adj.shape[-1]), np.nan)
+        return np.concatenate([_eigh_rows(adj[i:i + 1]) for i in range(len(adj))])
+    order = np.argsort(vals, axis=-1)[:, ::-1]
+    return vals[np.arange(len(vals))[:, None], order]
+
+
+def stacked_eigenvalues(adj: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a (k, n, n) stack of adjacency matrices, each row
+    sorted descending.
+
+    The matrices are solved in stacks of at most STACK_ENTRIES entries.  If
+    a stack fails to converge, its matrices are solved one at a time, and a
+    matrix that fails alone gets a row of NaN.
+    """
+    n = adj.shape[-1]
+    step = max(1, STACK_ENTRIES // (n * n))
+    return np.concatenate([_eigh_rows(adj[lo:lo + step])
+                           for lo in range(0, len(adj), step)])
 
 
 def lapack_spectra(graphs: Sequence[Graph]) -> list[Spectrum | None]:
-    """LAPACK spectra of many graphs, one stacked ``eigh`` per order.
-
-    An order's graphs are solved in stacks of at most STACK_ENTRIES matrix
-    entries.  If a stack fails to converge, its graphs are solved one at a
-    time, and a graph that fails alone maps to None.
-    """
+    """LAPACK spectra of many graphs, one stacked ``eigh`` per order
+    (:func:`stacked_eigenvalues`); a graph the solver fails on maps to None."""
     out: list[Spectrum | None] = [None] * len(graphs)
     by_order: dict[int, list[int]] = {}
     for i, g in enumerate(graphs):
         by_order.setdefault(g.n, []).append(i)
-    for n, members in by_order.items():
-        step = max(1, STACK_ENTRIES // (n * n))
-        for lo in range(0, len(members), step):
-            part = members[lo:lo + step]
-            for i, sp in zip(part, _eigh_spectra([graphs[i] for i in part])):
-                out[i] = sp
+    for members in by_order.values():
+        vals = stacked_eigenvalues(adjacency_stack([graphs[i] for i in members]))
+        for i, row in zip(members, vals.tolist()):
+            if row[0] == row[0]:  # not NaN
+                out[i] = Spectrum(tuple(row))
     return out
 
 
-def prime_spectra(graphs: Sequence[Graph]) -> None:
-    """Solve the graphs' LAPACK spectra in stacks and store each in its
-    graph's memo, where ``spectrum(g)`` finds it.  A graph the solver fails
-    on is left out, so its own ``spectrum`` call raises."""
-    for g, sp in zip(graphs, lapack_spectra(graphs)):
-        if sp is not None:
-            spectrum.prime(g, sp)
+def prime_rows(graphs: Sequence[Graph], vals: np.ndarray) -> None:
+    """Store each graph's row of eigenvalues (as :func:`stacked_eigenvalues`
+    gives them) in its memo, where ``spectrum(g)`` finds it.  A graph whose
+    row is NaN, which the solver failed on, is left out, so its own
+    ``spectrum`` call raises."""
+    for g, row in zip(graphs, vals.tolist()):
+        if row[0] == row[0]:  # not NaN
+            spectrum.prime(g, Spectrum(tuple(row)))
 
 
 @per_graph
@@ -223,14 +228,28 @@ def _neighbor_lists(g: Graph) -> list[tuple[int, ...]]:
 
 @per_graph
 def walk_counts(g: Graph, L: int) -> WalkProfile:
-    """Exact integer walk counts up to length L via neighbor-sum updates."""
+    """Exact integer walk counts up to length L via neighbor-sum updates.
+
+    The longest profile already in the graph's memo is reused: a shorter L
+    is served as its prefix, a longer L extends it.  Each L overflows on
+    its own: a longer request that raised stored nothing, so it cannot make
+    a shorter one fail.
+    """
     if L < 1:
         raise ValueError("walk length must be >= 1")
+    base = max((prof for key, prof in g.memo.items() if key[0] == "walk_counts"),
+               key=lambda prof: len(prof.totals), default=None)
+    if base is None:
+        per = [(1,) * g.n]
+        totals = [g.n]
+    elif len(base.totals) >= L:
+        return WalkProfile(base.totals[:L], base.per_vertex[:L])
+    else:
+        per = list(base.per_vertex)
+        totals = list(base.totals)
     nbrs = _neighbor_lists(g)
-    vec = [1] * g.n
-    per = [tuple(vec)]
-    totals = [g.n]
-    for _ in range(L - 1):
+    vec = per[-1]
+    while len(totals) < L:
         vec = [sum(vec[v] for v in nbrs[u]) for u in range(g.n)]
         total = sum(vec)
         if total > INT128_MAX:

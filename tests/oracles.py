@@ -2,9 +2,12 @@
 
 import numpy as np
 
+from spectral_cliques.bounds import DEFAULT_TOLS
 from spectral_cliques.cliques import CliqueProfile
-from spectral_cliques.graphs import Graph, graph_from_edge_mask, mask_members
-from spectral_cliques.scan import EXHAUSTIVE_LIMIT, EXHAUSTIVE_OVERRIDE_LIMIT
+from spectral_cliques.graphs import (Graph, emit_graph6, graph_from_edge_mask,
+                                     mask_members, parse_graph6)
+from spectral_cliques.scan import (EXHAUSTIVE_LIMIT, EXHAUSTIVE_OVERRIDE_LIMIT,
+                                   expand_param_grid, run_check)
 from spectral_cliques.spectral import WalkProfile
 
 
@@ -65,3 +68,35 @@ def brute_force_walks(g: Graph, L: int) -> WalkProfile:
 def dense_adjacency(g: Graph) -> np.ndarray:
     """The 0/1 adjacency matrix in floats, built entry by entry."""
     return np.array([[float(g.has_edge(u, v)) for v in range(g.n)] for u in range(g.n)])
+
+
+def reference_scan(graph6_lines, checks: dict, top_k: int, tol_scale: float) -> dict:
+    """What a scan of these graph6 lines reports, computed graph by graph:
+    every evaluation goes through ``run_check``, with no chunking and no
+    screen.  Violations and equalities are listed in graph order, then check
+    and parameter order; the tightest instances are the top_k holding
+    evaluations by slack clamped at zero, then graph6 string, check name and
+    parameters."""
+    tols = DEFAULT_TOLS.scaled(tol_scale)
+    out = {"graphs_checked": 0, "violations": [], "equalities": [],
+           "tightest": [], "out_of_domain": 0}
+    candidates = []
+    for line in graph6_lines:
+        g = parse_graph6(line)
+        out["graphs_checked"] += 1
+        for name, grid in checks.items():
+            for params in expand_param_grid(name, grid):
+                for oc in run_check(name, g, params, tols):
+                    if oc.status == "ood":
+                        out["out_of_domain"] += 1
+                    elif oc.status == "violation":
+                        out["violations"].append(oc.record(emit_graph6(g)))
+                    elif oc.status != "inconclusive" and oc.slack is not None:
+                        rec = oc.record(emit_graph6(g))
+                        if oc.status == "equality":
+                            out["equalities"].append(rec)
+                        candidates.append(rec)
+    candidates.sort(key=lambda rec: (max(rec["slack"], 0.0), rec["graph6"], rec["check"],
+                                     tuple(sorted(rec["params"].items()))))
+    out["tightest"] = candidates[:top_k]
+    return out

@@ -274,6 +274,26 @@ class TestRBelowTwo:
         assert "error: r must be >= 2" in capsys.readouterr().err
 
 
+class TestTheorem3RBelowOne:
+    """theorem3 needs r >= 1; a smaller r is a usage error, not an empty
+    s range."""
+
+    def test_check(self, capsys):
+        assert main(["check", "--g6", "Bw", "--theorem", "theorem3", "--r", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: r must be >= 1" in captured.err
+
+    def test_scan(self, tmp_path, capsys):
+        corpus = tmp_path / "x.g6"
+        corpus.write_text("Bw\n")
+        assert main(["scan", "--file", str(corpus), "--check", "theorem3",
+                     "--r", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: r must be >= 1" in captured.err
+
+
 def _check_choices(command: str) -> set[str]:
     parser = _build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))

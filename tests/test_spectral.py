@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from spectral_cliques import (WalkOverflowError, build_graph, complete_graph,
                               cycle_graph, empty_graph, graph_from_edge_mask,
-                              random_graph, spectral_radius, spectrum,
+                              random_graph, spectral, spectral_radius, spectrum,
                               star_graph, walk_counts, walk_ratio_limit_check)
 
 from oracles import brute_force_walks
@@ -99,6 +99,23 @@ class TestWalkCounts:
     def test_bad_length(self, k3):
         with pytest.raises(ValueError):
             walk_counts(k3, 0)
+
+    def test_longer_profile_serves_and_extends(self, monkeypatch):
+        fresh = {L: walk_counts(random_graph(9, 0.5, 3), L) for L in range(1, 8)}
+        g = random_graph(9, 0.5, 3)
+        assert walk_counts(g, 5) == fresh[5]
+        assert walk_counts(g, 7) == fresh[7]  # extends the 5-profile
+        monkeypatch.setattr(spectral, "_neighbor_lists", None)  # no walk step left
+        for L in (2, 4, 1, 6, 3):
+            assert walk_counts(g, L) == fresh[L]
+
+    def test_overflow_is_per_length(self):
+        g = complete_graph(6)
+        with pytest.raises(WalkOverflowError):
+            walk_counts(g, 60)
+        assert walk_counts(g, 4) == walk_counts(complete_graph(6), 4)
+        with pytest.raises(WalkOverflowError):
+            walk_counts(g, 60)
 
 
 class TestWalkRatioLimit:

@@ -47,7 +47,7 @@ def test_priming_reaches_the_traced_spectrum(monkeypatch):
     k4 = complete_graph(4)
     tracer.install()
     try:
-        spectral.prime_spectra([k4])
+        spectral.prime_rows([k4], spectral.stacked_eigenvalues(spectral.adjacency_stack([k4])))
         monkeypatch.setattr(spectral, "lapack_spectra", None)  # no second solve
         assert spectral.spectrum(k4).mu == pytest.approx(3.0)
     finally:
