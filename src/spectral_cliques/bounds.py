@@ -307,6 +307,14 @@ class Theorem3Report:
         }
 
 
+def exact_alpha(alpha) -> Fraction:
+    """alpha as an exact rational; a negative alpha is refused (ValueError)."""
+    a = Fraction(alpha)
+    if a < 0:
+        raise ValueError("alpha must be >= 0")
+    return a
+
+
 @lru_cache(maxsize=65536)
 def _premise_threshold(n: int, r: int, s: int, alpha: Fraction) -> Fraction:
     prod = Fraction(1)
@@ -331,9 +339,7 @@ def theorem3_conditional(g: Graph, r: int, s: int, alpha,
         raise ValueError("need 1 <= s <= r")
     if r < 1:
         raise ValueError("r must be >= 1")
-    a = Fraction(alpha)
-    if a < 0:
-        raise ValueError("alpha must be >= 0")
+    a = exact_alpha(alpha)
     prof = clique_counts(g)
     n = g.n
     premise_lhs = (s + 1) * prof.count(s + 1)
@@ -408,20 +414,25 @@ def oldin_check(g: Graph, s: int, l: int, tols: Tolerances = DEFAULT_TOLS) -> Bo
 # edge-count corollary of the walk-power bound under a spectral premise
 
 
+def premise_cut(n: int, r: int, alpha: float, tols: Tolerances) -> float:
+    """The least spectral radius that meets the spectral premise
+    mu >= (1 - 1/r - alpha) n of the stability theorem and of the edge
+    corollary, up to the hold epsilon."""
+    thr = (1.0 - 1.0 / r - alpha) * n
+    return thr - tols.hold * max(1.0, abs(thr))
+
+
 def edge_corollary_check(g: Graph, r: int, alpha,
                          tols: Tolerances = DEFAULT_TOLS) -> BoundReport:
     """Under mu >= (1 - 1/r - alpha) n and K_{r+1}-freeness:
     m >= ((r-1)/(2r) - 2 alpha) n^2."""
     if r < 2:
         raise ValueError("r must be >= 2")
-    a = Fraction(alpha)
-    if a < 0:
-        raise ValueError("alpha must be >= 0")
+    a = exact_alpha(alpha)
     params = {"r": r, "alpha": float(a)}
     if not is_kfree(g, r + 1):
         return _skipped("edge_corollary", params)
-    thr = (1.0 - 1.0 / r - float(a)) * g.n
-    if spectrum(g).mu < thr - tols.hold * max(1.0, abs(thr)):
+    if spectrum(g).mu < premise_cut(g.n, r, float(a), tols):
         return _skipped("edge_corollary", params)
     bound = (Fraction(r - 1, 2 * r) - 2 * a) * g.n * g.n
     return _report("edge_corollary", params, bound, g.m, tols,

@@ -108,8 +108,8 @@ def per_graph(fn):
 
 
 def _from_rows(n: int, rows: list[int]) -> Graph:
-    degrees = tuple(r.bit_count() for r in rows)
-    return Graph(n=n, adj=tuple(rows), m=sum(degrees) // 2, degrees=degrees)
+    degrees = tuple(map(int.bit_count, rows))
+    return Graph(n, tuple(rows), sum(degrees) // 2, degrees)
 
 
 def _check_order(n: int, cap: int | None = None) -> int:
@@ -285,14 +285,19 @@ def is_bipartite(g: Graph) -> bool:
 # graph6 codec (63-offset printable encoding, upper-triangle column-major)
 
 
+#: each graph6 payload character as its six bits, most significant first
+_G6_BITS = {63 + v: format(v, "06b") for v in range(64)}
+
+
 def parse_graph6(text: str, cap: int | None = None) -> Graph:
     """Decode one graph6 line."""
     s = text.strip()
     if not s:
         raise Graph6Error("empty graph6 line")
-    for ch in s:
-        if not 63 <= ord(ch) <= 126:
-            raise Graph6Error(f"invalid graph6 character {ch!r}")
+    if min(s) < "?" or max(s) > "~":
+        for ch in s:
+            if not 63 <= ord(ch) <= 126:
+                raise Graph6Error(f"invalid graph6 character {ch!r}")
     n, rest = _g6_order(s)
     cap = vertex_cap() if cap is None else cap
     if not 1 <= n <= cap:
@@ -303,15 +308,17 @@ def parse_graph6(text: str, cap: int | None = None) -> Graph:
         raise Graph6Error("truncated graph6 bit payload")
     if len(rest) > need:
         raise Graph6Error("trailing characters after graph6 payload")
+    # payload bit b (pair (i, j), i < j, column by column) at position b
+    bits = int(rest.translate(_G6_BITS)[::-1] or "0", 2)
     rows = [0] * n
-    bit = 0
     for j in range(1, n):
-        for i in range(j):
-            chunk = ord(rest[bit // 6]) - 63
-            if chunk >> (5 - bit % 6) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            bit += 1
+        col = bits & ((1 << j) - 1)
+        bits >>= j
+        rows[j] |= col
+        while col:
+            low = col & -col
+            rows[low.bit_length() - 1] |= 1 << j
+            col ^= low
     return _from_rows(n, rows)
 
 

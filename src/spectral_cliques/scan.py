@@ -30,9 +30,9 @@ from .bounds import DEFAULT_TOLS, Tolerances
 from .cliques import clique_counts, is_kfree, moon_moser_check
 from .graphs import (Graph, Graph6Error, graph_from_edge_mask, is_bipartite,
                      is_connected, emit_graph6, mix64, parse_graph6,
-                     random_graph)
+                     random_graph, vertex_cap)
 from .spectral import EigensolverError, WalkOverflowError
-from .stability import alpha_limit, stability_verdict, witness_thresholds
+from .stability import stability_alpha, stability_verdict, witness_thresholds
 
 EXHAUSTIVE_LIMIT = 7
 EXHAUSTIVE_OVERRIDE_LIMIT = 8
@@ -151,10 +151,11 @@ def read_graph6_lines(path: str) -> list[tuple[int, str]]:
     return lines
 
 
-def parse_graph6_line(path: str, lineno: int, text: str) -> Graph:
-    """Decode one line of a graph6 file; an error names the file and line."""
+def parse_graph6_line(path: str, lineno: int, text: str, cap: int | None = None) -> Graph:
+    """Decode one line of a graph6 file; an error names the file and line.
+    ``cap`` is the vertex cap, read from the environment when None."""
     try:
-        return parse_graph6(text)
+        return parse_graph6(text, cap)
     except Graph6Error as exc:
         raise Graph6Error(f"{path}, line {lineno}: {exc}") from None
 
@@ -266,13 +267,13 @@ _STABILITY_STATUS = {"witnessed": HOLDS, "exhaustive-miss": VIOLATION,
 
 def _stability_outcomes(g: Graph, params: dict, tols: Tolerances) -> list[CheckOutcome]:
     r = params["r"]
-    alpha = alpha_limit(r) if params["alpha"] is None else params["alpha"]
-    out_params = {"r": r, "alpha": float(alpha)}
+    alpha = stability_alpha(r, params["alpha"])
+    out_params = {"r": r, "alpha": alpha}
     verdict, w = stability_verdict(g, r, alpha, tols=tols)
     status = _STABILITY_STATUS.get(verdict, OOD)
     if status == OOD:
         return [CheckOutcome("stability", out_params, OOD, None, None, None)]
-    order_min, _ = witness_thresholds(g.n, r, float(alpha))
+    order_min, _ = witness_thresholds(g.n, r, alpha)
     return [CheckOutcome("stability", out_params, status, order_min,
                          float(w.order if w else 0), None)]
 
@@ -301,7 +302,9 @@ class Check:
     A scan whose plan has a check that ``reads_spectrum`` solves each
     chunk's LAPACK spectra in stacks before evaluating it.  A ``screen``
     (see :mod:`screen`) decides on a chunk's arrays which evaluations a
-    scan must send through ``evaluate``; without one, every evaluation is.
+    scan must send through ``evaluate``, and counts the out-of-domain
+    outcomes among the others; every check but ``theorem3`` has one, and
+    without one every evaluation goes through ``evaluate``.
     """
 
     defaults: dict[str, tuple | None]
@@ -334,9 +337,10 @@ CHECKS: dict[str, Check] = {
     "oldin": Check({"s": None, "l": (2, 3)}, _oldin_outcomes, screen=screen.screen_oldin),
     "momo": Check({}, _momo_outcomes, screen=screen.screen_momo),
     "edge_corollary": Check({"r": (2, 3), "alpha": (0,)},
-                            _single(bounds.edge_corollary_check), reads_spectrum=True),
+                            _single(bounds.edge_corollary_check), reads_spectrum=True,
+                            screen=screen.screen_edge_corollary),
     "stability": Check({"r": (2, 3), "alpha": None}, _stability_outcomes,
-                       reads_spectrum=True),
+                       reads_spectrum=True, screen=screen.screen_stability),
 }
 
 
@@ -402,8 +406,9 @@ def _chunk_graphs(chunk: tuple):
         for mask in range(start, stop):
             yield graph_from_edge_mask(n, mask)
     elif kind == "lines":
+        cap = vertex_cap()
         for lineno, line in chunk[1]:
-            yield parse_graph6_line(corpus.path, lineno, line)
+            yield parse_graph6_line(corpus.path, lineno, line, cap)
     else:
         _, start, stop = chunk
         for i in range(start, stop):

@@ -9,7 +9,15 @@ Domain gates are integer logic and are decided exactly.  An evaluation goes
 through ``scan.run_check`` and the reporting path only when its screened
 slack may lie near a verdict threshold, when it may be among the chunk's
 tightest instances, or when its graph's eigensolver failed; every other one
-is a ``holds`` that builds no object.
+is a ``holds`` or an out-of-domain outcome that builds no object.
+
+``stability`` and ``edge_corollary`` apply only under a spectral premise
+(K_{r+1}-free and mu at least ``bounds.premise_cut``), which almost no graph
+of a random corpus meets.  Their screen decides the premise alone: a graph
+that fails it clear of the margin is out of domain, and every other one is
+reported, since neither check has a slack to screen on (a stability outcome
+never ranks; an edge_corollary outcome that meets the premise is printed or
+ranked by the reporting path).
 
 The screens repeat their evaluator's arithmetic operation for operation,
 so a screened slack differs from the reported one only where numpy's
@@ -27,10 +35,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bounds import Tolerances
+from .bounds import Tolerances, exact_alpha, premise_cut
 from .cliques import clique_counts, vertex_clique_counts
 from .graphs import Graph
 from .spectral import STACK_ENTRIES, adjacency_stack, prime_rows, stacked_eigenvalues
+from .stability import alpha_limit, stability_alpha
 
 #: a screened slack counts as far from a threshold, or from the chunk's
 #: tightest instances, only when it clears them by this much times its
@@ -317,8 +326,46 @@ def screen_momo(b: Block, params: dict, tols: Tolerances) -> Screen | None:
     # the pair (t, t + 1) exists when t + 1 < omega
     exists = t[None, :-1] + 1 < om[:, None]
     exact = (descent & exists).any(axis=1)
-    return Screen(exact, np.zeros(len(om), dtype=np.int64),
-                  np.empty((len(om), 0)), np.empty((len(om), 0)))
+    return _unranked(exact, np.zeros(len(om), dtype=bool))
+
+
+def screen_stability(b: Block, params: dict, tols: Tolerances) -> Screen | None:
+    r = params["r"]
+    try:
+        a = stability_alpha(r, params["alpha"])
+    except ValueError:
+        return None  # the reporting path raises the same error
+    if a > alpha_limit(r):
+        return _unranked(np.zeros(len(b.m), dtype=bool), np.ones(len(b.m), dtype=bool))
+    return _premise(b, r, a, tols)
+
+
+def screen_edge_corollary(b: Block, params: dict, tols: Tolerances) -> Screen | None:
+    r = params["r"]
+    try:
+        a = exact_alpha(params["alpha"])
+    except (ValueError, ArithmeticError):
+        a = None
+    if r < 2 or a is None:
+        return None  # the reporting path raises the same error
+    return _premise(b, r, float(a), tols)
+
+
+def _premise(b: Block, r: int, alpha: float, tols: Tolerances) -> Screen:
+    """The spectral premise: K_{r+1}-free (exact) and mu at least
+    ``bounds.premise_cut``.  A graph below the cut by more than the margin
+    is out of domain; every other one is reported, a failed spectrum's NaN
+    included."""
+    cut = premise_cut(b.n, r, alpha, tols)
+    ood = (b.omega > r) | (b.mu < cut - SCREEN_MARGIN * max(1.0, abs(cut)))
+    return _unranked(~ood, ood)
+
+
+def _unranked(exact: np.ndarray, ood: np.ndarray) -> Screen:
+    """A screen whose outcomes never rank among the tightest: those not
+    reported are out of domain where ``ood`` marks them, else ``holds``."""
+    none = np.empty((len(exact), 0))
+    return Screen(exact, ood.astype(np.int64), none, none)
 
 
 def _column(k: np.ndarray, s: int) -> np.ndarray:

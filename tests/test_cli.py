@@ -274,6 +274,34 @@ class TestRBelowTwo:
         assert "error: r must be >= 2" in capsys.readouterr().err
 
 
+class TestStabilityAlphaRefused:
+    """A negative or non-finite stability alpha is a usage error (exit 2)
+    everywhere, as a negative alpha already is for edge_corollary."""
+
+    @pytest.mark.parametrize("alpha", ["-1", "nan", "inf"])
+    def test_witness(self, alpha, capsys):
+        assert main(["witness", "--g6", "Bw", "--r", "2", "--alpha", alpha]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: alpha must be finite and >= 0" in captured.err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_scan(self, jobs, tmp_path, capsys):
+        corpus = tmp_path / "x.g6"
+        # past the first chunk, so two workers meet the refusal in a worker
+        corpus.write_text("Bw\n" * 513)
+        assert main(["--jobs", jobs, "scan", "--file", str(corpus), "--check",
+                     "stability", "--alpha", "-0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: alpha must be finite and >= 0" in captured.err
+
+    def test_scan_exhaustive_nan(self, capsys):
+        assert main(["scan", "--exhaustive-n", "4", "--check", "stability",
+                     "--r", "3", "--alpha", "nan"]) == 2
+        assert "error: alpha must be finite and >= 0" in capsys.readouterr().err
+
+
 class TestTheorem3RBelowOne:
     """theorem3 needs r >= 1; a smaller r is a usage error, not an empty
     s range."""

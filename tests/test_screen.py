@@ -10,10 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectral_cliques import (cliques, complete_graph, emit_graph6,
+from spectral_cliques import (build_graph, cliques, complete_graph, emit_graph6,
                               graph_from_edge_mask, parse_graph6, run_check,
                               screen, turan_graph)
+from spectral_cliques import bounds
+from spectral_cliques.cliques import is_kfree
 from spectral_cliques.scan import CorpusSpec, ScanConfig, scan
+from spectral_cliques.spectral import spectrum
+from spectral_cliques.stability import alpha_limit, stability_premise
 
 from oracles import reference_scan
 from test_batched_spectra import _fail_eigh_on
@@ -21,8 +25,11 @@ from test_batched_spectra import _fail_eigh_on
 # the package re-exports the ``scan`` function under the module's name
 scan_module = importlib.import_module("spectral_cliques.scan")
 
-#: the n = 6 battery's checks plus the conjecture; walk lengths 17 and 40
-#: leave int64 on dense graphs of order 16 (40 leaves 128 bits too)
+#: the n = 6 battery's checks, the conjecture and the two spectral-premise
+#: checks; walk lengths 17 and 40 leave int64 on dense graphs of order 16
+#: (40 leaves 128 bits too).  Stability runs at its default alpha (None),
+#: at 0 and above every r's limit; edge_corollary at 0 and at 0.01, where
+#: a Turan host less one edge can meet the premise.
 CHECKS = {
     "wilf": {},
     "maxmu": {"s": [1, 2, 3, 4, 17, 40]},
@@ -33,24 +40,50 @@ CHECKS = {
     "momo": {},
     "oldin": {"l": [2, 3]},
     "conjecture": {"r": [2, 3]},
+    "stability": {"r": [2, 3, 4], "alpha": [None, 0, 1e-3]},
+    "edge_corollary": {"r": [2, 3], "alpha": [0, 0.01]},
 }
+
+
+def _less_one_edge(g, pick):
+    """``g`` without its ``pick``-th edge (modulo the edge count)."""
+    edges = list(g.edges())
+    if not edges:
+        return g
+    del edges[pick % len(edges)]
+    return build_graph(g.n, edges)
+
+
+def _two_copies(g):
+    """The disjoint union of two copies of ``g``."""
+    edges = list(g.edges())
+    return build_graph(2 * g.n, edges + [(u + g.n, v + g.n) for u, v in edges])
 
 
 @st.composite
 def corpora(draw):
     """graph6 lines of mixed orders: random labeled graphs on 1..16
-    vertices, balanced Turan hosts and complete graphs."""
+    vertices, complete graphs, and the near-extremal hosts of the spectral
+    premise: balanced Turan hosts, a Turan host less one edge, and two
+    disjoint equal Turan graphs.  Every order stays at most 16, so a failed
+    exhaustive witness search stays short."""
     lines = []
     for _ in range(draw(st.integers(1, 20))):
-        kind = draw(st.sampled_from(["random", "random", "random", "turan", "complete"]))
+        kind = draw(st.sampled_from(["random", "random", "random", "turan",
+                                     "turan-less-edge", "two-turan", "complete"]))
         if kind == "random":
             n = draw(st.integers(1, 16))
             g = graph_from_edge_mask(n, draw(st.integers(0, (1 << n * (n - 1) // 2) - 1)))
-        elif kind == "turan":
-            r = draw(st.integers(2, 4))
-            g = turan_graph(r, r * draw(st.integers(1, 4)))
-        else:
+        elif kind == "complete":
             g = complete_graph(draw(st.integers(1, 16)))
+        else:
+            r = draw(st.integers(2, 4))
+            q = draw(st.integers(1, (8 if kind == "two-turan" else 16) // r))
+            g = turan_graph(r, r * q)
+            if kind == "turan-less-edge":
+                g = _less_one_edge(g, draw(st.integers(0, 1000)))
+            elif kind == "two-turan":
+                g = _two_copies(g)
         lines.append(emit_graph6(g))
     return lines
 
@@ -127,6 +160,60 @@ class TestMargin:
     def test_negative_margin_changes_the_output(self, monkeypatch):
         want = self._tightest(screen.SCREEN_MARGIN, monkeypatch)
         assert self._tightest(-1e-9, monkeypatch) != want
+
+
+class TestPremiseMargin:
+    """At tol_scale 0 and alpha 0, T(2, 2q) sits on the spectral premise's
+    cut: its LAPACK spectral radius is q, exactly (1 - 1/2) 2q.  The screen
+    sends it to the reporting path, which finds the premise met; a negative
+    margin screens it out as out of domain."""
+
+    LINES = [emit_graph6(turan_graph(2, 2 * q)) for q in (2, 3, 4)]
+    CHECK = {"stability": {"r": [2], "alpha": [0]},
+             "edge_corollary": {"r": [2], "alpha": [0]}}
+
+    def _scan(self, margin, monkeypatch):
+        monkeypatch.setattr(screen, "SCREEN_MARGIN", margin)
+        return _scan_lines(self.LINES, self.CHECK, 10, 0.0)
+
+    def test_reference_agrees(self, monkeypatch):
+        want = reference_scan(self.LINES, self.CHECK, 10, 0.0)
+        assert self._scan(screen.SCREEN_MARGIN, monkeypatch) == want
+        assert want["out_of_domain"] == 0
+        assert len(want["equalities"]) == len(self.LINES)
+
+    def test_negative_margin_changes_the_output(self, monkeypatch):
+        want = self._scan(screen.SCREEN_MARGIN, monkeypatch)
+        assert self._scan(-1e-9, monkeypatch) != want
+
+
+def test_premise_screen_reports_only_near_premise_pairs(monkeypatch):
+    """Of the 32,768 labeled graphs of order 6, the reporting path sees only
+    the (graph, r) pairs whose premise holds or sits within the margin of
+    its cut; the count is deterministic and pins the screen's saving.  (On
+    order 5 no pair meets the premise: a triangle-free graph of odd order n
+    has mu <= sqrt((n^2 - 1) / 4) < n / 2.)"""
+    calls = {"stability": 0, "edge_corollary": 0}
+    original = scan_module.run_check
+
+    def spy(check, g, params, tols):
+        calls[check] += 1
+        return original(check, g, params, tols)
+
+    monkeypatch.setattr(scan_module, "run_check", spy)
+    res = scan(CorpusSpec(kind="exhaustive", n=6),
+               ScanConfig(checks={name: {"r": [2, 3]} for name in calls}))
+    want = dict.fromkeys(calls, 0)
+    for mask in range(1 << 15):
+        g = graph_from_edge_mask(6, mask)
+        for r in (2, 3):
+            for name, alpha in (("stability", alpha_limit(r)), ("edge_corollary", 0.0)):
+                cut = bounds.premise_cut(g.n, r, alpha, bounds.DEFAULT_TOLS)
+                near = (is_kfree(g, r + 1) and spectrum(g).mu
+                        >= cut - screen.SCREEN_MARGIN * max(1.0, abs(cut)))
+                want[name] += stability_premise(g, r, alpha) or near
+    assert calls == want
+    assert 0 < sum(want.values()) < res.graphs_checked // 100
 
 
 def test_pivot_tree_runs_once_per_graph(monkeypatch):

@@ -21,7 +21,19 @@ class TestPremise:
     def test_alpha_out_of_range(self):
         g = turan_graph(2, 8)
         assert not stability_premise(g, 2, alpha_limit(2) * 2)
-        assert not stability_premise(g, 2, -0.1)
+        # a negative alpha is refused, not a failed premise
+        with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
+            stability_premise(g, 2, -0.1)
+
+    @pytest.mark.parametrize("alpha", [-1, -0.5, "-1e-300", "nan", float("nan"),
+                                       "inf", float("-inf")])
+    def test_negative_or_non_finite_alpha_refused(self, alpha):
+        g = turan_graph(2, 8)
+        for call in (lambda: stability_premise(g, 2, alpha),
+                     lambda: witness_thresholds(g.n, 2, alpha),
+                     lambda: stability_report(g, 2, alpha)):
+            with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
+                call()
 
     def test_bad_r(self, c5):
         with pytest.raises(ValueError):
