@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--tol", type=float, default=1.0,
                      help="scale every tolerance epsilon by this factor")
     top.add_argument("--jobs", type=int, default=1,
-                     help="worker processes for scans")
+                     help="processes that scan, this one included")
     sub = top.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="write generated graphs as graph6 lines")

@@ -4,8 +4,11 @@ A scan walks a corpus (exhaustive labeled graphs, a graph6 file, or a
 seeded random family), evaluates a configured set of checks with parameter
 grids on every graph passing the filters, and aggregates violations,
 equality cases, and the tightest instances.  Work is split into fixed-size
-chunks whose partial results merge in chunk order, so the outcome is
-byte-identical no matter how many workers run.
+chunks.  With ``jobs`` > 1 the calling process and up to ``jobs - 1``
+pool workers claim the chunks in index order from one shared counter, the
+caller starting while the workers still boot; partial results merge by
+chunk index, so the outcome is byte-identical no matter how many
+processes scan.
 
 The checks, their parameter axes and default grids are declared once, in
 ``CHECKS``.  All are hard claims except where a check's ``discovery`` rule
@@ -383,10 +386,12 @@ _WORKER: dict = {}
 
 
 def _init_scan_worker(corpus: CorpusSpec, config: ScanConfig,
-                      filters: tuple[Callable[[Graph], bool], ...]) -> None:
+                      filters: tuple[Callable[[Graph], bool], ...],
+                      counter=None) -> None:
     combos = [(name, params) for name, grid in config.checks.items()
               for params in expand_param_grid(name, grid)]
     _WORKER.update(
+        counter=counter,
         corpus=corpus,
         config=config,
         filters=filters,
@@ -477,6 +482,56 @@ def _scan_chunk(chunk: tuple) -> dict:
     }
 
 
+def _claim_chunks(chunks: list[tuple]) -> list[tuple[int, dict | Exception]]:
+    """Scan the chunks claimed, in index order, from the shared counter
+    until none is left, as ``(index, partial)``.  A chunk that raises
+    ends the claims, its own and everyone's, as ``(index, exception)``."""
+    counter = _WORKER["counter"]
+    done: list[tuple[int, dict | Exception]] = []
+    while True:
+        with counter.get_lock():
+            i = counter.value
+            if i >= len(chunks):
+                return done
+            counter.value = i + 1
+        try:
+            done.append((i, _scan_chunk(chunks[i])))
+        except Exception as exc:  # the scan raises the lowest-indexed one
+            with counter.get_lock():
+                counter.value = len(chunks)
+            done.append((i, exc))
+            return done
+
+
+def _scan_in_pool(chunks: list[tuple], workers: int, init_args: tuple) -> list[dict]:
+    """Each chunk's partial, in chunk order, scanned by this process and
+    ``workers`` pool workers that claim chunks from one counter.
+
+    The chunk list goes to the workers as their task, not through the
+    initializer: a large initializer argument keeps ``Pool()`` from
+    returning, under spawn, until a worker has imported the package.  The
+    pool is left as soon as this process holds every partial, so a worker
+    still booting then is terminated instead of waited for.  Of several
+    failing chunks the lowest-indexed one's exception is raised; every
+    lower chunk was claimed before it, so it is the error a one-process
+    scan raises."""
+    counter = multiprocessing.Value("q", 0)
+    _init_scan_worker(*init_args, counter)
+    with multiprocessing.Pool(processes=workers, initializer=_init_scan_worker,
+                              initargs=(*init_args, counter)) as pool:
+        claimed = pool.imap_unordered(_claim_chunks, [chunks] * workers)
+        held = dict(_claim_chunks(chunks))
+        while True:
+            end = min((i for i, part in held.items() if isinstance(part, Exception)),
+                      default=len(chunks))
+            if all(i in held for i in range(end)):
+                break
+            held.update(next(claimed))
+    if end < len(chunks):
+        raise held[end]
+    return [held[i] for i in range(len(chunks))]
+
+
 def tightness_rank(records: list[dict], k: int) -> list[dict]:
     """The k holding evaluations with the smallest slack (clamped at zero);
     ties break on graph6 string, then check name, then parameters."""
@@ -510,9 +565,11 @@ def _make_chunks(corpus: CorpusSpec) -> list[tuple]:
 def scan(corpus: CorpusSpec, config: ScanConfig, jobs: int = 1) -> ScanResult:
     """Run every configured check on every corpus graph passing the filters.
 
-    Results are identical for any ``jobs``: chunk boundaries are fixed and
-    partials merge in chunk order, with the tightest-instance ranking
-    recomputed after the merge.
+    ``jobs`` counts the processes that scan, this one included: with more
+    than one chunk, this process and ``min(jobs, chunks) - 1`` pool workers
+    claim chunks in index order.  Results are identical for any ``jobs``:
+    chunk boundaries are fixed and partials merge by chunk index, with the
+    tightest-instance ranking recomputed after the merge.
     """
     for name in config.checks:
         if name not in CHECKS:
@@ -526,9 +583,8 @@ def scan(corpus: CorpusSpec, config: ScanConfig, jobs: int = 1) -> ScanResult:
         _init_scan_worker(corpus, config, filters)
         partials = [_scan_chunk(c) for c in chunks]
     else:
-        with multiprocessing.Pool(processes=jobs, initializer=_init_scan_worker,
-                                  initargs=(corpus, config, filters)) as pool:
-            partials = list(pool.imap(_scan_chunk, chunks, chunksize=1))
+        partials = _scan_in_pool(chunks, min(jobs, len(chunks)) - 1,
+                                 (corpus, config, filters))
     result = ScanResult()
     cands: list[dict] = []
     for part in partials:

@@ -205,6 +205,20 @@ class TestScanCli:
         assert proc.returncode == 2
         assert message in proc.stderr
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_earliest_malformed_line_wins(self, tmp_path, jobs):
+        # lines 3 and 1,100 fall in chunks 0 and 2 of 512 lines each
+        corpus = tmp_path / "c.g6"
+        good = emit_graph6(turan_graph(2, 4))
+        lines = [good] * 1200
+        lines[2] = lines[1099] = "C"
+        corpus.write_text("\n".join(lines) + "\n")
+        proc = run_cli("--jobs", jobs, "scan", "--file", str(corpus),
+                       "--check", "maxmu1", timeout=300)
+        assert proc.returncode == 2
+        assert f"{corpus}, line 3:" in proc.stderr
+        assert "line 1100" not in proc.stderr
+
     def test_missing_file_exit_3(self):
         proc = run_cli("scan", "--file", "/no/such/file.g6", "--check", "wilf")
         assert proc.returncode == 3

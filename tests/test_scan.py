@@ -1,4 +1,8 @@
+import importlib
 import json
+import multiprocessing
+import subprocess
+import sys
 
 import pytest
 
@@ -10,6 +14,9 @@ from spectral_cliques.scan import (CorpusSpec, ScanConfig, expand_param_grid,
                                    read_graph6_lines, scan, tightness_rank)
 
 from oracles import brute_force_cliques, brute_force_walks, enumerate_labeled
+
+# the package re-exports the ``scan`` function under the module's name
+scan_module = importlib.import_module("spectral_cliques.scan")
 
 
 class TestEnumerate:
@@ -205,6 +212,87 @@ class TestScan:
         # graphs with triangles (or at this order nothing else) are skipped
         in_domain = sum(1 for g in enumerate_labeled(4) if is_kfree(g, 3))
         assert res.out_of_domain == 64 - in_domain
+
+
+class _InProcessPool:
+    """Stand-in for ``multiprocessing.Pool`` that records its size and runs
+    every task in this process, before the caller claims a chunk."""
+
+    sizes: list[int] = []
+
+    def __init__(self, processes, initializer, initargs):
+        self.sizes.append(processes)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap_unordered(self, fn, tasks):
+        return iter([fn(task) for task in tasks])
+
+
+def _no_process_start(self):
+    raise AssertionError("a real process was started")
+
+
+#: run with ``python -c``: three scans under spawn must print the same
+#: bytes and leave no child process behind
+_SPAWN_SCRIPT = """
+import contextlib, io, multiprocessing
+from spectral_cliques.cli import main
+
+multiprocessing.set_start_method("spawn")
+outs = []
+for jobs in ("1", "2", "3"):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["--jobs", jobs, "scan", "--exhaustive-n", "6", "--check", "wilf",
+                     "--check", "momo", "--top-k", "7"])
+    assert code == 0, (jobs, code)
+    assert multiprocessing.active_children() == [], jobs
+    outs.append(buf.getvalue())
+assert outs[0] == outs[1] == outs[2], "stdout differs across --jobs"
+print(len(outs[0]))
+"""
+
+
+class TestScanProcesses:
+    def test_no_more_workers_than_chunks(self, monkeypatch):
+        # 600 graphs are two chunks: the caller and one worker scan them
+        corpus = CorpusSpec(kind="random", n=6, p=0.5, count=600, seed=3)
+        config = ScanConfig(checks={"momo": {}, "wilf": {}})
+        expected = scan(corpus, config, jobs=1).to_json_dict(deterministic_timing=True)
+        monkeypatch.setattr(_InProcessPool, "sizes", [])
+        monkeypatch.setattr(scan_module.multiprocessing, "Pool", _InProcessPool)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            _no_process_start)
+        got = scan(corpus, config, jobs=64).to_json_dict(deterministic_timing=True)
+        assert _InProcessPool.sizes == [1]
+        assert got == expected
+
+    def test_each_chunk_claimed_once(self):
+        # the caller and three workers race for 16 chunks; a lost update of
+        # the counter would claim an index twice
+        corpus = CorpusSpec(kind="random", n=5, p=0.5, count=16 * 512, seed=5)
+        chunks = scan_module._make_chunks(corpus)
+        init_args = (corpus, ScanConfig(checks={"momo": {}}), (),
+                     multiprocessing.Value("q", 0))
+        scan_module._init_scan_worker(*init_args)
+        with multiprocessing.Pool(3, scan_module._init_scan_worker, init_args) as pool:
+            claimed = pool.imap_unordered(scan_module._claim_chunks, [chunks] * 3)
+            indices = [i for i, _ in scan_module._claim_chunks(chunks)]
+            for _ in range(3):
+                indices += [i for i, _ in claimed.next(timeout=120)]
+        assert sorted(indices) == list(range(16))
+
+    def test_spawn_identical_across_jobs(self):
+        proc = subprocess.run([sys.executable, "-c", _SPAWN_SCRIPT],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) > 0
 
 
 def _turan_file():
