@@ -12,13 +12,18 @@ before being classified: each eigenvalue they read is bracketed between
 rationals by exact inertia counts, and the slack is evaluated exactly on the
 brackets.  Such reports carry ``refined=True`` and keep the LAPACK figures;
 a verdict the brackets cannot decide is None (status ``inconclusive``).
+
+The seven checks whose verdict is one slack are each written once, as a
+:class:`Formula`: the same ``sides`` run on the LAPACK floats that a report
+prints, on the Fraction bracket ends that certify it, and on the arrays of
+the scan's screen (:mod:`screen`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 from .cliques import clique_counts, is_kfree, vertex_clique_counts
@@ -113,10 +118,10 @@ def _skipped(name: str, params: dict) -> BoundReport:
                        in_domain=False)
 
 
-def _ratio(a: int, b: int, like: float | Fraction) -> float | Fraction:
-    """a / b in the arithmetic of ``like``: the float ``a / b`` next to a
-    float eigenvalue, the exact rational next to a Fraction."""
-    return Fraction(a, b) if isinstance(like, Fraction) else a / b
+def _ratio(a: int, b: int, like):
+    """a / b in the arithmetic of ``like``: the exact rational next to an
+    int or a Fraction, the true division next to a float or an array."""
+    return Fraction(a, b) if isinstance(like, (int, Fraction)) else a / b
 
 
 def _slack_range(build: Callable, brackets: list[tuple[Fraction, Fraction]]
@@ -178,20 +183,73 @@ def _certify(g: Graph, build: Callable, ranks: int, tols: Tolerances,
     return holds, equality
 
 
-def _mu_report(name: str, params: dict, g: Graph, tols: Tolerances,
-               build: Callable, ranks: int = 1) -> BoundReport:
-    """Build an eigenvalue-dependent report; certify near misses exactly
-    before classifying them.
+class GraphView:
+    """The invariants a formula reads, of one graph, in exact ints: ``n``,
+    ``m``, ``omega``, ``k(s)`` (s-cliques) and ``w(l)`` (l-walks).  The
+    screen's ``Block`` offers the same names as arrays.  Counts are read
+    through this module's ``clique_counts`` and ``walk_counts``, once each
+    per view."""
 
-    ``build(mu_1, ..., mu_ranks)`` returns (lhs, rhs).  It is called with
-    the LAPACK floats, and for a report whose slack is at most
-    hold * scale, with the Fraction ends of exact eigenvalue brackets
-    (:func:`_certify`); the report keeps the LAPACK figures.
+    def __init__(self, g: Graph) -> None:
+        self.g = g
+        self.n = g.n
+        self.m = g.m
+        cliques = clique_counts(g)
+        self.omega = cliques.omega
+        self.k = cliques.count
+        self._walks: dict[int, int] = {}
+
+    def w(self, l: int) -> int:
+        if l not in self._walks:
+            self._walks[l] = walk_counts(self.g, l).total(l)
+        return self._walks[l]
+
+
+@dataclass(frozen=True)
+class Formula:
+    """One inequality lhs <= rhs, written once for every arithmetic.
+
+    ``sides(x, mu_1, ..., mu_ranks, **params)`` returns (lhs, rhs).  ``x``
+    is a :class:`GraphView` or a screen ``Block``; the eigenvalues are
+    LAPACK floats, the Fraction ends of exact brackets, or arrays.
+    ``gate(x, **params)`` is true where a graph is out of domain, and
+    raises ValueError on params the check refuses.  With ``ranks`` 0 the
+    sides are exact, and so is the verdict.  Polyn alone uses the last two
+    fields: its report names ``shown`` invariants of the graph beside the
+    params, and where ``trivial`` holds (omega = 1) it reads 0 <= 0 without
+    an eigenvalue.
     """
-    lhs, rhs = build(*spectrum(g).eigenvalues[:ranks])
-    rep = _report(name, params, lhs, rhs, tols)
+
+    name: str
+    sides: Callable
+    gate: Callable = lambda x, **params: False
+    ranks: int = 1
+    shown: tuple[str, ...] = ()
+    trivial: Callable | None = None
+
+
+def evaluate(f: Formula, g: Graph, params: dict,
+             tols: Tolerances = DEFAULT_TOLS) -> BoundReport:
+    """``f`` on one graph: out of domain where its gate holds, exact where
+    it reads no eigenvalue, else evaluated on the LAPACK floats.  A report
+    whose slack is at most hold * scale is then decided on the Fraction ends
+    of exact eigenvalue brackets (:func:`_certify`) and keeps the LAPACK
+    figures.
+    """
+    x = GraphView(g)
+    if f.gate(x, **params):
+        return _skipped(f.name, dict(params))
+    shown = {**params, **{name: getattr(x, name) for name in f.shown}}
+    if f.trivial is not None and f.trivial(x):
+        return _report(f.name, shown, 0.0, 0.0, tols)
+    build = partial(f.sides, x, **params)
+    if not f.ranks:
+        lhs, rhs = build()
+        return _report(f.name, shown, lhs, rhs, tols, exact_slack=rhs - lhs)
+    lhs, rhs = build(*spectrum(g).eigenvalues[:f.ranks])
+    rep = _report(f.name, shown, lhs, rhs, tols)
     if rep.slack <= tols.hold * rep.scale:
-        rep.holds, rep.equality = _certify(g, build, ranks, tols, rep.scale)
+        rep.holds, rep.equality = _certify(g, build, f.ranks, tols, rep.scale)
         rep.refined = True
     return rep
 
@@ -200,28 +258,67 @@ def _mu_report(name: str, params: dict, g: Graph, tols: Tolerances,
 # spectral radius vs clique counts
 
 
+def _r_gate(x, r: int) -> bool:
+    if r < 2:
+        raise ValueError("r must be >= 2")
+    return False
+
+
+def _walk_power_gate(x, s: int) -> bool:
+    if s < 1:
+        raise ValueError("walk power s must be >= 1")
+    return False
+
+
+def _polyn_sides(x, mu):
+    # on a block the sum runs to the largest omega; past a graph's own
+    # omega, k_s = 0 adds 0.0 (NaN at mu = 0, where polyn is trivial)
+    om = x.omega
+    top = om if isinstance(om, int) else int(om.max())
+    return mu ** om, sum((s - 1) * x.k(s) * mu ** (om - s) for s in range(2, top + 1))
+
+
+def _theorem1_sides(x, mu, r: int):
+    return mu ** (r + 1), (r + 1) * x.k(r + 1) + sum(
+        (s - 1) * x.k(s) * mu ** (r + 1 - s) for s in range(2, r + 1))
+
+
+def _theorem2_sides(x, mu, r: int):
+    return ((mu / x.n - 1 + _ratio(1, r, mu)) * _ratio(r * (r - 1), r + 1, mu)
+            * _ratio(x.n, r, mu) ** (r + 1)), x.k(r + 1)
+
+
+def _conjecture_gate(x, r: int):
+    _r_gate(x, r)
+    return (x.omega > r) | (x.n < r + 1)
+
+
+WILF = Formula("wilf", lambda x, mu: (mu, _ratio(x.omega - 1, x.omega, mu) * x.n))
+MAXMU = Formula("maxmu", lambda x, mu, s: (
+    mu ** s, _ratio(x.omega - 1, x.omega, mu) * x.w(s)), _walk_power_gate)
+# exact on a graph, where m is an int; floats on a block
+MAXMU1 = Formula("maxmu1", lambda x: (
+    x.m, _ratio(x.omega - 1, 2 * x.omega, x.m) * x.n * x.n), ranks=0)
+POLYN = Formula("polyn", _polyn_sides, shown=("omega",), trivial=lambda x: x.omega == 1)
+THEOREM1 = Formula("theorem1", _theorem1_sides, _r_gate)
+THEOREM2 = Formula("theorem2", _theorem2_sides, _r_gate)
+CONJECTURE = Formula("conjecture", lambda x, mu, mu2, r: (
+    mu ** 2 + mu2 ** 2, _ratio(r - 1, r, mu) * 2 * x.m), _conjecture_gate, ranks=2)
+
+
 def wilf_bound(g: Graph, tols: Tolerances = DEFAULT_TOLS) -> BoundReport:
     """mu <= (1 - 1/omega) n."""
-    omega = clique_counts(g).omega
-    return _mu_report("wilf", {}, g, tols,
-                      lambda mu: (mu, _ratio(omega - 1, omega, mu) * g.n))
+    return evaluate(WILF, g, {}, tols)
 
 
 def walk_power_bound(g: Graph, s: int, tols: Tolerances = DEFAULT_TOLS) -> BoundReport:
     """mu^s <= (1 - 1/omega) w_s; reduces to the Wilf bound at s = 1."""
-    if s < 1:
-        raise ValueError("walk power s must be >= 1")
-    omega = clique_counts(g).omega
-    ws = walk_counts(g, s).total(s)
-    return _mu_report("maxmu", {"s": s}, g, tols,
-                      lambda mu: (mu ** s, _ratio(omega - 1, omega, mu) * ws))
+    return evaluate(MAXMU, g, {"s": s}, tols)
 
 
 def turan_edge_bound(g: Graph, tols: Tolerances = DEFAULT_TOLS) -> BoundReport:
-    """m <= (1 - 1/omega) n^2 / 2; tight when omega divides n."""
-    omega = clique_counts(g).omega
-    rhs = Fraction(omega - 1, 2 * omega) * g.n * g.n
-    return _report("maxmu1", {}, g.m, rhs, tols, exact_slack=rhs - g.m)
+    """m <= (1 - 1/omega) n^2 / 2, exactly; tight when omega divides n."""
+    return evaluate(MAXMU1, g, {}, tols)
 
 
 def polyn_bound(g: Graph, tols: Tolerances = DEFAULT_TOLS) -> BoundReport:
@@ -230,32 +327,13 @@ def polyn_bound(g: Graph, tols: Tolerances = DEFAULT_TOLS) -> BoundReport:
     Equality characterizes complete multipartite graphs with possibly some
     isolated vertices; the cross-check lives with the recognizer.
     """
-    prof = clique_counts(g)
-    omega = prof.omega
-    if omega == 1:
-        return _report("polyn", {"omega": 1}, 0.0, 0.0, tols)
-
-    def build(mu):
-        rhs = sum((s - 1) * prof.count(s) * mu ** (omega - s)
-                  for s in range(2, omega + 1))
-        return mu ** omega, rhs
-
-    return _mu_report("polyn", {"omega": omega}, g, tols, build)
+    return evaluate(POLYN, g, {}, tols)
 
 
 def theorem1_bound(g: Graph, r: int, tols: Tolerances = DEFAULT_TOLS) -> BoundReport:
     """mu^(r+1) <= (r+1) k_{r+1} + sum_{s=2}^{r} (s-1) k_s mu^(r+1-s),
     for any r >= 2 (sizes above omega contribute nothing)."""
-    if r < 2:
-        raise ValueError("r must be >= 2")
-    prof = clique_counts(g)
-
-    def build(mu):
-        rhs = (r + 1) * prof.count(r + 1) + sum(
-            (s - 1) * prof.count(s) * mu ** (r + 1 - s) for s in range(2, r + 1))
-        return mu ** (r + 1), rhs
-
-    return _mu_report("theorem1", {"r": r}, g, tols, build)
+    return evaluate(THEOREM1, g, {"r": r}, tols)
 
 
 def theorem2_lower(g: Graph, r: int, tols: Tolerances = DEFAULT_TOLS) -> BoundReport:
@@ -264,17 +342,20 @@ def theorem2_lower(g: Graph, r: int, tols: Tolerances = DEFAULT_TOLS) -> BoundRe
     Oriented with the bound expression on the lhs, so slack >= 0 still
     means the count is large enough; negative bounds are reported as-is.
     """
-    if r < 2:
-        raise ValueError("r must be >= 2")
-    k = clique_counts(g).count(r + 1)
-    n = g.n
+    return evaluate(THEOREM2, g, {"r": r}, tols)
 
-    def build(mu):
-        bound = ((mu / n - 1 + _ratio(1, r, mu)) * _ratio(r * (r - 1), r + 1, mu)
-                 * _ratio(n, r, mu) ** (r + 1))
-        return bound, k
 
-    return _mu_report("theorem2", {"r": r}, g, tols, build)
+def conjecture_check(g: Graph, r: int, tols: Tolerances = DEFAULT_TOLS) -> BoundReport:
+    """mu_1^2 + mu_2^2 <= (1 - 1/r) 2m for K_{r+1}-free graphs of order
+    at least r+1.
+
+    Graphs with a K_{r+1} or with fewer than r+1 vertices are out of
+    domain (on order r the complete graph already exceeds the bound, so the
+    claim starts one vertex later).  Near misses are certified exactly
+    before being reported.  Lin, Ning and Wu (Combin. Probab. Comput. 30,
+    2021) proved the case r = 2.
+    """
+    return evaluate(CONJECTURE, g, {"r": r}, tols)
 
 
 # ---------------------------------------------------------------------------
@@ -358,33 +439,6 @@ def theorem3_conditional(g: Graph, r: int, s: int, alpha,
         conclusion=conclusion,
         implication_holds=implication,
     )
-
-
-# ---------------------------------------------------------------------------
-# two-eigenvalue strengthening (open for r >= 3: violations are discoveries)
-
-
-def conjecture_check(g: Graph, r: int, tols: Tolerances = DEFAULT_TOLS) -> BoundReport:
-    """mu_1^2 + mu_2^2 <= (1 - 1/r) 2m for K_{r+1}-free graphs of order
-    at least r+1.
-
-    Graphs with a K_{r+1} or with fewer than r+1 vertices are out of
-    domain (on order r the complete graph already exceeds the bound, so the
-    claim starts one vertex later).  Near misses are certified exactly
-    before being reported.  Lin, Ning and Wu (Combin. Probab. Comput. 30,
-    2021) proved the case r = 2.
-    """
-    if r < 2:
-        raise ValueError("r must be >= 2")
-    params = {"r": r}
-    prof = clique_counts(g)
-    if prof.omega > r or g.n < r + 1:
-        return _skipped("conjecture", params)
-
-    def build(mu, mu2):
-        return mu ** 2 + mu2 ** 2, _ratio(r - 1, r, mu) * 2 * g.m
-
-    return _mu_report("conjecture", params, g, tols, build, ranks=2)
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,8 @@ def _build_parser() -> argparse.ArgumentParser:
     wit.add_argument("--r", type=int, required=True)
     wit.add_argument("--alpha", required=True, help="decimal alpha, e.g. 0.0000013")
     wit.add_argument("--mode", choices=["exhaustive", "heuristic"],
-                     default="exhaustive")
+                     help="witness search; default: exhaustive up to 16 vertices, "
+                          "heuristic above")
     return top
 
 

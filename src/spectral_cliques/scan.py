@@ -321,22 +321,24 @@ class Check:
         return tuple(self.defaults)
 
 
+def formula_check(f: bounds.Formula, defaults: dict[str, tuple | None],
+                  discovery: Callable[[dict], bool] = _hard_claim) -> Check:
+    """The entry of a one-slack check: ``f`` evaluated graph by graph
+    (:func:`bounds.evaluate`) and screened on a chunk's arrays."""
+    return Check(defaults,
+                 lambda g, params, tols: [_outcome(bounds.evaluate(f, g, params, tols))],
+                 discovery, reads_spectrum=f.ranks > 0, screen=screen.formula_screen(f))
+
+
 CHECKS: dict[str, Check] = {
-    "wilf": Check({}, _single(bounds.wilf_bound), reads_spectrum=True,
-                  screen=screen.screen_wilf),
-    "maxmu": Check({"s": (1, 2, 3, 4)}, _single(bounds.walk_power_bound),
-                   reads_spectrum=True, screen=screen.screen_maxmu),
-    "maxmu1": Check({}, _single(bounds.turan_edge_bound), screen=screen.screen_maxmu1),
-    "polyn": Check({}, _single(bounds.polyn_bound), reads_spectrum=True,
-                   screen=screen.screen_polyn),
-    "theorem1": Check({"r": (2, 3, 4)}, _single(bounds.theorem1_bound),
-                      reads_spectrum=True, screen=screen.screen_theorem1),
-    "theorem2": Check({"r": (2, 3)}, _single(bounds.theorem2_lower),
-                      reads_spectrum=True, screen=screen.screen_theorem2),
+    "wilf": formula_check(bounds.WILF, {}),
+    "maxmu": formula_check(bounds.MAXMU, {"s": (1, 2, 3, 4)}),
+    "maxmu1": formula_check(bounds.MAXMU1, {}),
+    "polyn": formula_check(bounds.POLYN, {}),
+    "theorem1": formula_check(bounds.THEOREM1, {"r": (2, 3, 4)}),
+    "theorem2": formula_check(bounds.THEOREM2, {"r": (2, 3)}),
     "theorem3": Check({"r": (2, 3), "s": None, "alpha": (0,)}, _theorem3_outcomes),
-    "conjecture": Check({"r": (2, 3)}, _single(bounds.conjecture_check),
-                        discovery=_open_conjecture, reads_spectrum=True,
-                        screen=screen.screen_conjecture),
+    "conjecture": formula_check(bounds.CONJECTURE, {"r": (2, 3)}, _open_conjecture),
     "oldin": Check({"s": None, "l": (2, 3)}, _oldin_outcomes, screen=screen.screen_oldin),
     "momo": Check({}, _momo_outcomes, screen=screen.screen_momo),
     "edge_corollary": Check({"r": (2, 3), "alpha": (0,)},
@@ -557,6 +559,8 @@ def _make_chunks(corpus: CorpusSpec) -> list[tuple]:
     if corpus.kind == "random":
         if corpus.n is None or corpus.p is None or corpus.count is None or corpus.seed is None:
             raise ValueError("random corpus needs n, p, count and seed")
+        if corpus.count < 0:
+            raise ValueError("random corpus count must be >= 0")
         return [("random", lo, min(lo + _CHUNK_ITEMS, corpus.count))
                 for lo in range(0, corpus.count, _CHUNK_ITEMS)] or [("random", 0, 0)]
     raise ValueError(f"unknown corpus kind {corpus.kind!r}")

@@ -19,12 +19,15 @@ reported, since neither check has a slack to screen on (a stability outcome
 never ranks; an edge_corollary outcome that meets the premise is printed or
 ranked by the reporting path).
 
-The screens repeat their evaluator's arithmetic operation for operation,
-so a screened slack differs from the reported one only where numpy's
-``**`` differs from Python's, by a few units in the last place.  That is
-far inside ``SCREEN_MARGIN``; printed figures always come from the
-reporting path.  Where an int64 count or product could overflow, the
-screen steps aside and the reporting path evaluates every graph.
+The seven one-slack checks are screened by running their own
+``bounds.Formula`` on the block's arrays (:func:`formula_screen`), so a
+screened slack differs from the reported one only by rounding (numpy's
+``**``, the floats of maxmu1's exact sides), a few units in the last
+place.  That is far inside ``SCREEN_MARGIN``; printed figures always come
+from the reporting path.  The screens of ``oldin`` and ``momo`` (exact in
+int64) and of the spectral premise are written here.  Where an int64
+count or product could overflow, the screen steps aside and the reporting
+path evaluates every graph.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bounds import Tolerances, exact_alpha, premise_cut
+from .bounds import Formula, Tolerances, exact_alpha, premise_cut
 from .cliques import clique_counts, vertex_clique_counts
 from .graphs import Graph
 from .spectral import STACK_ENTRIES, adjacency_stack, prime_rows, stacked_eigenvalues
@@ -129,6 +132,22 @@ class Block:
             return None
         return out
 
+    def k(self, s: int) -> np.ndarray:
+        """k_s of every graph, zero past the block's order; OverflowError
+        where :attr:`cliques` is None."""
+        k = self.cliques
+        if k is None:
+            raise OverflowError("a clique count may leave int64")
+        return k[:, s] if s < k.shape[1] else np.zeros(len(k), dtype=np.int64)
+
+    def w(self, l: int) -> np.ndarray:
+        """w_l, the l-walk total of every graph; OverflowError where
+        :meth:`walks` is None."""
+        walks = self.walks(l)
+        if walks is None:
+            raise OverflowError("a walk count may leave int64")
+        return walks[:, l].sum(axis=1)
+
     @functools.cached_property
     def _maxdeg(self) -> int:
         return max(max(g.degrees) for g in self.graphs)
@@ -180,106 +199,30 @@ def _scale(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
 
 
-def _spectral(lhs: np.ndarray, rhs: np.ndarray, tols: Tolerances,
-              gate: np.ndarray | None = None) -> Screen:
-    """A one-outcome spectral check.  Graphs in ``gate`` are out of domain;
-    the others are reported unless their slack clears the hold and equality
-    thresholds by the margin (a failed spectrum's NaN never does)."""
-    slack = rhs - lhs
-    scale = _scale(lhs, rhs)
-    thr = max(abs(tols.hold), abs(tols.equality)) + SCREEN_MARGIN
-    if gate is None:
-        gate = np.zeros(len(slack), dtype=bool)
-    far = (slack > thr * scale) & ~gate
-    return Screen(~far & ~gate, gate.astype(np.int64),
-                  np.where(far, slack, np.nan)[:, None], scale[:, None])
-
-
-def _integer(lhs: np.ndarray, diff: np.ndarray, rhs_f: np.ndarray,
-             valid: np.ndarray, ood: np.ndarray) -> Screen:
-    """Exact checks: ``diff`` has the sign of rhs - lhs, exactly, and an
-    outcome is reported where it is not positive (an equality or a
-    violation).  ``valid`` marks the outcome slots that exist."""
-    lhs_f = lhs.astype(float)
-    far = valid & (diff > 0)
-    exact = (valid & ~far).any(axis=1)
-    return Screen(exact, ood, np.where(far, rhs_f - lhs_f, np.nan), _scale(lhs_f, rhs_f))
-
-
-def _ratio(omega: np.ndarray) -> np.ndarray:
-    """The evaluators' float (omega - 1) / omega, graph by graph."""
-    return (omega - 1) / omega
-
-
-def screen_wilf(b: Block, params: dict, tols: Tolerances) -> Screen:
-    return _spectral(b.mu, _ratio(b.omega) * b.n, tols)
-
-
-def screen_maxmu(b: Block, params: dict, tols: Tolerances) -> Screen | None:
-    s = params["s"]
-    walks = b.walks(s) if s >= 1 else None
-    if walks is None:
-        return None
-    ws = walks[:, s].sum(axis=1)
-    return _spectral(b.mu ** s, _ratio(b.omega) * ws.astype(float), tols)
-
-
-def screen_maxmu1(b: Block, params: dict, tols: Tolerances) -> Screen:
-    # m <= (omega - 1) n^2 / (2 omega), times 2 omega
-    om = b.omega
-    n2 = b.n * b.n
-    diff = (om - 1) * n2 - 2 * om * b.m
-    rhs_f = ((om - 1) * n2) / (2 * om)
-    return _integer(b.m[:, None], diff[:, None], rhs_f[:, None],
-                    np.ones((len(om), 1), dtype=bool), np.zeros(len(om), dtype=np.int64))
-
-
-def screen_polyn(b: Block, params: dict, tols: Tolerances) -> Screen | None:
-    k = b.cliques
-    if k is None:
-        return None
-    om = b.omega
-    mu = b.mu
-    rhs = np.zeros(len(om))
-    for s in range(2, int(om.max()) + 1):
-        # k_s = 0 past a graph's omega, so there the term adds 0.0
-        rhs = rhs + ((s - 1) * k[:, s]).astype(float) * mu ** np.maximum(om - s, 0)
-    out = _spectral(mu ** om, rhs, tols)
-    out.exact |= om == 1  # reported as 0 <= 0, an equality
-    out.slack[om == 1] = np.nan
-    return out
-
-
-def screen_theorem1(b: Block, params: dict, tols: Tolerances) -> Screen | None:
-    r = params["r"]
-    k = b.cliques
-    if r < 2 or k is None:
-        return None
-    mu = b.mu
-    acc = np.zeros(len(mu))
-    for s in range(2, r + 1):
-        acc = acc + ((s - 1) * _column(k, s)).astype(float) * mu ** (r + 1 - s)
-    rhs = ((r + 1) * _column(k, r + 1)).astype(float) + acc
-    return _spectral(mu ** (r + 1), rhs, tols)
-
-
-def screen_theorem2(b: Block, params: dict, tols: Tolerances) -> Screen | None:
-    r = params["r"]
-    k = b.cliques
-    if r < 2 or k is None:
-        return None
-    n = b.n
-    bound = (b.mu / n - 1 + 1 / r) * (r * (r - 1) / (r + 1)) * (n / r) ** (r + 1)
-    return _spectral(bound, _column(k, r + 1).astype(float), tols)
-
-
-def screen_conjecture(b: Block, params: dict, tols: Tolerances) -> Screen | None:
-    r = params["r"]
-    if r < 2:
-        return None
-    gate = (b.omega > r) | (b.n < r + 1)
-    lhs = b.mu ** 2 + b.mu2 ** 2
-    return _spectral(lhs, (r - 1) / r * 2 * b.m, tols, gate)
+def formula_screen(f: Formula) -> ScreenFn:
+    """The screen of a one-slack check, ``f``'s gate and sides on a block's
+    arrays.  Graphs the gate marks are out of domain.  The others are
+    reported unless their slack clears the hold and equality thresholds by
+    the margin (a failed spectrum's NaN never does); polyn's trivial ones
+    always are.  Params the gate refuses, or a count that may leave int64,
+    make the screen step aside."""
+    def run(b: Block, params: dict, tols: Tolerances) -> Screen | None:
+        try:
+            ood = np.zeros(len(b.m), dtype=bool) | f.gate(b, **params)
+            lhs, rhs = f.sides(b, *(b.mu, b.mu2)[:f.ranks], **params)
+        except (ValueError, OverflowError):
+            return None
+        lhs, rhs = (np.broadcast_to(np.asarray(side, dtype=float), ood.shape)
+                    for side in (lhs, rhs))
+        slack = rhs - lhs
+        scale = _scale(lhs, rhs)
+        thr = max(abs(tols.hold), abs(tols.equality)) + SCREEN_MARGIN
+        far = (slack > thr * scale) & ~ood
+        if f.trivial is not None:
+            far &= ~f.trivial(b)
+        return Screen(~far & ~ood, ood.astype(np.int64),
+                      np.where(far, slack, np.nan)[:, None], scale[:, None])
+    return run
 
 
 def screen_oldin(b: Block, params: dict, tols: Tolerances) -> Screen | None:
@@ -308,7 +251,12 @@ def screen_oldin(b: Block, params: dict, tols: Tolerances) -> Screen | None:
     lhs = (np.einsum("gus,gu->gs", per[:, :, cols], walks[:, l + 1])
            - np.einsum("gus,gu->gs", per[:, :, cols + 1], walks[:, l]))
     rhs = (sizes - 1)[None, :] * k[:, cols] * totals[:, None]
-    return _integer(lhs, rhs - lhs, rhs.astype(float), valid, ood)
+    # reported where the exact slack is not positive (an equality or a
+    # violation) in an outcome slot that exists
+    far = valid & (rhs > lhs)
+    lhs_f, rhs_f = lhs.astype(float), rhs.astype(float)
+    return Screen((valid & ~far).any(axis=1), ood, np.where(far, rhs_f - lhs_f, np.nan),
+                  _scale(lhs_f, rhs_f))
 
 
 def screen_momo(b: Block, params: dict, tols: Tolerances) -> Screen | None:
@@ -368,11 +316,6 @@ def _unranked(exact: np.ndarray, ood: np.ndarray) -> Screen:
     return Screen(exact, ood.astype(np.int64), none, none)
 
 
-def _column(k: np.ndarray, s: int) -> np.ndarray:
-    """k_s of every graph; zero past the block's order."""
-    return k[:, s] if s < k.shape[1] else np.zeros(len(k), dtype=np.int64)
-
-
 def screen_chunk(graphs: Sequence[Graph], combos: Sequence[tuple[str, dict]],
                  screens: Sequence[ScreenFn | None], tols: Tolerances, top_k: int,
                  spectra: bool, vertex: bool) -> tuple[np.ndarray, int]:
@@ -394,7 +337,7 @@ def screen_chunk(graphs: Sequence[Graph], combos: Sequence[tuple[str, dict]],
               for pos in by_order.values()]
     # a power that overflows gives inf or NaN, which is never far from a
     # threshold, so the reporting path decides that evaluation
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         screened = [(ci, b, fn(b, params, tols))
                     for ci, ((_, params), fn) in enumerate(zip(combos, screens))
                     if fn is not None for b in blocks]

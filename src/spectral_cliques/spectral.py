@@ -92,21 +92,6 @@ def stacked_eigenvalues(adj: np.ndarray) -> np.ndarray:
                            for lo in range(0, len(adj), step)])
 
 
-def lapack_spectra(graphs: Sequence[Graph]) -> list[Spectrum | None]:
-    """LAPACK spectra of many graphs, one stacked ``eigh`` per order
-    (:func:`stacked_eigenvalues`); a graph the solver fails on maps to None."""
-    out: list[Spectrum | None] = [None] * len(graphs)
-    by_order: dict[int, list[int]] = {}
-    for i, g in enumerate(graphs):
-        by_order.setdefault(g.n, []).append(i)
-    for members in by_order.values():
-        vals = stacked_eigenvalues(adjacency_stack([graphs[i] for i in members]))
-        for i, row in zip(members, vals.tolist()):
-            if row[0] == row[0]:  # not NaN
-                out[i] = Spectrum(tuple(row))
-    return out
-
-
 def prime_rows(graphs: Sequence[Graph], vals: np.ndarray) -> None:
     """Store each graph's row of eigenvalues (as :func:`stacked_eigenvalues`
     gives them) in its memo, where ``spectrum(g)`` finds it.  A graph whose
@@ -120,12 +105,13 @@ def prime_rows(graphs: Sequence[Graph], vals: np.ndarray) -> None:
 @per_graph
 def spectrum(g: Graph) -> Spectrum:
     """All n eigenvalues of the 0/1 adjacency matrix, sorted descending,
-    from LAPACK.  Raises EigensolverError if the solver does not converge.
+    from LAPACK (:func:`stacked_eigenvalues` on a stack of one).  Raises
+    EigensolverError if the solver does not converge.
     """
-    (sp,) = lapack_spectra([g])
-    if sp is None:
+    row = stacked_eigenvalues(adjacency_stack([g]))[0].tolist()
+    if row[0] != row[0]:  # NaN
         raise EigensolverError("LAPACK eigh failed to converge")
-    return sp
+    return Spectrum(tuple(row))
 
 
 def eigenvalues_above(g: Graph, shift: Fraction) -> int:

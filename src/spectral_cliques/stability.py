@@ -260,6 +260,14 @@ def verify_witness(g: Graph, r: int, alpha, w: StabilityWitness,
     return _order_ok(order, thr_o, boundary, n) and _degree_ok(dmin, thr_d, boundary, n, r)
 
 
+def _search_mode(n: int, mode: str | None) -> str:
+    """``mode``, or with none the order's: exhaustive up to
+    EXHAUSTIVE_MAX_N vertices, heuristic above."""
+    if mode is None:
+        return "exhaustive" if n <= EXHAUSTIVE_MAX_N else "heuristic"
+    return mode
+
+
 def stability_verdict(g: Graph, r: int, alpha, mode: str | None = None,
                       tols: Tolerances = DEFAULT_TOLS
                       ) -> tuple[str, StabilityWitness | None]:
@@ -268,24 +276,25 @@ def stability_verdict(g: Graph, r: int, alpha, mode: str | None = None,
     The verdict is "witnessed", "exhaustive-miss", "heuristic-miss",
     "premise-failed", or "ood" when the eigensolver fails on the graph (the
     premise cannot be evaluated, so no search runs).  With no mode, the
-    search is exhaustive up to EXHAUSTIVE_MAX_N vertices and heuristic above.
+    search follows the graph's order (:func:`_search_mode`).
     """
     try:
         if not stability_premise(g, r, alpha, tols):
             return "premise-failed", None
     except EigensolverError:
         return "ood", None
-    if mode is None:
-        mode = "exhaustive" if g.n <= EXHAUSTIVE_MAX_N else "heuristic"
+    mode = _search_mode(g.n, mode)
     w = find_stability_witness(g, r, alpha, mode, tols)
     if w is not None:
         return "witnessed", w
     return ("exhaustive-miss" if mode == "exhaustive" else "heuristic-miss"), None
 
 
-def stability_report(g: Graph, r: int, alpha, mode: str = "exhaustive",
+def stability_report(g: Graph, r: int, alpha, mode: str | None = None,
                      tols: Tolerances = DEFAULT_TOLS) -> StabilityReport:
-    """:func:`stability_verdict` packaged with the thresholds for reporting."""
+    """:func:`stability_verdict` packaged with the thresholds and the
+    search mode it used, for reporting."""
+    mode = _search_mode(g.n, mode)
     verdict, w = stability_verdict(g, r, alpha, mode, tols)
     a = float(alpha)
     thr_o, thr_d = witness_thresholds(g.n, r, a)

@@ -263,6 +263,27 @@ class TestWitnessCli:
         assert payload["premise_ok"] is False
         assert payload["witness"] is None
 
+    def test_mode_follows_the_order_above_16(self):
+        g6 = emit_graph6(turan_graph(2, 18))
+        assert g6 == "Q??????~~~^{~w~w^{F~?~wB~_?"
+        proc = run_cli("witness", "--g6", g6, "--r", "2", "--alpha", "0")
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert (payload["search_mode"], payload["verdict"]) == ("heuristic", "witnessed")
+        proc = run_cli("witness", "--g6", g6, "--r", "2", "--alpha", "0",
+                       "--mode", "exhaustive")
+        assert proc.returncode == 2
+        assert "limited to n <= 16" in proc.stderr
+
+    def test_mode_follows_the_order_up_to_16(self, capsys):
+        g6 = emit_graph6(turan_graph(2, 16))
+        outs = []
+        for mode in ([], ["--mode", "exhaustive"]):
+            assert main(["witness", "--g6", g6, "--r", "2", "--alpha", "0", *mode]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["search_mode"] == "exhaustive"
+
     def test_t28_alpha_zero_boundary(self):
         g6 = emit_graph6(turan_graph(2, 8))
         proc = run_cli("witness", "--g6", g6, "--r", "2", "--alpha", "0",
@@ -271,6 +292,13 @@ class TestWitnessCli:
         payload = json.loads(proc.stdout)
         assert payload["boundary"] is True
         assert payload["verdict"] == "witnessed"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_negative_random_count_exit_2(jobs, capsys):
+    assert main(["--jobs", jobs, "scan", "--random-n", "5", "--random-p", "0.5",
+                 "--random-count", "-3", "--random-seed", "1", "--check", "wilf"]) == 2
+    assert "error: random corpus count must be >= 0" in capsys.readouterr().err
 
 
 class TestRBelowTwo:

@@ -1,0 +1,78 @@
+"""Each one-slack check is one ``bounds.Formula``: its sides on a screen
+block's arrays agree with its sides graph by graph, and a new check is one
+registry entry."""
+
+import importlib
+
+import numpy as np
+import pytest
+
+from spectral_cliques import (bounds, complete_graph, emit_graph6,
+                              graph_from_edge_mask, random_graph, screen)
+from spectral_cliques.graphs import mix64
+from spectral_cliques.scan import expand_param_grid
+from spectral_cliques.spectral import spectrum
+
+from oracles import reference_scan
+from test_screen import _scan_lines
+
+scan_module = importlib.import_module("spectral_cliques.scan")
+
+FORMULAS = {f.name: f for f in (bounds.WILF, bounds.MAXMU, bounds.MAXMU1, bounds.POLYN,
+                                bounds.THEOREM1, bounds.THEOREM2, bounds.CONJECTURE)}
+
+
+def _blocks():
+    """Every labeled graph with n <= 5, and random graphs of orders 6..16,
+    grouped by order."""
+    blocks = [[graph_from_edge_mask(n, mask) for mask in range(1 << n * (n - 1) // 2)]
+              for n in range(1, 6)]
+    blocks += [[random_graph(n, p, mix64(n, i)) for i, p in enumerate((0.2, 0.5, 0.8) * 4)]
+               for n in range(6, 17)]
+    return blocks
+
+
+BLOCKS = _blocks()
+
+
+@pytest.mark.parametrize("name", sorted(FORMULAS))
+def test_block_sides_agree_with_graph_sides(name):
+    """The assumption SCREEN_MARGIN rests on: the screen's arithmetic is
+    within 1e-12 of the reported figures, relative to their scale."""
+    f = FORMULAS[name]
+    assert scan_module.CHECKS[name].reads_spectrum == (f.ranks > 0)
+    checked = 0
+    for graphs in BLOCKS:
+        b = screen.Block(graphs, range(len(graphs)), True, False)
+        for params in expand_param_grid(name, {}):
+            skip = np.zeros(len(graphs), dtype=bool) | f.gate(b, **params)
+            if f.trivial is not None:
+                skip |= f.trivial(b)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                sides = f.sides(b, *(b.mu, b.mu2)[:f.ranks], **params)
+            lhs, rhs = (np.broadcast_to(np.asarray(v, dtype=float), skip.shape) for v in sides)
+            for i in np.flatnonzero(~skip):
+                g = graphs[i]
+                want = f.sides(bounds.GraphView(g), *spectrum(g).eigenvalues[:f.ranks],
+                               **params)
+                want = [float(v) for v in want]
+                scale = max(1.0, *map(abs, want))
+                assert abs(lhs[i] - want[0]) <= 1e-12 * scale, (emit_graph6(g), params)
+                assert abs(rhs[i] - want[1]) <= 1e-12 * scale, (emit_graph6(g), params)
+                checked += 1
+    assert checked > 1000
+
+
+def test_a_new_check_is_one_registry_entry(monkeypatch):
+    """mu <= n - 1, with equality exactly on complete graphs, registered as
+    one entry, scans as the graph-by-graph reference does.  (At tolerance 0
+    a spectral equality cannot be certified and is not reported.)"""
+    toy = bounds.Formula("toy", lambda x, mu: (mu, x.n - 1))
+    monkeypatch.setitem(scan_module.CHECKS, "toy", scan_module.formula_check(toy, {}))
+    lines = [emit_graph6(graph_from_edge_mask(5, mask)) for mask in range(0, 1 << 10, 7)]
+    lines += [emit_graph6(complete_graph(n)) for n in range(1, 9)]
+    for top_k, tol_scale, equalities in ((3, 1.0, 8), (10, 0.0, 0)):
+        want = reference_scan(lines, {"toy": {}}, top_k, tol_scale)
+        assert _scan_lines(lines, {"toy": {}}, top_k, tol_scale) == want
+        assert len(want["equalities"]) == equalities
+        assert want["graphs_checked"] == len(lines) and not want["violations"]

@@ -150,7 +150,8 @@ class TestMargin:
     def test_zero_margin_changes_the_output(self, monkeypatch):
         [a, b] = (parse_graph6(line) for line in self.LINES)
         block = screen.Block([a, b], [0, 1], True, False)
-        screened = screen.screen_theorem1(block, {"r": 4}, scan_module.DEFAULT_TOLS)
+        screened = scan_module.CHECKS["theorem1"].screen(block, {"r": 4},
+                                                         scan_module.DEFAULT_TOLS)
         exact = [run_check("theorem1", g, {"r": 4})[0].slack for g in (a, b)]
         if screened.slack[0, 0] <= screened.slack[1, 0] or exact[0] != exact[1]:
             pytest.skip("numpy's ** agrees with Python's on these eigenvalues here")

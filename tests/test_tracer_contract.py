@@ -48,7 +48,7 @@ def test_priming_reaches_the_traced_spectrum(monkeypatch):
     tracer.install()
     try:
         spectral.prime_rows([k4], spectral.stacked_eigenvalues(spectral.adjacency_stack([k4])))
-        monkeypatch.setattr(spectral, "lapack_spectra", None)  # no second solve
+        monkeypatch.setattr(spectral, "stacked_eigenvalues", None)  # no second solve
         assert spectral.spectrum(k4).mu == pytest.approx(3.0)
     finally:
         tracer.uninstall()
