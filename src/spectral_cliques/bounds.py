@@ -397,7 +397,7 @@ def exact_alpha(alpha) -> Fraction:
 
 
 @lru_cache(maxsize=65536)
-def _premise_threshold(n: int, r: int, s: int, alpha: Fraction) -> Fraction:
+def theorem3_premise_threshold(n: int, r: int, s: int, alpha: Fraction) -> Fraction:
     prod = Fraction(1)
     for t in range(1, s + 1):
         prod *= Fraction(r - t, r * t) + alpha
@@ -424,7 +424,7 @@ def theorem3_conditional(g: Graph, r: int, s: int, alpha,
     prof = clique_counts(g)
     n = g.n
     premise_lhs = (s + 1) * prof.count(s + 1)
-    premise_rhs = _premise_threshold(n, r, s, a)
+    premise_rhs = theorem3_premise_threshold(n, r, s, a)
     premise = premise_lhs >= premise_rhs
     bound = _conclusion_threshold(n, r, a)
     k = prof.count(r + 1)

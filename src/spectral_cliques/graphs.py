@@ -302,8 +302,7 @@ def parse_graph6(text: str, cap: int | None = None) -> Graph:
     cap = vertex_cap() if cap is None else cap
     if not 1 <= n <= cap:
         raise Graph6Error(f"graph6 order {n} outside 1..{cap}")
-    nbits = n * (n - 1) // 2
-    need = (nbits + 5) // 6
+    need = graph6_width(n)
     if len(rest) < need:
         raise Graph6Error("truncated graph6 bit payload")
     if len(rest) > need:
@@ -320,6 +319,23 @@ def parse_graph6(text: str, cap: int | None = None) -> Graph:
             rows[low.bit_length() - 1] |= 1 << j
             col ^= low
     return _from_rows(n, rows)
+
+
+def graph6_width(n: int) -> int:
+    """Payload characters of a graph6 line of order n: n(n-1)/2 bits,
+    padded to whole 6-bit characters."""
+    return (n * (n - 1) // 2 + 5) // 6
+
+
+def short_graph6_order(s: str, top: int) -> int:
+    """n if ``s`` is a stripped graph6 line of order n <= ``top`` that
+    writes its order in one character and is well formed, else 0.  Every
+    such line decodes without error; any other line is left to
+    :func:`parse_graph6`, which decides it."""
+    n = ord(s[0]) - 63 if s else 0
+    if 0 < n <= top and len(s) == 1 + graph6_width(n) and "?" <= min(s) and max(s) <= "~":
+        return n
+    return 0
 
 
 def _g6_order(s: str) -> tuple[int, str]:
@@ -399,20 +415,25 @@ def mix64(seed: int, index: int) -> int:
     return _mix(_mix(seed & _U64) ^ _mix((index + 0x632BE59BD9B4E019) & _U64))
 
 
-def random_graph(n: int, p: float, seed: int, cap: int | None = None) -> Graph:
-    """Each unordered pair is an edge independently with probability ``p``.
+def random_edge_mask(n: int, p: float, seed: int, cap: int | None = None) -> int:
+    """Edge mask (as :func:`graph_from_edge_mask` reads it) in which each
+    pair is an edge independently with probability ``p``.
 
-    Driven by SplitMix64, so identical (n, p, seed) give an identical graph
-    on every platform.
+    One SplitMix64 draw per pair, in the mask's pair order, so identical
+    (n, p, seed) give an identical mask on every platform.
     """
     _check_order(n, cap)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability {p} outside [0, 1]")
     rng = SplitMix64(seed)
-    rows = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.uniform() < p:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return _from_rows(n, rows)
+    mask = 0
+    for b in range(n * (n - 1) // 2):
+        if rng.uniform() < p:
+            mask |= 1 << b
+    return mask
+
+
+def random_graph(n: int, p: float, seed: int, cap: int | None = None) -> Graph:
+    """Each unordered pair is an edge independently with probability ``p``:
+    the graph of :func:`random_edge_mask`."""
+    return graph_from_edge_mask(n, random_edge_mask(n, p, seed, cap))

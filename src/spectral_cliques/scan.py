@@ -10,6 +10,12 @@ caller starting while the workers still boot; partial results merge by
 chunk index, so the outcome is byte-identical no matter how many
 processes scan.
 
+A chunk is screened on arrays, one ``screen.Block`` per vertex order, and
+only its reported evaluations go through ``run_check``.  Graphs of order
+up to ``screen.MASK_MAX_N`` (every exhaustive corpus, small random ones,
+graph6 lines of small order) reach their block as edge bits, and a
+``Graph`` is built only for a graph with a reported evaluation.
+
 The checks, their parameter axes and default grids are declared once, in
 ``CHECKS``.  All are hard claims except where a check's ``discovery`` rule
 says otherwise (the two-eigenvalue conjecture for r >= 3): those
@@ -31,9 +37,9 @@ import numpy as np
 from . import bounds, screen
 from .bounds import DEFAULT_TOLS, Tolerances
 from .cliques import clique_counts, is_kfree, moon_moser_check
-from .graphs import (Graph, Graph6Error, graph_from_edge_mask, is_bipartite,
-                     is_connected, emit_graph6, mix64, parse_graph6,
-                     random_graph, vertex_cap)
+from .graphs import (Graph, Graph6Error, emit_graph6, is_bipartite, is_connected,
+                     mix64, parse_graph6, random_edge_mask, random_graph,
+                     short_graph6_order, vertex_cap)
 from .spectral import EigensolverError, WalkOverflowError
 from .stability import stability_alpha, stability_verdict, witness_thresholds
 
@@ -167,16 +173,29 @@ def _nonbipartite(g: Graph) -> bool:
     return not is_bipartite(g)
 
 
-def _filter_predicates(filters: tuple[str, ...]) -> tuple[Callable[[Graph], bool], ...]:
-    """One predicate per corpus filter; a graph passes when all hold.
+def _nonbipartite_rows(b: screen.Block) -> np.ndarray:
+    return ~screen.bipartite(b)
+
+
+def _kfree_rows(b: screen.Block, r: int) -> np.ndarray:
+    return b.omega <= r
+
+
+#: a corpus filter: whether a graph passes, and which graphs of a block
+#: built from edge bits pass
+Filter = tuple[Callable[[Graph], bool], Callable[[screen.Block], np.ndarray]]
+
+
+def _filter_predicates(filters: tuple[str, ...]) -> tuple[Filter, ...]:
+    """One filter per corpus filter name; a graph passes when all hold.
 
     Raises ValueError on an unknown or malformed filter."""
     preds = []
     for f in filters:
         if f == "connected":
-            preds.append(is_connected)
+            preds.append((is_connected, screen.connected))
         elif f == "nonbipartite":
-            preds.append(_nonbipartite)
+            preds.append((_nonbipartite, _nonbipartite_rows))
         elif f.startswith("kfree:"):
             try:
                 r = int(f[len("kfree:"):])
@@ -184,7 +203,8 @@ def _filter_predicates(filters: tuple[str, ...]) -> tuple[Callable[[Graph], bool
                 r = 0  # refused just below, like any R < 1
             if r < 1:
                 raise ValueError(f"malformed corpus filter {f!r}; kfree:R needs R >= 1")
-            preds.append(functools.partial(is_kfree, k=r + 1))
+            preds.append((functools.partial(is_kfree, k=r + 1),
+                          functools.partial(_kfree_rows, r=r)))
         else:
             raise ValueError(f"unknown corpus filter {f!r}")
     return tuple(preds)
@@ -306,8 +326,8 @@ class Check:
     chunk's LAPACK spectra in stacks before evaluating it.  A ``screen``
     (see :mod:`screen`) decides on a chunk's arrays which evaluations a
     scan must send through ``evaluate``, and counts the out-of-domain
-    outcomes among the others; every check but ``theorem3`` has one, and
-    without one every evaluation goes through ``evaluate``.
+    outcomes among the others; without one every evaluation goes through
+    ``evaluate``.
     """
 
     defaults: dict[str, tuple | None]
@@ -337,7 +357,8 @@ CHECKS: dict[str, Check] = {
     "polyn": formula_check(bounds.POLYN, {}),
     "theorem1": formula_check(bounds.THEOREM1, {"r": (2, 3, 4)}),
     "theorem2": formula_check(bounds.THEOREM2, {"r": (2, 3)}),
-    "theorem3": Check({"r": (2, 3), "s": None, "alpha": (0,)}, _theorem3_outcomes),
+    "theorem3": Check({"r": (2, 3), "s": None, "alpha": (0,)}, _theorem3_outcomes,
+                      screen=screen.screen_theorem3),
     "conjecture": formula_check(bounds.CONJECTURE, {"r": (2, 3)}, _open_conjecture),
     "oldin": Check({"s": None, "l": (2, 3)}, _oldin_outcomes, screen=screen.screen_oldin),
     "momo": Check({}, _momo_outcomes, screen=screen.screen_momo),
@@ -388,7 +409,7 @@ _WORKER: dict = {}
 
 
 def _init_scan_worker(corpus: CorpusSpec, config: ScanConfig,
-                      filters: tuple[Callable[[Graph], bool], ...],
+                      filters: tuple[Filter, ...],
                       counter=None) -> None:
     combos = [(name, params) for name, grid in config.checks.items()
               for params in expand_param_grid(name, grid)]
@@ -405,21 +426,73 @@ def _init_scan_worker(corpus: CorpusSpec, config: ScanConfig,
     )
 
 
-def _chunk_graphs(chunk: tuple):
+def _chunk_graphs(chunk: tuple) -> tuple[int, dict[int, tuple], list[tuple[int, Graph]]]:
+    """A chunk's size and its graphs: those of order up to
+    ``screen.MASK_MAX_N`` as edge bits, ``{n: (positions, bits, layout)}``
+    (exhaustive and random masks, and the payloads of the graph6 lines that
+    ``short_graph6_order`` admits), and every other one built, as
+    ``(position, Graph)``.  A line that fails to decode raises its error,
+    the earliest first."""
     corpus: CorpusSpec = _WORKER["corpus"]
+    bits: dict[int, tuple] = {}
+    built: list[tuple[int, Graph]] = []
     kind = chunk[0]
     if kind == "exhaustive":
         _, n, start, stop = chunk
-        for mask in range(start, stop):
-            yield graph_from_edge_mask(n, mask)
-    elif kind == "lines":
+        bits[n] = (range(stop - start), np.arange(start, stop, dtype=np.int64),
+                   screen.EDGE_MASK)
+        return stop - start, bits, built
+    if kind == "lines":
         cap = vertex_cap()
-        for lineno, line in chunk[1]:
-            yield parse_graph6_line(corpus.path, lineno, line, cap)
-    else:
-        _, start, stop = chunk
-        for i in range(start, stop):
-            yield random_graph(corpus.n, corpus.p, mix64(corpus.seed, i))
+        top = min(screen.MASK_MAX_N, cap)
+        lines: dict[int, tuple[list[int], list[str]]] = {}
+        for i, (lineno, line) in enumerate(chunk[1]):
+            n = short_graph6_order(line, top)
+            if n:
+                pos, texts = lines.setdefault(n, ([], []))
+                pos.append(i)
+                texts.append(line)
+            else:
+                built.append((i, parse_graph6_line(corpus.path, lineno, line, cap)))
+        for n, (pos, texts) in lines.items():
+            bits[n] = (pos, screen.graph6_payloads(texts, n), screen.GRAPH6)
+        return len(chunk[1]), bits, built
+    _, start, stop = chunk
+    n = corpus.n
+    if n > screen.MASK_MAX_N:
+        built = [(i - start, random_graph(n, corpus.p, mix64(corpus.seed, i)))
+                 for i in range(start, stop)]
+    elif stop > start:
+        masks = [random_edge_mask(n, corpus.p, mix64(corpus.seed, i))
+                 for i in range(start, stop)]
+        bits[n] = (range(stop - start), np.array(masks, dtype=np.int64), screen.EDGE_MASK)
+    return stop - start, bits, built
+
+
+def _chunk_blocks(chunk: tuple) -> tuple[list[screen.Block], int]:
+    """The graphs of a chunk that pass the corpus filters, as one block per
+    vertex order and way in, and the chunk's size."""
+    size, bits, built = _chunk_graphs(chunk)
+    filters = _WORKER["filters"]
+    spectra = _WORKER["reads_spectrum"]
+    vertex = _WORKER["vertex"]
+    blocks = []
+    for n, (pos, values, layout) in bits.items():
+        if filters:
+            b = screen.Block.from_bits(n, values, layout, pos, False, vertex)
+            keep = np.logical_and.reduce([rows(b) for _, rows in filters])
+            if not keep.any():
+                continue
+            pos, values, layout = b.pos[keep], b.masks[keep], screen.EDGE_MASK
+        blocks.append(screen.Block.from_bits(n, values, layout, pos, spectra, vertex))
+    by_order: dict[int, list[tuple[int, Graph]]] = {}
+    for i, g in built:
+        if all(keep(g) for keep, _ in filters):
+            by_order.setdefault(g.n, []).append((i, g))
+    for items in by_order.values():
+        pos, graphs = zip(*items)
+        blocks.append(screen.Block(graphs, pos, spectra, vertex))
+    return blocks, size
 
 
 def _rank_key(rec: dict) -> tuple:
@@ -432,17 +505,18 @@ def _rank_key(rec: dict) -> tuple:
 def _scan_chunk(chunk: tuple) -> dict:
     config: ScanConfig = _WORKER["config"]
     tols: Tolerances = _WORKER["tols"]
-    filters = _WORKER["filters"]
     combos = _WORKER["combos"]
     top_k = config.top_k
     violations: list[dict] = []
     equalities: list[dict] = []
     top: list[tuple] = []  # (_rank_key(record), record), ascending
-    graphs = [g for g in _chunk_graphs(chunk) if all(keep(g) for keep in filters)]
+    blocks, size = _chunk_blocks(chunk)
     # the screen decides the evaluations that cannot be reported; the
     # others take the reporting path below, graph by graph in plan order
-    take, ood = screen.screen_chunk(graphs, combos, _WORKER["screens"], tols, top_k,
-                                    _WORKER["reads_spectrum"], _WORKER["vertex"])
+    take, ood = screen.screen_chunk(blocks, size, combos, _WORKER["screens"], tols, top_k)
+    graphs: dict[int, Graph] = {}
+    for b in blocks:
+        graphs.update(b.reported(take[:, b.pos].any(axis=0)))
     for gi in np.flatnonzero(take.any(axis=0)).tolist():
         g = graphs[gi]
         g6: str | None = None
@@ -476,7 +550,7 @@ def _scan_chunk(chunk: tuple) -> dict:
                 bisect.insort(top, (key, rec))
                 del top[top_k:]
     return {
-        "checked": len(graphs),
+        "checked": sum(len(b.pos) for b in blocks),
         "ood": ood,
         "violations": violations,
         "equalities": equalities,

@@ -2,14 +2,26 @@
 
 Almost every evaluation of a scan holds by a wide margin and is never
 printed.  A screen evaluates one check, for one parameter combination, on
-every graph of one vertex order in a chunk at once, on numpy arrays: the
-eigenvalues of the stacked LAPACK solve, an int64 clique-count matrix from
-one pivot-tree walk per graph, and walk counts from int64 matrix products.
-Domain gates are integer logic and are decided exactly.  An evaluation goes
-through ``scan.run_check`` and the reporting path only when its screened
-slack may lie near a verdict threshold, when it may be among the chunk's
-tightest instances, or when its graph's eigensolver failed; every other one
-is a ``holds`` or an out-of-domain outcome that builds no object.
+every graph of one vertex order in a chunk at once, on numpy arrays (a
+``Block``): the eigenvalues of the stacked LAPACK solve, an int64
+clique-count matrix, and walk counts from int64 matmuls.  Domain gates are
+integer logic and are decided exactly.  An evaluation goes through
+``scan.run_check`` and the reporting path only when its screened slack may
+lie near a verdict threshold, when it may be among the chunk's tightest
+instances, or when its graph's eigensolver failed; every other one is a
+``holds`` or an out-of-domain outcome that builds no object.
+
+Graphs of order up to ``MASK_MAX_N`` are screened from their edge bits
+alone (an edge mask or a graph6 payload): the adjacency stack, m, k_s,
+omega and k_s(u) all come from the bits, by vertex-subset tests.  A
+``Graph`` is built only for a graph with a reported evaluation, its memo
+primed with the block's spectrum and clique profiles, so the reporting path
+recomputes neither.  Larger graphs arrive as ``Graph``s and are counted on
+their pivot trees.
+
+``theorem3`` is screened on its premise, decided exactly in ints: an
+evaluation whose premise fails for every s is a vacuous ``holds``, and one
+with r >= omega is out of domain; the others are reported.
 
 ``stability`` and ``edge_corollary`` apply only under a spectral premise
 (K_{r+1}-free and mu at least ``bounds.premise_cut``), which almost no graph
@@ -33,14 +45,17 @@ path evaluates every graph.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .bounds import Formula, Tolerances, exact_alpha, premise_cut
-from .cliques import clique_counts, vertex_clique_counts
-from .graphs import Graph
+from .bounds import (Formula, Tolerances, exact_alpha, premise_cut,
+                     theorem3_premise_threshold)
+from .cliques import (CliqueProfile, VertexCliqueProfile, clique_counts,
+                      vertex_clique_counts)
+from .graphs import Graph, graph6_width, graph_from_edge_mask
 from .spectral import STACK_ENTRIES, adjacency_stack, prime_rows, stacked_eigenvalues
 from .stability import alpha_limit, stability_alpha
 
@@ -53,39 +68,140 @@ SCREEN_MARGIN = 1e-9
 #: int64 products stay below this bound, so a sum of two cannot overflow
 _INT64_SAFE = 1 << 62
 
+#: blocks of this order or less can be built from edge bits: the 2^n
+#: vertex subsets stay few and the n(n-1)/2 bits (48 with graph6 padding)
+#: fit an int64
+MASK_MAX_N = 10
+
+#: the two layouts of edge bits: an edge mask, whose bit b is the b-th
+#: pair (i, j), i < j, in row-major order (:func:`graph_from_edge_mask`),
+#: and a graph6 payload read as one big-endian int, whose pairs run
+#: column by column from the top bit down, above the padding
+EDGE_MASK = "mask"
+GRAPH6 = "graph6"
+
+
+@functools.lru_cache(maxsize=None)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (i, j), i < j, of order n in edge-mask order."""
+    return np.triu_indices(n, 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _shifts(n: int, layout: str) -> np.ndarray:
+    """The position of each pair's bit, in edge-mask order, in ``layout``."""
+    i, j = _pairs(n)
+    if layout == EDGE_MASK:
+        return np.arange(len(i), dtype=np.int64)
+    return 6 * graph6_width(n) - 1 - (j * (j - 1) // 2 + i).astype(np.int64)
+
+
+@functools.lru_cache(maxsize=None)
+def _subsets(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For the 2^n vertex subsets S of order n: the edge mask of the
+    complete graph on S, and the 0/1 float matrices that sum a row of
+    subset hits by size s (column s) and by vertex and size (column
+    u (n + 1) + s)."""
+    member = np.arange(1 << n)[:, None] >> np.arange(n) & 1
+    i, j = _pairs(n)
+    edges = ((member[:, i] & member[:, j]) << np.arange(len(i))).sum(axis=1)
+    by_size = (member.sum(axis=1)[:, None] == np.arange(n + 1)).astype(float)
+    by_vertex = (member[:, :, None] * by_size[:, None, :]).reshape(1 << n, n * (n + 1))
+    return edges, by_size, by_vertex
+
+
+def graph6_payloads(lines: Sequence[str], n: int) -> np.ndarray:
+    """The payloads of well-formed graph6 lines of order n <= MASK_MAX_N
+    (``graphs.short_graph6_order``), as int64 in the ``GRAPH6`` layout."""
+    width = graph6_width(n)
+    chars = np.frombuffer("".join(lines).encode("ascii"), dtype=np.uint8)
+    chars = chars.reshape(len(lines), 1 + width)[:, 1:].astype(np.int64) - 63
+    return (chars << 6 * np.arange(width - 1, -1, -1)).sum(axis=1)
+
 
 class Block:
     """The graphs of one vertex order in a chunk, as arrays.
 
-    ``pos`` holds the graphs' positions in the chunk.  With ``spectra`` the
-    block solves the graphs' LAPACK spectra in stacks; :meth:`prime` stores
-    them in the memos of the graphs that will be reported.  Clique counts,
-    per-vertex clique counts and walk counts are computed when a screen
-    first asks for them; with ``vertex`` the per-vertex counts come first,
-    so that one pivot-tree walk per graph fills both memo entries.  The
-    adjacency matrices are kept as bytes (n^2 per graph) and widened to
-    floats or int64 at most STACK_ENTRIES entries at a time.
+    A block is built from ``Graph``s or, for an order up to MASK_MAX_N,
+    from edge bits (:meth:`from_bits`), with no ``Graph`` at all.  ``pos``
+    holds the graphs' positions in the chunk.  With ``spectra`` the block
+    solves the graphs' LAPACK spectra in stacks.  Clique counts, per-vertex
+    clique counts and walk counts are computed when a screen first asks
+    for them.  From ``Graph``s, clique counts come from one pivot-tree
+    walk per graph (per-vertex first with ``vertex``, so that one walk
+    fills both memo entries); from bits, k_s is the number of s-subsets
+    whose complete graph's edge mask the graph's mask covers, and k_s(u)
+    the number of those that hold u.  :meth:`reported` hands out the
+    ``Graph``s of the rows that take the reporting path, with what the
+    block computed primed into their memos.  The adjacency matrices are
+    kept as bytes (n^2 per graph) and widened to floats or int64 at most
+    STACK_ENTRIES entries at a time.
     """
 
     def __init__(self, graphs: Sequence[Graph], pos: Sequence[int],
                  spectra: bool, vertex: bool) -> None:
         self.graphs = graphs
-        self.pos = np.asarray(pos, dtype=np.intp)
         self.n = graphs[0].n
-        self.vertex = vertex
         self.m = np.array([g.m for g in graphs], dtype=np.int64)
+        self._start(pos, spectra, vertex)
+
+    @classmethod
+    def from_bits(cls, n: int, bits: np.ndarray, layout: str, pos: Sequence[int],
+                  spectra: bool, vertex: bool) -> "Block":
+        """The block of the graphs of order n <= MASK_MAX_N whose edges are
+        ``bits`` (int64) in ``layout``: EDGE_MASK or GRAPH6.  Its ``masks``
+        hold the graphs' edge masks."""
+        i, j = _pairs(n)
+        edges = (bits[:, None] >> _shifts(n, layout) & 1).astype(np.uint8)
+        adj = np.zeros((len(bits), n, n), dtype=np.uint8)
+        adj[:, i, j] = edges
+        adj[:, j, i] = edges
+        b = cls.__new__(cls)
+        b.graphs = None
+        b.masks = (bits if layout == EDGE_MASK else
+                   (edges.astype(np.int64) << _shifts(n, EDGE_MASK)).sum(axis=1))
+        b.n = n
+        b.m = edges.sum(axis=1, dtype=np.int64)
+        b.adj = adj
+        b._start(pos, spectra, vertex)
+        return b
+
+    def _start(self, pos: Sequence[int], spectra: bool, vertex: bool) -> None:
+        self.pos = np.asarray(pos, dtype=np.intp)
+        self.vertex = vertex
         self.vals = self.mu = self.mu2 = None
         if spectra:
             self.vals = stacked_eigenvalues(self.adj)
             self.mu = self.vals[:, 0]
-            self.mu2 = self.vals[:, 1] if self.n > 1 else np.zeros(len(graphs))
+            self.mu2 = self.vals[:, 1] if self.n > 1 else np.zeros(len(self.m))
         self._walks: np.ndarray | None = None
 
-    def prime(self, rows: np.ndarray) -> None:
-        """Prime the spectra of the graphs that ``rows`` marks."""
+    def reported(self, rows: np.ndarray) -> list[tuple[int, Graph]]:
+        """(position, Graph) of each graph that ``rows`` marks.  Its memo
+        holds the block's spectrum and, when the block was built from bits,
+        the clique profiles the block counted."""
+        picked = np.flatnonzero(rows)
+        if self.graphs is None:
+            graphs = [graph_from_edge_mask(self.n, mask)
+                      for mask in self.masks[picked].tolist()]
+            self._prime_cliques(graphs, picked)
+        else:
+            graphs = [self.graphs[i] for i in picked]
         if self.vals is not None:
-            picked = np.flatnonzero(rows)
-            prime_rows([self.graphs[i] for i in picked], self.vals[picked])
+            prime_rows(graphs, self.vals[picked])
+        return list(zip(self.pos[picked].tolist(), graphs))
+
+    def _prime_cliques(self, graphs: list[Graph], picked: np.ndarray) -> None:
+        n = self.n
+        counts = self.cliques[picked, 1:n + 1].tolist()
+        omegas = self.omega[picked].tolist()
+        for g, row, om in zip(graphs, counts, omegas):
+            clique_counts.prime(g, CliqueProfile(tuple(row), om))
+        if self.vertex:
+            per = self.vertex_cliques[picked].tolist()
+            for g, rows, om in zip(graphs, per, omegas):
+                vertex_clique_counts.prime(g, VertexCliqueProfile(
+                    tuple(tuple(row[1:om + 1]) for row in rows), om))
 
     @functools.cached_property
     def adj(self) -> np.ndarray:
@@ -99,20 +215,32 @@ class Block:
         return [clique_counts(g) for g in self.graphs]
 
     @functools.cached_property
+    def _hits(self) -> np.ndarray:
+        """[g, S]: 1.0 where vertex subset S is a clique of graph g."""
+        edges = _subsets(self.n)[0]
+        return ((self.masks[:, None] & edges) == edges).astype(float)
+
+    @functools.cached_property
     def omega(self) -> np.ndarray:
+        if self.graphs is None:
+            return np.count_nonzero(self.cliques[:, 1:], axis=1).astype(np.int64)
         return np.array([prof.omega for prof in self._profiles], dtype=np.int64)
 
     @functools.cached_property
     def cliques(self) -> np.ndarray | None:
         """k_s in column s for 0 <= s <= n + 1 (k_0 = 1, k_{n+1} = 0), or
         None when (n + 1) k_s may leave int64."""
+        out = np.zeros((len(self.m), self.n + 2), dtype=np.int64)
+        if self.graphs is None:
+            # sums of at most 2^MASK_MAX_N ones: exact in floats
+            out[:, :self.n + 1] = self._hits @ _subsets(self.n)[1]
+            return out
         try:
             counts = np.array([prof.counts for prof in self._profiles], dtype=np.int64)
         except OverflowError:
             return None
         if (self.n + 1) * int(counts.max()) >= _INT64_SAFE:
             return None
-        out = np.zeros((len(self.graphs), self.n + 2), dtype=np.int64)
         out[:, 0] = 1
         out[:, 1:self.n + 1] = counts
         return out
@@ -122,8 +250,13 @@ class Block:
         """k_s(u) at [:, u, s] for 1 <= s <= max omega + 1 (column 0 and
         slots past a graph's omega are 0), or None when a count leaves
         int64."""
-        out = np.zeros((len(self.graphs), self.n, int(self.omega.max()) + 2),
-                       dtype=np.int64)
+        n = self.n
+        out = np.zeros((len(self.m), n, int(self.omega.max()) + 2), dtype=np.int64)
+        if self.graphs is None:
+            per = (self._hits @ _subsets(n)[2]).reshape(len(self.m), n, n + 1)
+            width = min(out.shape[2], n + 1)
+            out[:, :, :width] = per[:, :, :width]
+            return out
         try:
             for i, g in enumerate(self.graphs):
                 prof = vertex_clique_counts(g)
@@ -150,6 +283,8 @@ class Block:
 
     @functools.cached_property
     def _maxdeg(self) -> int:
+        if self.graphs is None:
+            return int(self.adj.sum(axis=2, dtype=np.int64).max())
         return max(max(g.degrees) for g in self.graphs)
 
     def walks(self, L: int) -> np.ndarray | None:
@@ -158,21 +293,45 @@ class Block:
         walk total up to length L, reaches 2^63."""
         if self.n * self._maxdeg ** (L - 1) >= 1 << 63:
             return None
+        count = len(self.m)
         if self._walks is None:
-            self._walks = np.zeros((len(self.graphs), 2, self.n), dtype=np.int64)
+            self._walks = np.zeros((count, 2, self.n), dtype=np.int64)
             self._walks[:, 1] = 1
         have = self._walks.shape[1]
         if have <= L:
-            more = np.empty((len(self.graphs), L + 1 - have, self.n), dtype=np.int64)
+            more = np.empty((count, L + 1 - have, self.n), dtype=np.int64)
             # int64 copies of the 0/1 matrices, STACK_ENTRIES at a time
             step = max(1, STACK_ENTRIES // (self.n * self.n))
-            for lo in range(0, len(self.graphs), step):
+            for lo in range(0, count, step):
                 a = self.adj[lo:lo + step].astype(np.int64)
                 last = self._walks[lo:lo + step, -1]
                 for j in range(L + 1 - have):
                     last = more[lo:lo + step, j] = np.matmul(a, last[..., None])[..., 0]
             self._walks = np.concatenate([self._walks, more], axis=1)
         return self._walks[:, :L + 1]
+
+
+def connected(b: Block) -> np.ndarray:
+    """Whether each graph of a block is connected: the vertices reached
+    from vertex 0 by 0/1 reachability products, n - 1 steps, are all."""
+    a = b.adj.astype(float)
+    reach = np.zeros((len(a), 1, b.n))
+    reach[:, 0, 0] = 1.0
+    for _ in range(b.n - 1):
+        reach = np.minimum(reach + np.matmul(reach, a), 1.0)
+    return reach.all(axis=(1, 2))
+
+
+def bipartite(b: Block) -> np.ndarray:
+    """Whether each graph of a block is bipartite: no closed walk of odd
+    length l <= n, i.e. tr(A^l) = 0, read on A^l reduced to 0/1."""
+    a = b.adj.astype(float)
+    walk = a
+    odd = np.zeros(len(a), dtype=bool)
+    for l in range(1, b.n + 1, 2):
+        odd |= np.trace(walk, axis1=1, axis2=2) > 0
+        walk = np.minimum(np.matmul(np.minimum(np.matmul(walk, a), 1.0), a), 1.0)
+    return ~odd
 
 
 @dataclass
@@ -277,6 +436,29 @@ def screen_momo(b: Block, params: dict, tols: Tolerances) -> Screen | None:
     return _unranked(exact, np.zeros(len(om), dtype=bool))
 
 
+def screen_theorem3(b: Block, params: dict, tols: Tolerances) -> Screen | None:
+    """An evaluation is out of domain where r >= omega, one outcome per s.
+    Elsewhere it is reported where (s+1) k_{s+1} meets the premise's
+    exact threshold for some s, and a vacuous ``holds`` with no slack
+    where it meets none."""
+    r, s = params["r"], params.get("s")
+    try:
+        a = exact_alpha(params["alpha"])
+    except (ValueError, ArithmeticError):
+        a = None
+    if r < 1 or (s is not None and s < 1) or a is None or b.cliques is None:
+        return None  # the reporting path raises the same error, or counts
+    sizes = range(1, r + 1) if s is None else [s] if s <= r else []
+    premise = np.zeros(len(b.m), dtype=bool)
+    for t in sizes:
+        # (t+1) k_{t+1} is an int below 2^62, so it meets the threshold
+        # iff it meets its ceiling, clamped into that range
+        need = math.ceil(theorem3_premise_threshold(b.n, r, t, a))
+        premise |= (t + 1) * b.k(t + 1) >= min(max(need, 0), _INT64_SAFE)
+    ood = b.omega <= r
+    return _unranked(premise & ~ood, np.where(ood, len(sizes), 0))
+
+
 def screen_stability(b: Block, params: dict, tols: Tolerances) -> Screen | None:
     r = params["r"]
     try:
@@ -316,25 +498,24 @@ def _unranked(exact: np.ndarray, ood: np.ndarray) -> Screen:
     return Screen(exact, ood.astype(np.int64), none, none)
 
 
-def screen_chunk(graphs: Sequence[Graph], combos: Sequence[tuple[str, dict]],
-                 screens: Sequence[ScreenFn | None], tols: Tolerances, top_k: int,
-                 spectra: bool, vertex: bool) -> tuple[np.ndarray, int]:
-    """Which evaluations of a chunk take the reporting path.
+def screen_chunk(blocks: Sequence[Block], size: int, combos: Sequence[tuple[str, dict]],
+                 screens: Sequence[ScreenFn | None], tols: Tolerances,
+                 top_k: int) -> tuple[np.ndarray, int]:
+    """Which evaluations of a chunk of ``size`` graphs take the reporting path.
 
-    ``combos`` are the plan's (check, params) pairs in order and ``screens``
-    the screen of each check, or None.  Returns a (combos x graphs) array,
-    True where ``run_check`` must evaluate, and the number of out-of-domain
-    outcomes among the rest.  An evaluation is kept for the chunk's top_k
-    tightest instances when its clamped slack, less its margin, is at most
-    the top_k-th smallest clamped slack plus margin among the outcomes that
-    hold clear of every threshold (all of which are candidates).
+    ``blocks`` hold the graphs to scan; a position no block holds is never
+    taken.  ``combos`` are the plan's (check, params) pairs in order and
+    ``screens`` the screen of each check, or None.  Returns a (combos x
+    size) array, True where ``run_check`` must evaluate, and the number of
+    out-of-domain outcomes among the rest.  An evaluation is kept for the
+    chunk's top_k tightest instances when its clamped slack, less its
+    margin, is at most the top_k-th smallest clamped slack plus margin
+    among the outcomes that hold clear of every threshold (all of which
+    are candidates).
     """
-    take = np.ones((len(combos), len(graphs)), dtype=bool)
-    by_order: dict[int, list[int]] = {}
-    for i, g in enumerate(graphs):
-        by_order.setdefault(g.n, []).append(i)
-    blocks = [Block([graphs[i] for i in pos], pos, spectra, vertex)
-              for pos in by_order.values()]
+    take = np.zeros((len(combos), size), dtype=bool)
+    for b in blocks:
+        take[:, b.pos] = True
     # a power that overflows gives inf or NaN, which is never far from a
     # threshold, so the reporting path decides that evaluation
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -354,6 +535,4 @@ def screen_chunk(graphs: Sequence[Graph], combos: Sequence[tuple[str, dict]],
             keep = sc.exact | tight
             take[ci, b.pos] = keep
             ood += int(sc.ood[~keep].sum())
-    for b in blocks:
-        b.prime(take[:, b.pos].any(axis=0))
     return take, ood

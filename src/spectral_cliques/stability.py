@@ -135,6 +135,11 @@ def find_stability_witness(g: Graph, r: int, alpha, mode: str = "exhaustive",
     """
     if not stability_premise(g, r, alpha, tols):
         raise ValueError("stability premise does not hold for this graph")
+    return _search_witness(g, r, alpha, mode)
+
+
+def _search_witness(g: Graph, r: int, alpha, mode: str) -> StabilityWitness | None:
+    """:func:`find_stability_witness` on a graph whose premise holds."""
     if mode not in ("exhaustive", "heuristic"):
         raise ValueError(f"unknown search mode {mode!r}")
     n = g.n
@@ -284,7 +289,7 @@ def stability_verdict(g: Graph, r: int, alpha, mode: str | None = None,
     except EigensolverError:
         return "ood", None
     mode = _search_mode(g.n, mode)
-    w = find_stability_witness(g, r, alpha, mode, tols)
+    w = _search_witness(g, r, alpha, mode)
     if w is not None:
         return "witnessed", w
     return ("exhaustive-miss" if mode == "exhaustive" else "heuristic-miss"), None

@@ -8,7 +8,8 @@ from spectral_cliques import (Graph6Error, build_graph, complement,
                               graph_from_edge_mask, is_bipartite, is_connected,
                               parse_graph6, path_graph, random_graph,
                               spectrum, star_graph, turan_graph)
-from spectral_cliques.graphs import SplitMix64, mask_from, mask_members, mix64
+from spectral_cliques.graphs import (SplitMix64, mask_from, mask_members, mix64,
+                                     random_edge_mask, short_graph6_order)
 
 
 def random_small_graph(draw):
@@ -211,6 +212,31 @@ class TestRandomGraph:
     def test_bad_probability(self):
         with pytest.raises(ValueError):
             random_graph(5, 1.5, 0)
+
+    @pytest.mark.parametrize("n,p,seed,line", [
+        (1, 0.5, 0, "@"), (5, 0.5, 42, "D[w"), (7, 0.3, 3, "FgaG_"),
+        (10, 0.7, 11, "IuuLS\\]zg"), (11, 0.5, 5, "JnnT?o~rYu?"),
+        (20, 0.4, 2024, "SS`WSoex`YGtVkJpgY]g_WvXhRS@r@J[?"),
+        (20, 0.9, 7, "Sy~~{y~~~lvR^^Nn~]~}|~~^|~n^~nV~{")])
+    def test_pinned_graphs(self, n, p, seed, line):
+        """Graphs drawn pair by pair, before the edge mask was split out."""
+        assert emit_graph6(random_graph(n, p, seed)) == line
+        assert graph_from_edge_mask(n, random_edge_mask(n, p, seed)) == parse_graph6(line)
+
+    def test_short_graph6_order(self):
+        # well formed, order in one character, at most the given top
+        assert short_graph6_order("FgaG_", 10) == 7
+        assert short_graph6_order("@", 10) == 1
+        for line in ("FgaG_", "FgaG", "FgaG_?", "Fga G", "?", "~??FgaG_", ""):
+            assert short_graph6_order(line, 6) == 0
+            if line != "FgaG_":
+                assert short_graph6_order(line, 10) == 0
+
+    def test_edge_mask_checks(self):
+        with pytest.raises(ValueError, match="vertex count 7 outside 1..5"):
+            random_edge_mask(7, 0.5, 0, cap=5)
+        with pytest.raises(ValueError, match="edge probability"):
+            random_edge_mask(5, -0.1, 0)
 
     def test_splitmix_reference_stream(self):
         # frozen reference outputs; the generator is part of the

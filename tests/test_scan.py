@@ -169,13 +169,13 @@ class TestScan:
                                           (3, 18, "heuristic")])
     def test_stability_search_mode_follows_order(self, r, n, mode, monkeypatch):
         modes = []
-        search = stability.find_stability_witness
+        search = stability._search_witness
 
-        def spy(*args):  # (g, r, alpha, mode, tols), as stability_verdict passes them
+        def spy(*args):  # (g, r, alpha, mode), as stability_verdict passes them
             modes.append(args[3])
             return search(*args)
 
-        monkeypatch.setattr(stability, "find_stability_witness", spy)
+        monkeypatch.setattr(stability, "_search_witness", spy)
         [oc] = run_check("stability", turan_graph(r, n), {"r": r, "alpha": None})
         assert oc.status == "holds"
         assert modes == [mode]

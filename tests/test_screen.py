@@ -5,16 +5,19 @@ screen's arrays reuse one pivot-tree walk per graph."""
 import importlib
 import os
 import tempfile
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectral_cliques import (build_graph, cliques, complete_graph, emit_graph6,
-                              graph_from_edge_mask, parse_graph6, run_check,
-                              screen, turan_graph)
+                              graph_from_edge_mask, parse_graph6, random_graph,
+                              run_check, screen, turan_graph)
 from spectral_cliques import bounds
+from spectral_cliques.cli import main
 from spectral_cliques.cliques import is_kfree
+from spectral_cliques.graphs import mix64
 from spectral_cliques.scan import CorpusSpec, ScanConfig, scan
 from spectral_cliques.spectral import spectrum
 from spectral_cliques.stability import alpha_limit, stability_premise
@@ -42,6 +45,7 @@ CHECKS = {
     "conjecture": {"r": [2, 3]},
     "stability": {"r": [2, 3, 4], "alpha": [None, 0, 1e-3]},
     "edge_corollary": {"r": [2, 3], "alpha": [0, 0.01]},
+    "theorem3": {"r": [1, 2, 3], "alpha": [0, 0.05]},
 }
 
 
@@ -218,6 +222,9 @@ def test_premise_screen_reports_only_near_premise_pairs(monkeypatch):
 
 
 def test_pivot_tree_runs_once_per_graph(monkeypatch):
+    """A block built from ``Graph``s (orders above ``MASK_MAX_N``) walks one
+    pivot tree per graph, for counts and per-vertex counts alike; a block
+    built from edge bits walks none, its reported graphs included."""
     roots = []
     tree = cliques._pivot_tree
 
@@ -227,6 +234,34 @@ def test_pivot_tree_runs_once_per_graph(monkeypatch):
         return tree(adj, cand, pre, w, rows)
 
     monkeypatch.setattr(cliques, "_pivot_tree", spy)
-    res = scan(CorpusSpec(kind="exhaustive", n=5),
-               ScanConfig(checks={"wilf": {}, "oldin": {"l": [2]}}))
-    assert len(roots) == res.graphs_checked == 1024
+    checks = {"wilf": {}, "oldin": {"l": [2]}}
+    lines = [emit_graph6(random_graph(11 + i % 3, 0.5, mix64(3, i))) for i in range(40)]
+    assert _scan_lines(lines, checks, 10, 1.0)["graphs_checked"] == len(roots) == 40
+    roots.clear()
+    res = scan(CorpusSpec(kind="exhaustive", n=5), ScanConfig(checks=checks))
+    assert res.graphs_checked == 1024 and roots == []
+
+
+def test_theorem3_screen_changes_no_output(monkeypatch, capsys):
+    """The screened scan prints what the scan that evaluates every graph
+    prints, with under a third of the evaluations.  (At alpha = 0 the
+    premise at s = r reads (r+1) k_{r+1} >= 0, so every graph in domain is
+    reported.)"""
+    argv = ["scan", "--exhaustive-n", "6", "--check", "theorem3", "--r", "2,3",
+            "--alpha", "0,0.05,0.25"]
+    calls = []
+    original = scan_module.run_check
+
+    def spy(check, g, params, tols):
+        calls.append(check)
+        return original(check, g, params, tols)
+
+    monkeypatch.setattr(scan_module, "run_check", spy)
+    assert main(argv) == 0
+    screened, evaluated = capsys.readouterr().out, len(calls)
+    monkeypatch.setitem(scan_module.CHECKS, "theorem3",
+                        replace(scan_module.CHECKS["theorem3"], screen=None))
+    calls.clear()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == screened
+    assert evaluated < len(calls) // 3

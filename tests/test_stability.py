@@ -5,7 +5,8 @@ import pytest
 from spectral_cliques import (find_stability_witness, random_graph,
                               stability_premise, stability_report, turan_graph,
                               verify_witness, witness_thresholds)
-from spectral_cliques.stability import StabilityWitness, alpha_limit
+from spectral_cliques import stability
+from spectral_cliques.stability import StabilityWitness, alpha_limit, stability_verdict
 
 
 class TestPremise:
@@ -68,6 +69,21 @@ class TestWitnessSearch:
     def test_premise_enforced(self, c5):
         with pytest.raises(ValueError):
             find_stability_witness(c5, 2, 1e-5)
+
+    @pytest.mark.parametrize("mode", [None, "exhaustive", "heuristic"])
+    def test_premise_decided_once_per_verdict(self, mode, t36, c5, monkeypatch):
+        decided = []
+        premise = stability.stability_premise
+
+        def spy(g, *args):
+            decided.append(g)
+            return premise(g, *args)
+
+        monkeypatch.setattr(stability, "stability_premise", spy)
+        for g, r, verdict in ((t36, 3, "witnessed"), (c5, 2, "premise-failed")):
+            decided.clear()
+            assert stability_verdict(g, r, 0, mode)[0] == verdict
+            assert decided == [g]
 
     def test_exhaustive_budget(self):
         g = turan_graph(2, 18)
