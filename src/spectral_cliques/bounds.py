@@ -405,7 +405,7 @@ def theorem3_premise_threshold(n: int, r: int, s: int, alpha: Fraction) -> Fract
 
 
 @lru_cache(maxsize=65536)
-def _conclusion_threshold(n: int, r: int, alpha: Fraction) -> Fraction:
+def theorem3_conclusion_threshold(n: int, r: int, alpha: Fraction) -> Fraction:
     return alpha * Fraction(r * r, r + 1) * Fraction(n, r) ** (r + 1)
 
 
@@ -426,7 +426,7 @@ def theorem3_conditional(g: Graph, r: int, s: int, alpha,
     premise_lhs = (s + 1) * prof.count(s + 1)
     premise_rhs = theorem3_premise_threshold(n, r, s, a)
     premise = premise_lhs >= premise_rhs
-    bound = _conclusion_threshold(n, r, a)
+    bound = theorem3_conclusion_threshold(n, r, a)
     k = prof.count(r + 1)
     conclusion = _report("theorem3", {"r": r, "s": s, "alpha": float(a)},
                          bound, k, tols, exact_slack=k - bound)

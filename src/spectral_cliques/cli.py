@@ -3,7 +3,8 @@
 Machine-readable JSON goes to stdout, prose to stderr.  Exit codes:
 0 success (no violations), 1 theorem violation (the two-eigenvalue
 conjecture at r = 2 included) or exhaustive witness miss, 2 usage or
-malformed input, 3 I/O failure, 4 conjecture discovery (r >= 3).
+malformed input, 3 I/O failure, 4 conjecture discovery (r >= 3),
+5 internal error (any other exception, its traceback on stderr).
 Identical invocations produce byte-identical stdout; wall-clock timing is
 therefore reported on stderr only.
 """
@@ -29,6 +30,7 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_DISCOVERY = 4
+EXIT_INTERNAL = 5
 
 _CHECK_COMMAND_NAMES = tuple(n for n in CHECKS if n != "stability")
 
@@ -349,6 +351,11 @@ def main(argv: list[str] | None = None) -> int:
         _emit({"error": str(exc)})
         _note(f"i/o error: {exc}")
         return EXIT_IO
+    except Exception as exc:  # a bug, not a verdict: exit 1 would claim one
+        import traceback  # only here: an import adds to every call's start-up
+        traceback.print_exc()
+        _note(f"internal error: {type(exc).__name__}: {exc}")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

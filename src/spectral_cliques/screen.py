@@ -3,7 +3,7 @@
 Almost every evaluation of a scan holds by a wide margin and is never
 printed.  A screen evaluates one check, for one parameter combination, on
 every graph of one vertex order in a chunk at once, on numpy arrays (a
-``Block``): the eigenvalues of the stacked LAPACK solve, an int64
+``Block``): the eigenvalues of a stacked LAPACK ``eigvalsh``, an int64
 clique-count matrix, and walk counts from int64 matmuls.  Domain gates are
 integer logic and are decided exactly.  An evaluation goes through
 ``scan.run_check`` and the reporting path only when its screened slack may
@@ -15,13 +15,16 @@ Graphs of order up to ``MASK_MAX_N`` are screened from their edge bits
 alone (an edge mask or a graph6 payload): the adjacency stack, m, k_s,
 omega and k_s(u) all come from the bits, by vertex-subset tests.  A
 ``Graph`` is built only for a graph with a reported evaluation, its memo
-primed with the block's spectrum and clique profiles, so the reporting path
-recomputes neither.  Larger graphs arrive as ``Graph``s and are counted on
-their pivot trees.
+primed with its ``eigh`` spectrum (the solve every printed figure is pinned
+to, run in one stack for the reported graphs alone) and the block's clique
+profiles, so the reporting path recomputes neither.  Larger graphs arrive
+as ``Graph``s and are counted on their pivot trees.
 
-``theorem3`` is screened on its premise, decided exactly in ints: an
-evaluation whose premise fails for every s is a vacuous ``holds``, and one
-with r >= omega is out of domain; the others are reported.
+``theorem3`` is screened exactly in ints, one outcome per s: an
+evaluation with r >= omega is out of domain, an outcome whose premise
+fails is a vacuous ``holds``, and one whose premise holds is reported where
+its conclusion is an equality or a violation; elsewhere it ranks on its
+slack.
 
 ``stability`` and ``edge_corollary`` apply only under a spectral premise
 (K_{r+1}-free and mu at least ``bounds.premise_cut``), which almost no graph
@@ -34,12 +37,12 @@ ranked by the reporting path).
 The seven one-slack checks are screened by running their own
 ``bounds.Formula`` on the block's arrays (:func:`formula_screen`), so a
 screened slack differs from the reported one only by rounding (numpy's
-``**``, the floats of maxmu1's exact sides), a few units in the last
-place.  That is far inside ``SCREEN_MARGIN``; printed figures always come
-from the reporting path.  The screens of ``oldin`` and ``momo`` (exact in
-int64) and of the spectral premise are written here.  Where an int64
-count or product could overflow, the screen steps aside and the reporting
-path evaluates every graph.
+``**``, the floats of maxmu1's exact sides, ``eigvalsh`` against ``eigh``),
+a few units in the last place.  That is far inside ``SCREEN_MARGIN``;
+printed figures always come from the reporting path.  The screens of
+``oldin`` and ``momo`` (exact in int64) and of the spectral premise are
+written here.  Where an int64 count or product could overflow, the screen
+steps aside and the reporting path evaluates every graph.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bounds import (Formula, Tolerances, exact_alpha, premise_cut,
-                     theorem3_premise_threshold)
+                     theorem3_conclusion_threshold, theorem3_premise_threshold)
 from .cliques import (CliqueProfile, VertexCliqueProfile, clique_counts,
                       vertex_clique_counts)
 from .graphs import Graph, graph6_width, graph_from_edge_mask
@@ -125,9 +128,11 @@ class Block:
     A block is built from ``Graph``s or, for an order up to MASK_MAX_N,
     from edge bits (:meth:`from_bits`), with no ``Graph`` at all.  ``pos``
     holds the graphs' positions in the chunk.  With ``spectra`` the block
-    solves the graphs' LAPACK spectra in stacks.  Clique counts, per-vertex
-    clique counts and walk counts are computed when a screen first asks
-    for them.  From ``Graph``s, clique counts come from one pivot-tree
+    solves the graphs' eigenvalues with a stacked ``eigvalsh`` for the
+    screens (``mu``, ``mu2``); the pinned ``eigh`` is solved by
+    :meth:`reported`, for the reported graphs alone.  Clique counts,
+    per-vertex clique counts and walk counts are computed when a screen
+    first asks for them.  From ``Graph``s, clique counts come from one pivot-tree
     walk per graph (per-vertex first with ``vertex``, so that one walk
     fills both memo entries); from bits, k_s is the number of s-subsets
     whose complete graph's edge mask the graph's mask covers, and k_s(u)
@@ -171,15 +176,16 @@ class Block:
         self.vertex = vertex
         self.vals = self.mu = self.mu2 = None
         if spectra:
-            self.vals = stacked_eigenvalues(self.adj)
+            self.vals = stacked_eigenvalues(self.adj, np.linalg.eigvalsh)
             self.mu = self.vals[:, 0]
             self.mu2 = self.vals[:, 1] if self.n > 1 else np.zeros(len(self.m))
         self._walks: np.ndarray | None = None
 
     def reported(self, rows: np.ndarray) -> list[tuple[int, Graph]]:
         """(position, Graph) of each graph that ``rows`` marks.  Its memo
-        holds the block's spectrum and, when the block was built from bits,
-        the clique profiles the block counted."""
+        holds its ``eigh`` spectrum, solved here in one stack for the
+        marked graphs alone, and, when the block was built from bits, the
+        clique profiles the block counted."""
         picked = np.flatnonzero(rows)
         if self.graphs is None:
             graphs = [graph_from_edge_mask(self.n, mask)
@@ -188,7 +194,7 @@ class Block:
         else:
             graphs = [self.graphs[i] for i in picked]
         if self.vals is not None:
-            prime_rows(graphs, self.vals[picked])
+            prime_rows(graphs, stacked_eigenvalues(self.adj[picked]))
         return list(zip(self.pos[picked].tolist(), graphs))
 
     def _prime_cliques(self, graphs: list[Graph], picked: np.ndarray) -> None:
@@ -438,9 +444,11 @@ def screen_momo(b: Block, params: dict, tols: Tolerances) -> Screen | None:
 
 def screen_theorem3(b: Block, params: dict, tols: Tolerances) -> Screen | None:
     """An evaluation is out of domain where r >= omega, one outcome per s.
-    Elsewhere it is reported where (s+1) k_{s+1} meets the premise's
-    exact threshold for some s, and a vacuous ``holds`` with no slack
-    where it meets none."""
+    Elsewhere an outcome whose premise fails is a vacuous ``holds`` with
+    no slack.  One whose premise holds is reported where k_{r+1} is at
+    most the conclusion's bound (an equality or a violation), and ranks on
+    the slack k_{r+1} - bound elsewhere.  Premise and conclusion are
+    decided exactly in ints; the slack is the reported float."""
     r, s = params["r"], params.get("s")
     try:
         a = exact_alpha(params["alpha"])
@@ -449,14 +457,23 @@ def screen_theorem3(b: Block, params: dict, tols: Tolerances) -> Screen | None:
     if r < 1 or (s is not None and s < 1) or a is None or b.cliques is None:
         return None  # the reporting path raises the same error, or counts
     sizes = range(1, r + 1) if s is None else [s] if s <= r else []
-    premise = np.zeros(len(b.m), dtype=bool)
-    for t in sizes:
+    premise = np.zeros((len(b.m), len(sizes)), dtype=bool)
+    for col, t in enumerate(sizes):
         # (t+1) k_{t+1} is an int below 2^62, so it meets the threshold
         # iff it meets its ceiling, clamped into that range
         need = math.ceil(theorem3_premise_threshold(b.n, r, t, a))
-        premise |= (t + 1) * b.k(t + 1) >= min(max(need, 0), _INT64_SAFE)
+        premise[:, col] = (t + 1) * b.k(t + 1) >= min(max(need, 0), _INT64_SAFE)
     ood = b.omega <= r
-    return _unranked(premise & ~ood, np.where(ood, len(sizes), 0))
+    premise &= ~ood[:, None]
+    # the int k_{r+1} exceeds the rational bound iff it exceeds its floor
+    bound = theorem3_conclusion_threshold(b.n, r, a)
+    k = b.k(r + 1)
+    far = premise & (k > min(math.floor(bound), _INT64_SAFE))[:, None]
+    lhs = np.full(len(k), float(bound))
+    rhs = k.astype(float)
+    slack = np.where(far, (rhs - lhs)[:, None], np.nan)
+    scale = np.broadcast_to(_scale(lhs, rhs)[:, None], slack.shape)
+    return Screen((premise & ~far).any(axis=1), np.where(ood, len(sizes), 0), slack, scale)
 
 
 def screen_stability(b: Block, params: dict, tols: Tolerances) -> Screen | None:

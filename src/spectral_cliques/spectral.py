@@ -2,7 +2,8 @@
 
 Only eigenvalues are kept: every inequality of the paper reads the spectral
 radius or the second eigenvalue alone.  They come from dense symmetric
-diagonalization (LAPACK ``eigh`` through numpy, its eigenvectors dropped).
+diagonalization (LAPACK ``eigh`` through numpy, its eigenvectors dropped;
+a scan's screen reads ``eigvalsh``, which skips them).
 When a verdict sits close to the tolerance band, an eigenvalue is bracketed
 between rationals by exact integer counts instead (``eigenvalue_bracket``).
 Walk counts are exact integers throughout; floating point enters only at
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -64,32 +65,41 @@ def adjacency_stack(graphs: Sequence[Graph]) -> np.ndarray:
     return np.unpackbits(packed, axis=-1, count=n, bitorder="little")
 
 
-def _eigh_rows(adj: np.ndarray) -> np.ndarray:
-    # eigh, not eigvalsh: the two differ in the last bits, and every
-    # reported figure is pinned to eigh's.  A stacked eigh equals one call
-    # per matrix bit for bit.
+def _eigh(a: np.ndarray) -> np.ndarray:
+    return np.linalg.eigh(a)[0]
+
+
+def _solve_rows(adj: np.ndarray, solve: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    # A stacked solve equals one call per matrix bit for bit.  eigh and
+    # eigvalsh differ in the last bits (about 10 units in the last place
+    # at most, measured), so printed figures come from eigh alone; the
+    # screen, which clears every threshold by SCREEN_MARGIN, reads eigvalsh.
     try:
-        vals, _ = np.linalg.eigh(adj.astype(float))
+        vals = solve(adj.astype(float))
     except np.linalg.LinAlgError:
         if len(adj) == 1:
             return np.full((1, adj.shape[-1]), np.nan)
-        return np.concatenate([_eigh_rows(adj[i:i + 1]) for i in range(len(adj))])
+        return np.concatenate([_solve_rows(adj[i:i + 1], solve) for i in range(len(adj))])
     order = np.argsort(vals, axis=-1)[:, ::-1]
     return vals[np.arange(len(vals))[:, None], order]
 
 
-def stacked_eigenvalues(adj: np.ndarray) -> np.ndarray:
+def stacked_eigenvalues(adj: np.ndarray,
+                        solve: Callable[[np.ndarray], np.ndarray] = _eigh) -> np.ndarray:
     """Eigenvalues of a (k, n, n) stack of adjacency matrices, each row
-    sorted descending.
+    sorted descending; an empty stack gives a (0, n) array.
 
-    The matrices are solved in stacks of at most STACK_ENTRIES entries.  If
-    a stack fails to converge, its matrices are solved one at a time, and a
-    matrix that fails alone gets a row of NaN.
+    ``solve`` maps a float stack to its eigenvalues: LAPACK ``eigh`` with
+    its eigenvectors dropped, to which every reported figure is pinned, or
+    ``np.linalg.eigvalsh`` for the screen.  The matrices are solved in
+    stacks of at most STACK_ENTRIES entries.  If a stack fails to converge,
+    its matrices are solved one at a time, and a matrix that fails alone
+    gets a row of NaN.
     """
     n = adj.shape[-1]
     step = max(1, STACK_ENTRIES // (n * n))
-    return np.concatenate([_eigh_rows(adj[lo:lo + step])
-                           for lo in range(0, len(adj), step)])
+    return np.concatenate([np.empty((0, n))] + [_solve_rows(adj[lo:lo + step], solve)
+                                                for lo in range(0, len(adj), step)])
 
 
 def prime_rows(graphs: Sequence[Graph], vals: np.ndarray) -> None:

@@ -2,6 +2,7 @@
 stacked call per scan chunk and order, solver failures as out-of-domain
 outcomes, and scan output that does not depend on how graphs were batched."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -12,13 +13,16 @@ import pytest
 
 from spectral_cliques import (complete_graph, cycle_graph, emit_graph6,
                               empty_graph, graph_from_edge_mask, parse_graph6,
-                              path_graph, random_graph, run_check, spectral,
+                              path_graph, random_graph, run_check, screen, spectral,
                               spectrum, turan_graph)
 from spectral_cliques.cli import main
 from spectral_cliques.graphs import mix64
 from spectral_cliques.scan import expand_param_grid, tightness_rank
 
 from oracles import dense_adjacency
+
+# the package re-exports the ``scan`` function under the module's name
+scan_module = importlib.import_module("spectral_cliques.scan")
 
 
 def _one_eigh_per_graph(g) -> tuple[float, ...]:
@@ -59,31 +63,35 @@ def _assert_bit_identical(graphs):
 
 
 @pytest.fixture
-def eigh_calls(monkeypatch):
-    """Shapes of the arrays passed to np.linalg.eigh while the test runs."""
-    calls = []
-    eigh = np.linalg.eigh
+def lapack_calls(monkeypatch):
+    """Shapes of the arrays passed to np.linalg.eigh and np.linalg.eigvalsh
+    while the test runs, by routine name."""
+    calls = {"eigh": [], "eigvalsh": []}
+    for name, shapes in calls.items():
+        routine = getattr(np.linalg, name)
 
-    def counting(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return eigh(a, *args, **kwargs)
+        def counting(a, *args, _routine=routine, _shapes=shapes, **kwargs):
+            _shapes.append(np.shape(a))
+            return _routine(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+        monkeypatch.setattr(np.linalg, name, counting)
     return calls
 
 
-def _fail_eigh_on(monkeypatch, target):
-    """np.linalg.eigh raises LinAlgError on any stack holding target's matrix."""
+def _fail_lapack_on(monkeypatch, target, routines=("eigh", "eigvalsh")):
+    """LAPACK fails on target's matrix: each of ``routines`` raises
+    LinAlgError on any stack holding it."""
     bad = dense_adjacency(target)
-    eigh = np.linalg.eigh
+    for name in routines:
+        routine = getattr(np.linalg, name)
 
-    def failing(a, *args, **kwargs):
-        a = np.asarray(a)
-        if a.shape[-1] == bad.shape[-1] and np.all(a == bad, axis=(-2, -1)).any():
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return eigh(a, *args, **kwargs)
+        def failing(a, *args, _routine=routine, **kwargs):
+            a = np.asarray(a)
+            if a.shape[-1] == bad.shape[-1] and np.all(a == bad, axis=(-2, -1)).any():
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return _routine(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", failing)
+        monkeypatch.setattr(np.linalg, name, failing)
 
 
 def _write_corpus(path, graphs):
@@ -106,13 +114,13 @@ class TestBitIdentity:
                                for i, p in enumerate((0.1, 0.3, 0.5, 0.7, 0.9) * 4)])
 
     @pytest.mark.parametrize("n,count", [(80, 50), (200, 10)])
-    def test_sub_batches_above_64(self, n, count, monkeypatch, eigh_calls):
+    def test_sub_batches_above_64(self, n, count, monkeypatch, lapack_calls):
         monkeypatch.setenv("SCL_MAX_N", "200")
         graphs = [random_graph(n, 0.3, mix64(n, i)) for i in range(count)]
         step = spectral.STACK_ENTRIES // (n * n)
         assert step < count  # the order's graphs span more than one stack
         _assert_bit_identical(graphs)
-        stacked = [shape for shape in eigh_calls if len(shape) == 3]
+        stacked = [shape for shape in lapack_calls["eigh"] if len(shape) == 3]
         assert [shape[0] for shape in stacked] == [step] * (count // step) + (
             [count % step] if count % step else [])
 
@@ -125,36 +133,126 @@ class TestBitIdentity:
 
     def test_failing_stack_falls_back_to_one_graph_at_a_time(self, monkeypatch):
         graphs = [cycle_graph(5), path_graph(5), complete_graph(5)]
-        _fail_eigh_on(monkeypatch, graphs[1])
+        clean = spectral.stacked_eigenvalues(spectral.adjacency_stack(graphs),
+                                             np.linalg.eigvalsh)
+        _fail_lapack_on(monkeypatch, graphs[1])
         spectra = _stacked_by_order(graphs)
         assert spectra[1] is None
         assert [spectra[0], spectra[2]] == [
             _one_eigh_per_graph(graphs[0]), _one_eigh_per_graph(graphs[2])]
+        # the screen's eigvalsh route falls back the same way
+        screened = spectral.stacked_eigenvalues(spectral.adjacency_stack(graphs),
+                                                np.linalg.eigvalsh)
+        assert np.isnan(screened[1]).all()
+        assert _bits(screened[[0, 2]]) == _bits(clean[[0, 2]])
+
+    @pytest.mark.parametrize("solve", [None, np.linalg.eigvalsh])
+    def test_empty_stack_gives_no_rows(self, solve, lapack_calls):
+        adj = np.zeros((0, 5, 5), dtype=np.uint8)
+        vals = (spectral.stacked_eigenvalues(adj) if solve is None
+                else spectral.stacked_eigenvalues(adj, solve))
+        assert vals.shape == (0, 5) and vals.dtype == float
+        assert lapack_calls == {"eigh": [], "eigvalsh": []}
+
+    def test_block_with_no_reported_rows_solves_no_eigh(self, lapack_calls):
+        masks = np.arange(0, 1024, 37, dtype=np.int64)
+        b = screen.Block.from_bits(5, masks, screen.EDGE_MASK, range(len(masks)), True, False)
+        assert b.reported(np.zeros(len(masks), dtype=bool)) == []
+        assert lapack_calls == {"eigh": [], "eigvalsh": [(len(masks), 5, 5)]}
+
+
+def _corpora_for_eigvalsh_bound():
+    """The corpora the screen's eigvalsh was measured on: every labeled
+    graph of order at most 6, every 64th edge mask of order 7, and random
+    graphs of orders 10, 16, 40 and 64 over a spread of densities."""
+    for n in range(1, 7):
+        yield [graph_from_edge_mask(n, m) for m in range(1 << n * (n - 1) // 2)]
+    yield [graph_from_edge_mask(7, m) for m in range(0, 1 << 21, 64)]
+    for n in (10, 16, 40, 64):
+        yield [random_graph(n, p, mix64(n, i))
+               for i, p in enumerate((0.1, 0.3, 0.5, 0.7, 0.9) * 8)]
+
+
+def test_eigvalsh_within_64_ulp_of_eigh():
+    """The screen decides on eigvalsh, the printed figures on eigh.  Both
+    are backward stable; on these corpora they differ by at most 64 units
+    in the last place of max(1, |lambda|max), over four orders of magnitude
+    inside the screen's margin."""
+    ulp = np.finfo(float).eps
+    worst = 0.0
+    for graphs in _corpora_for_eigvalsh_bound():
+        adj = spectral.adjacency_stack(graphs)
+        pinned = spectral.stacked_eigenvalues(adj)
+        screened = spectral.stacked_eigenvalues(adj, np.linalg.eigvalsh)
+        scale = np.maximum(1.0, np.abs(pinned).max(axis=1))
+        worst = max(worst, float((np.abs(screened - pinned).max(axis=1) / scale).max()))
+    assert worst <= 64 * ulp, worst
+    assert 64 * ulp * 1e4 < screen.SCREEN_MARGIN
+
+
+@pytest.fixture
+def reported_rows(monkeypatch):
+    """(order, graphs handed out) of every ``Block.reported`` call, and the
+    graphs ``run_check`` evaluates by id, while the test runs."""
+    seen = {"blocks": [], "checked": {}}
+    reported = screen.Block.reported
+    run_check = scan_module.run_check
+
+    def spy_reported(self, rows):
+        out = reported(self, rows)
+        seen["blocks"].append((self.n, len(out)))
+        return out
+
+    def spy_run_check(name, g, params, tols):
+        seen["checked"][id(g)] = g  # held, so that no id is reused
+        return run_check(name, g, params, tols)
+
+    monkeypatch.setattr(screen.Block, "reported", spy_reported)
+    monkeypatch.setattr(scan_module, "run_check", spy_run_check)
+    return seen
+
+
+def _pinned_shapes(seen) -> list[tuple[int, int, int]]:
+    """One eigh stack per block with a reported graph, as long as the
+    block's reported graphs, which are exactly the graphs run_check sees."""
+    assert sum(count for _, count in seen["blocks"]) == len(seen["checked"])
+    return sorted((count, n, n) for n, count in seen["blocks"] if count)
 
 
 class TestOneStackPerChunk:
-    def test_exhaustive_n6_one_call_per_chunk(self, capsys, eigh_calls):
-        _scan_stdout(capsys, "--exhaustive-n", "6", "--check", "wilf")
-        assert eigh_calls == [(4096, 6, 6)] * 8
+    """The screen solves every graph of a chunk and order in one stacked
+    eigvalsh; the pinned eigh is solved in one stack per chunk and order,
+    for the graphs with a reported evaluation alone."""
 
-    def test_file_one_call_per_chunk_and_order(self, tmp_path, capsys, eigh_calls):
+    def test_exhaustive_n6_one_call_per_chunk(self, capsys, lapack_calls, reported_rows):
+        _scan_stdout(capsys, "--exhaustive-n", "6", "--check", "wilf")
+        assert lapack_calls["eigvalsh"] == [(4096, 6, 6)] * 8
+        assert len(reported_rows["blocks"]) == 8
+        assert sorted(lapack_calls["eigh"]) == _pinned_shapes(reported_rows)
+        assert 0 < len(reported_rows["checked"]) < 32768 // 4
+
+    def test_file_one_call_per_chunk_and_order(self, tmp_path, capsys, lapack_calls,
+                                                reported_rows):
         # 600 lines: chunks of 512 and 88 lines, each holding orders 3, 4, 5
         graphs = [random_graph(3 + i % 3, 0.5, mix64(5, i)) for i in range(600)]
         corpus = _write_corpus(tmp_path / "mixed.g6", graphs)
         _scan_stdout(capsys, "--file", corpus, "--check", "conjecture", "--r", "2")
-        assert sorted(eigh_calls) == sorted([(171, 3, 3), (171, 4, 4), (170, 5, 5),
-                                             (29, 3, 3), (29, 4, 4), (30, 5, 5)])
+        assert sorted(lapack_calls["eigvalsh"]) == sorted([
+            (171, 3, 3), (171, 4, 4), (170, 5, 5), (29, 3, 3), (29, 4, 4), (30, 5, 5)])
+        assert len(reported_rows["blocks"]) == 6
+        assert sorted(lapack_calls["eigh"]) == _pinned_shapes(reported_rows)
+        assert lapack_calls["eigh"]
 
-    def test_plans_without_spectral_checks_solve_nothing(self, capsys, eigh_calls):
+    def test_plans_without_spectral_checks_solve_nothing(self, capsys, lapack_calls):
         _scan_stdout(capsys, "--exhaustive-n", "5", "--check", "momo",
                      "--check", "maxmu1", "--check", "oldin", "--check", "theorem3")
-        assert eigh_calls == []
+        assert lapack_calls == {"eigh": [], "eigvalsh": []}
 
 
 class TestSolverFailureIsOutOfDomain:
     def test_check_lapack_failure(self, monkeypatch, capsys):
         c5 = cycle_graph(5)
-        _fail_eigh_on(monkeypatch, c5)
+        _fail_lapack_on(monkeypatch, c5)
         code = main(["check", "--g6", emit_graph6(c5), "--check", "wilf",
                      "--check", "maxmu1"])
         entries = json.loads(capsys.readouterr().out)
@@ -168,7 +266,7 @@ class TestSolverFailureIsOutOfDomain:
         args = ("--file", corpus, "--check", "wilf", "--check", "conjecture",
                 "--check", "maxmu1", "--r", "2")
         clean = _scan_stdout(capsys, *args)
-        _fail_eigh_on(monkeypatch, p4)
+        _fail_lapack_on(monkeypatch, p4)
         failed = _scan_stdout(capsys, *args)
         # P4 is triangle-free: its wilf and conjecture evaluations read the
         # spectrum, its maxmu1 evaluation does not
@@ -178,6 +276,37 @@ class TestSolverFailureIsOutOfDomain:
         for key in ("equalities", "violations"):
             assert failed[key] == [rec for rec in clean[key]
                                    if rec["graph6"] != p4_g6 or rec["check"] == "maxmu1"]
+
+
+    def test_eigh_failure_on_a_reported_graph(self, tmp_path, monkeypatch, capsys):
+        # K_{3,3} is a wilf equality host, so the screen always reports it,
+        # and the failing pinned solve makes its evaluation out of domain
+        k33 = turan_graph(2, 6)
+        corpus = _write_corpus(tmp_path / "hosts.g6", [cycle_graph(5), k33, path_graph(4)])
+        args = ("--file", corpus, "--check", "wilf")
+        clean = _scan_stdout(capsys, *args)
+        k33_g6 = emit_graph6(k33)
+        assert k33_g6 in [rec["graph6"] for rec in clean["equalities"]]
+        _fail_lapack_on(monkeypatch, k33, routines=("eigh",))
+        failed = _scan_stdout(capsys, *args)
+        assert failed["out_of_domain"] == clean["out_of_domain"] + 1
+        for key in ("equalities", "violations", "tightest"):
+            assert failed[key] == [rec for rec in clean[key] if rec["graph6"] != k33_g6]
+
+    def test_eigvalsh_failure_reports_the_graph(self, tmp_path, monkeypatch, capsys,
+                                                reported_rows):
+        # at top-k 1, C5 (wilf slack 1/2) trails P4 (slack 0.38) and is not
+        # reported, unless its screen solve fails; K_{3,3} (an equality)
+        # always is
+        c5, k33, p4 = cycle_graph(5), turan_graph(2, 6), path_graph(4)
+        corpus = _write_corpus(tmp_path / "hosts.g6", [c5, k33, p4])
+        args = ("--file", corpus, "--check", "wilf", "--top-k", "1")
+        clean = _scan_stdout(capsys, *args)
+        assert reported_rows["blocks"] == [(5, 0), (6, 1), (4, 1)]
+        reported_rows["blocks"].clear()
+        _fail_lapack_on(monkeypatch, c5, routines=("eigvalsh",))
+        assert _scan_stdout(capsys, *args) == clean
+        assert reported_rows["blocks"] == [(5, 1), (6, 1), (4, 1)]
 
 
 class TestBatchingLeavesOutputAlone:

@@ -11,8 +11,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spectral_cliques import complete_graph, emit_graph6, turan_graph
-from spectral_cliques.cli import _build_parser, main
+from spectral_cliques import complete_graph, emit_graph6, screen, turan_graph
+from spectral_cliques.cli import EXIT_INTERNAL, _build_parser, main
 from spectral_cliques.scan import CHECKS, CheckOutcome, ScanResult
 
 
@@ -399,6 +399,19 @@ class TestExitCodeMapping:
 
     def test_main_returns_usage_on_no_args(self):
         assert main([]) == 2
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_uncaught_exception_is_an_internal_error(self, jobs, monkeypatch, capsys):
+        # exit 1 claims a failed hard claim; a bug must not read as one
+        def broken(*args, **kwargs):
+            raise RuntimeError("screen broke")
+
+        monkeypatch.setattr(screen, "screen_chunk", broken)
+        code = main(["--jobs", jobs, "scan", "--exhaustive-n", "6", "--check", "wilf"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_INTERNAL == 5
+        assert out == ""
+        assert "internal error: RuntimeError: screen broke" in err
 
 
 def _fake_conjecture_violation(g, params, tols):
