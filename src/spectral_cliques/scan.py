@@ -24,7 +24,6 @@ violations are discoveries to persist, not test failures.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import multiprocessing
@@ -41,7 +40,7 @@ from .graphs import (Graph, Graph6Error, emit_graph6, is_bipartite, is_connected
                      mix64, parse_graph6, random_edge_mask, random_graph,
                      short_graph6_order, vertex_cap)
 from .spectral import EigensolverError, WalkOverflowError
-from .stability import stability_alpha, stability_verdict, witness_thresholds
+from .stability import stability_alpha, stability_report
 
 EXHAUSTIVE_LIMIT = 7
 EXHAUSTIVE_OVERRIDE_LIMIT = 8
@@ -292,13 +291,12 @@ def _stability_outcomes(g: Graph, params: dict, tols: Tolerances) -> list[CheckO
     r = params["r"]
     alpha = stability_alpha(r, params["alpha"])
     out_params = {"r": r, "alpha": alpha}
-    verdict, w = stability_verdict(g, r, alpha, tols=tols)
-    status = _STABILITY_STATUS.get(verdict, OOD)
+    rep = stability_report(g, r, alpha, tols=tols)
+    status = _STABILITY_STATUS.get(rep.verdict, OOD)
     if status == OOD:
         return [CheckOutcome("stability", out_params, OOD, None, None, None)]
-    order_min, _ = witness_thresholds(g.n, r, alpha)
-    return [CheckOutcome("stability", out_params, status, order_min,
-                         float(w.order if w else 0), None)]
+    return [CheckOutcome("stability", out_params, status, rep.order_min,
+                         float(rep.witness.order if rep.witness else 0), None)]
 
 
 def _hard_claim(params: dict) -> bool:
@@ -322,18 +320,17 @@ class Check:
     admissible alpha).  ``evaluate(g, params, tols)`` returns the outcomes
     of one parameter combination.  A violation whose params satisfy
     ``discovery`` is a finding to persist, not a failed hard claim.
-    A scan whose plan has a check that ``reads_spectrum`` solves each
-    chunk's LAPACK spectra in stacks before evaluating it.  A ``screen``
-    (see :mod:`screen`) decides on a chunk's arrays which evaluations a
-    scan must send through ``evaluate``, and counts the out-of-domain
-    outcomes among the others; without one every evaluation goes through
-    ``evaluate``.
+    A ``screen`` (see :mod:`screen`) decides on a chunk's arrays which
+    evaluations a scan must send through ``evaluate``, and counts the
+    out-of-domain outcomes among the others; without one every evaluation
+    goes through ``evaluate``.  A check declares nothing about what it
+    reads: a chunk's block solves its spectra and counts its cliques and
+    walks the first time a screen reads them.
     """
 
     defaults: dict[str, tuple | None]
     evaluate: Callable[[Graph, dict, Tolerances], list[CheckOutcome]]
     discovery: Callable[[dict], bool] = _hard_claim
-    reads_spectrum: bool = False
     screen: screen.ScreenFn | None = None
 
     @property
@@ -347,7 +344,7 @@ def formula_check(f: bounds.Formula, defaults: dict[str, tuple | None],
     (:func:`bounds.evaluate`) and screened on a chunk's arrays."""
     return Check(defaults,
                  lambda g, params, tols: [_outcome(bounds.evaluate(f, g, params, tols))],
-                 discovery, reads_spectrum=f.ranks > 0, screen=screen.formula_screen(f))
+                 discovery, screen=screen.formula_screen(f))
 
 
 CHECKS: dict[str, Check] = {
@@ -363,10 +360,10 @@ CHECKS: dict[str, Check] = {
     "oldin": Check({"s": None, "l": (2, 3)}, _oldin_outcomes, screen=screen.screen_oldin),
     "momo": Check({}, _momo_outcomes, screen=screen.screen_momo),
     "edge_corollary": Check({"r": (2, 3), "alpha": (0,)},
-                            _single(bounds.edge_corollary_check), reads_spectrum=True,
+                            _single(bounds.edge_corollary_check),
                             screen=screen.screen_edge_corollary),
     "stability": Check({"r": (2, 3), "alpha": None}, _stability_outcomes,
-                       reads_spectrum=True, screen=screen.screen_stability),
+                       screen=screen.screen_stability),
 }
 
 
@@ -420,7 +417,6 @@ def _init_scan_worker(corpus: CorpusSpec, config: ScanConfig,
         filters=filters,
         combos=combos,
         screens=[CHECKS[name].screen for name, _ in combos],
-        reads_spectrum=any(CHECKS[name].reads_spectrum for name in config.checks),
         vertex="oldin" in config.checks,
         tols=DEFAULT_TOLS.scaled(config.tol_scale),
     )
@@ -428,8 +424,8 @@ def _init_scan_worker(corpus: CorpusSpec, config: ScanConfig,
 
 def _chunk_graphs(chunk: tuple) -> tuple[int, dict[int, tuple], list[tuple[int, Graph]]]:
     """A chunk's size and its graphs: those of order up to
-    ``screen.MASK_MAX_N`` as edge bits, ``{n: (positions, bits, layout)}``
-    (exhaustive and random masks, and the payloads of the graph6 lines that
+    ``screen.MASK_MAX_N`` as edge masks, ``{n: (positions, masks)}``
+    (exhaustive and random masks, and the graph6 lines that
     ``short_graph6_order`` admits), and every other one built, as
     ``(position, Graph)``.  A line that fails to decode raises its error,
     the earliest first."""
@@ -439,8 +435,7 @@ def _chunk_graphs(chunk: tuple) -> tuple[int, dict[int, tuple], list[tuple[int, 
     kind = chunk[0]
     if kind == "exhaustive":
         _, n, start, stop = chunk
-        bits[n] = (range(stop - start), np.arange(start, stop, dtype=np.int64),
-                   screen.EDGE_MASK)
+        bits[n] = (range(stop - start), np.arange(start, stop, dtype=np.int64))
         return stop - start, bits, built
     if kind == "lines":
         cap = vertex_cap()
@@ -455,7 +450,7 @@ def _chunk_graphs(chunk: tuple) -> tuple[int, dict[int, tuple], list[tuple[int, 
             else:
                 built.append((i, parse_graph6_line(corpus.path, lineno, line, cap)))
         for n, (pos, texts) in lines.items():
-            bits[n] = (pos, screen.graph6_payloads(texts, n), screen.GRAPH6)
+            bits[n] = (pos, screen.graph6_masks(texts, n))
         return len(chunk[1]), bits, built
     _, start, stop = chunk
     n = corpus.n
@@ -465,7 +460,7 @@ def _chunk_graphs(chunk: tuple) -> tuple[int, dict[int, tuple], list[tuple[int, 
     elif stop > start:
         masks = [random_edge_mask(n, corpus.p, mix64(corpus.seed, i))
                  for i in range(start, stop)]
-        bits[n] = (range(stop - start), np.array(masks, dtype=np.int64), screen.EDGE_MASK)
+        bits[n] = (range(stop - start), np.array(masks, dtype=np.int64))
     return stop - start, bits, built
 
 
@@ -474,24 +469,23 @@ def _chunk_blocks(chunk: tuple) -> tuple[list[screen.Block], int]:
     vertex order and way in, and the chunk's size."""
     size, bits, built = _chunk_graphs(chunk)
     filters = _WORKER["filters"]
-    spectra = _WORKER["reads_spectrum"]
-    vertex = _WORKER["vertex"]
     blocks = []
-    for n, (pos, values, layout) in bits.items():
+    for n, (pos, masks) in bits.items():
+        b = screen.Block.from_bits(n, masks, pos)
         if filters:
-            b = screen.Block.from_bits(n, values, layout, pos, False, vertex)
             keep = np.logical_and.reduce([rows(b) for _, rows in filters])
             if not keep.any():
                 continue
-            pos, values, layout = b.pos[keep], b.masks[keep], screen.EDGE_MASK
-        blocks.append(screen.Block.from_bits(n, values, layout, pos, spectra, vertex))
+            if not keep.all():
+                b = screen.Block.from_bits(n, masks[keep], b.pos[keep])
+        blocks.append(b)
     by_order: dict[int, list[tuple[int, Graph]]] = {}
     for i, g in built:
         if all(keep(g) for keep, _ in filters):
             by_order.setdefault(g.n, []).append((i, g))
     for items in by_order.values():
         pos, graphs = zip(*items)
-        blocks.append(screen.Block(graphs, pos, spectra, vertex))
+        blocks.append(screen.Block(graphs, pos, _WORKER["vertex"]))
     return blocks, size
 
 
@@ -509,7 +503,7 @@ def _scan_chunk(chunk: tuple) -> dict:
     top_k = config.top_k
     violations: list[dict] = []
     equalities: list[dict] = []
-    top: list[tuple] = []  # (_rank_key(record), record), ascending
+    cands: list[dict] = []
     blocks, size = _chunk_blocks(chunk)
     # the screen decides the evaluations that cannot be reported; the
     # others take the reporting path below, graph by graph in plan order
@@ -535,26 +529,18 @@ def _scan_chunk(chunk: tuple) -> dict:
                     continue
                 if oc.slack is None:
                     continue
-                # reject clearly loose candidates before emitting graph6
-                if (oc.status != EQUALITY and len(top) == top_k
-                        and max(oc.slack, 0.0) > top[-1][0][0]):
-                    continue
                 if g6 is None:
                     g6 = emit_graph6(g)
                 rec = oc.record(g6)
                 if oc.status == EQUALITY:
                     equalities.append(rec)
-                key = _rank_key(rec)
-                if len(top) == top_k and key >= top[-1][0]:
-                    continue
-                bisect.insort(top, (key, rec))
-                del top[top_k:]
+                cands.append(rec)
     return {
         "checked": sum(len(b.pos) for b in blocks),
         "ood": ood,
         "violations": violations,
         "equalities": equalities,
-        "cands": [rec for _, rec in top],
+        "cands": tightness_rank(cands, top_k),
     }
 
 

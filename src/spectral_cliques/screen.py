@@ -4,21 +4,25 @@ Almost every evaluation of a scan holds by a wide margin and is never
 printed.  A screen evaluates one check, for one parameter combination, on
 every graph of one vertex order in a chunk at once, on numpy arrays (a
 ``Block``): the eigenvalues of a stacked LAPACK ``eigvalsh``, an int64
-clique-count matrix, and walk counts from int64 matmuls.  Domain gates are
-integer logic and are decided exactly.  An evaluation goes through
+clique-count matrix, and walk counts from int64 matmuls.  A block solves
+and counts each of these the first time a screen reads it, so a plan
+whose screens read no eigenvalue solves none.  Domain gates are integer
+logic and are decided exactly.  An evaluation goes through
 ``scan.run_check`` and the reporting path only when its screened slack may
 lie near a verdict threshold, when it may be among the chunk's tightest
 instances, or when its graph's eigensolver failed; every other one is a
 ``holds`` or an out-of-domain outcome that builds no object.
 
-Graphs of order up to ``MASK_MAX_N`` are screened from their edge bits
-alone (an edge mask or a graph6 payload): the adjacency stack, m, k_s,
-omega and k_s(u) all come from the bits, by vertex-subset tests.  A
-``Graph`` is built only for a graph with a reported evaluation, its memo
-primed with its ``eigh`` spectrum (the solve every printed figure is pinned
-to, run in one stack for the reported graphs alone) and the block's clique
-profiles, so the reporting path recomputes neither.  Larger graphs arrive
-as ``Graph``s and are counted on their pivot trees.
+Graphs of order up to ``MASK_MAX_N`` are screened from their edge masks
+alone (graph6 lines are decoded to masks, :func:`graph6_masks`): the
+adjacency stack, m, k_s, omega and k_s(u) all come from the masks, by
+vertex-subset tests.  A ``Graph`` is built only for a graph with a
+reported evaluation, its memo primed with what the block computed: its
+``eigh`` spectrum (the solve every printed figure is pinned to, run in one
+stack for the reported graphs alone) where the block solved eigenvalues,
+and the block's clique profiles, so the reporting path recomputes
+neither.  Larger graphs arrive as ``Graph``s and are counted on their
+pivot trees.
 
 ``theorem3`` is screened exactly in ints, one outcome per s: an
 evaluation with r >= omega is out of domain, an outcome whose premise
@@ -76,27 +80,10 @@ _INT64_SAFE = 1 << 62
 #: fit an int64
 MASK_MAX_N = 10
 
-#: the two layouts of edge bits: an edge mask, whose bit b is the b-th
-#: pair (i, j), i < j, in row-major order (:func:`graph_from_edge_mask`),
-#: and a graph6 payload read as one big-endian int, whose pairs run
-#: column by column from the top bit down, above the padding
-EDGE_MASK = "mask"
-GRAPH6 = "graph6"
-
-
 @functools.lru_cache(maxsize=None)
 def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The pairs (i, j), i < j, of order n in edge-mask order."""
     return np.triu_indices(n, 1)
-
-
-@functools.lru_cache(maxsize=None)
-def _shifts(n: int, layout: str) -> np.ndarray:
-    """The position of each pair's bit, in edge-mask order, in ``layout``."""
-    i, j = _pairs(n)
-    if layout == EDGE_MASK:
-        return np.arange(len(i), dtype=np.int64)
-    return 6 * graph6_width(n) - 1 - (j * (j - 1) // 2 + i).astype(np.int64)
 
 
 @functools.lru_cache(maxsize=None)
@@ -113,79 +100,73 @@ def _subsets(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return edges, by_size, by_vertex
 
 
-def graph6_payloads(lines: Sequence[str], n: int) -> np.ndarray:
-    """The payloads of well-formed graph6 lines of order n <= MASK_MAX_N
-    (``graphs.short_graph6_order``), as int64 in the ``GRAPH6`` layout."""
+def graph6_masks(lines: Sequence[str], n: int) -> np.ndarray:
+    """The edge masks of well-formed graph6 lines of order n <= MASK_MAX_N
+    (``graphs.short_graph6_order``), as int64.  A payload, read as one
+    big-endian int, holds its pairs column by column from the top bit
+    down, above the padding."""
     width = graph6_width(n)
     chars = np.frombuffer("".join(lines).encode("ascii"), dtype=np.uint8)
     chars = chars.reshape(len(lines), 1 + width)[:, 1:].astype(np.int64) - 63
-    return (chars << 6 * np.arange(width - 1, -1, -1)).sum(axis=1)
+    payloads = (chars << 6 * np.arange(width - 1, -1, -1)).sum(axis=1)
+    i, j = _pairs(n)
+    shifts = 6 * width - 1 - (j * (j - 1) // 2 + i)
+    return ((payloads[:, None] >> shifts & 1) << np.arange(len(i))).sum(axis=1)
 
 
 class Block:
     """The graphs of one vertex order in a chunk, as arrays.
 
     A block is built from ``Graph``s or, for an order up to MASK_MAX_N,
-    from edge bits (:meth:`from_bits`), with no ``Graph`` at all.  ``pos``
-    holds the graphs' positions in the chunk.  With ``spectra`` the block
-    solves the graphs' eigenvalues with a stacked ``eigvalsh`` for the
-    screens (``mu``, ``mu2``); the pinned ``eigh`` is solved by
-    :meth:`reported`, for the reported graphs alone.  Clique counts,
-    per-vertex clique counts and walk counts are computed when a screen
-    first asks for them.  From ``Graph``s, clique counts come from one pivot-tree
-    walk per graph (per-vertex first with ``vertex``, so that one walk
-    fills both memo entries); from bits, k_s is the number of s-subsets
-    whose complete graph's edge mask the graph's mask covers, and k_s(u)
-    the number of those that hold u.  :meth:`reported` hands out the
-    ``Graph``s of the rows that take the reporting path, with what the
-    block computed primed into their memos.  The adjacency matrices are
-    kept as bytes (n^2 per graph) and widened to floats or int64 at most
-    STACK_ENTRIES entries at a time.
+    from edge masks (:meth:`from_bits`), with no ``Graph`` at all.  ``pos``
+    holds the graphs' positions in the chunk.  A block solves and counts
+    what a screen reads, the first time it is read: the eigenvalues
+    (``vals``, ``mu``, ``mu2``) from one stacked ``eigvalsh``, clique
+    counts, per-vertex clique counts and walk counts.  From ``Graph``s,
+    clique counts come from one pivot-tree walk per graph (per-vertex
+    first with ``vertex``, so that one walk fills both memo entries); from
+    masks, k_s is the number of s-subsets whose complete graph's edge mask
+    the graph's mask covers, and k_s(u) the number of those that hold u.
+    :meth:`reported` hands out the ``Graph``s of the rows that take the
+    reporting path, with what the block computed primed into their memos;
+    the pinned ``eigh`` is solved there, for the reported graphs alone.
+    The adjacency matrices are kept as bytes (n^2 per graph) and widened
+    to floats or int64 at most STACK_ENTRIES entries at a time.
     """
 
-    def __init__(self, graphs: Sequence[Graph], pos: Sequence[int],
-                 spectra: bool, vertex: bool) -> None:
+    def __init__(self, graphs: Sequence[Graph], pos: Sequence[int], vertex: bool) -> None:
         self.graphs = graphs
         self.n = graphs[0].n
         self.m = np.array([g.m for g in graphs], dtype=np.int64)
-        self._start(pos, spectra, vertex)
-
-    @classmethod
-    def from_bits(cls, n: int, bits: np.ndarray, layout: str, pos: Sequence[int],
-                  spectra: bool, vertex: bool) -> "Block":
-        """The block of the graphs of order n <= MASK_MAX_N whose edges are
-        ``bits`` (int64) in ``layout``: EDGE_MASK or GRAPH6.  Its ``masks``
-        hold the graphs' edge masks."""
-        i, j = _pairs(n)
-        edges = (bits[:, None] >> _shifts(n, layout) & 1).astype(np.uint8)
-        adj = np.zeros((len(bits), n, n), dtype=np.uint8)
-        adj[:, i, j] = edges
-        adj[:, j, i] = edges
-        b = cls.__new__(cls)
-        b.graphs = None
-        b.masks = (bits if layout == EDGE_MASK else
-                   (edges.astype(np.int64) << _shifts(n, EDGE_MASK)).sum(axis=1))
-        b.n = n
-        b.m = edges.sum(axis=1, dtype=np.int64)
-        b.adj = adj
-        b._start(pos, spectra, vertex)
-        return b
-
-    def _start(self, pos: Sequence[int], spectra: bool, vertex: bool) -> None:
         self.pos = np.asarray(pos, dtype=np.intp)
         self.vertex = vertex
-        self.vals = self.mu = self.mu2 = None
-        if spectra:
-            self.vals = stacked_eigenvalues(self.adj, np.linalg.eigvalsh)
-            self.mu = self.vals[:, 0]
-            self.mu2 = self.vals[:, 1] if self.n > 1 else np.zeros(len(self.m))
         self._walks: np.ndarray | None = None
 
+    @classmethod
+    def from_bits(cls, n: int, masks: np.ndarray, pos: Sequence[int]) -> "Block":
+        """The block of the graphs of order n <= MASK_MAX_N whose edge
+        masks (int64, as :func:`graph_from_edge_mask` reads them) are
+        ``masks``."""
+        i, j = _pairs(n)
+        edges = (masks[:, None] >> np.arange(len(i)) & 1).astype(np.uint8)
+        b = cls.__new__(cls)
+        b.graphs = None
+        b.masks = masks
+        b.n = n
+        b.m = edges.sum(axis=1, dtype=np.int64)
+        b.adj = np.zeros((len(masks), n, n), dtype=np.uint8)
+        b.adj[:, i, j] = edges
+        b.adj[:, j, i] = edges
+        b.pos = np.asarray(pos, dtype=np.intp)
+        b._walks = None
+        return b
+
     def reported(self, rows: np.ndarray) -> list[tuple[int, Graph]]:
-        """(position, Graph) of each graph that ``rows`` marks.  Its memo
-        holds its ``eigh`` spectrum, solved here in one stack for the
-        marked graphs alone, and, when the block was built from bits, the
-        clique profiles the block counted."""
+        """(position, Graph) of each graph that ``rows`` marks.  Where the
+        block solved its eigenvalues, the graph's memo holds its ``eigh``
+        spectrum, solved here in one stack for the marked graphs alone;
+        where the block was built from masks, it holds the clique profiles
+        the block counted."""
         picked = np.flatnonzero(rows)
         if self.graphs is None:
             graphs = [graph_from_edge_mask(self.n, mask)
@@ -193,7 +174,7 @@ class Block:
             self._prime_cliques(graphs, picked)
         else:
             graphs = [self.graphs[i] for i in picked]
-        if self.vals is not None:
+        if "vals" in self.__dict__:
             prime_rows(graphs, stacked_eigenvalues(self.adj[picked]))
         return list(zip(self.pos[picked].tolist(), graphs))
 
@@ -203,11 +184,25 @@ class Block:
         omegas = self.omega[picked].tolist()
         for g, row, om in zip(graphs, counts, omegas):
             clique_counts.prime(g, CliqueProfile(tuple(row), om))
-        if self.vertex:
+        if "vertex_cliques" in self.__dict__:
             per = self.vertex_cliques[picked].tolist()
             for g, rows, om in zip(graphs, per, omegas):
                 vertex_clique_counts.prime(g, VertexCliqueProfile(
                     tuple(tuple(row[1:om + 1]) for row in rows), om))
+
+    @functools.cached_property
+    def vals(self) -> np.ndarray:
+        """Every graph's eigenvalues, each row descending, from one stacked
+        ``eigvalsh`` (a row of NaN where the solver failed)."""
+        return stacked_eigenvalues(self.adj, np.linalg.eigvalsh)
+
+    @functools.cached_property
+    def mu(self) -> np.ndarray:
+        return self.vals[:, 0]
+
+    @functools.cached_property
+    def mu2(self) -> np.ndarray:
+        return self.vals[:, 1] if self.n > 1 else np.zeros(len(self.m))
 
     @functools.cached_property
     def adj(self) -> np.ndarray:
@@ -289,9 +284,7 @@ class Block:
 
     @functools.cached_property
     def _maxdeg(self) -> int:
-        if self.graphs is None:
-            return int(self.adj.sum(axis=2, dtype=np.int64).max())
-        return max(max(g.degrees) for g in self.graphs)
+        return int(self.adj.sum(axis=2, dtype=np.int64).max())
 
     def walks(self, L: int) -> np.ndarray | None:
         """w_l(u), the l-walks starting at u, at [:, l, u] for 1 <= l <= L
@@ -374,7 +367,9 @@ def formula_screen(f: Formula) -> ScreenFn:
     def run(b: Block, params: dict, tols: Tolerances) -> Screen | None:
         try:
             ood = np.zeros(len(b.m), dtype=bool) | f.gate(b, **params)
-            lhs, rhs = f.sides(b, *(b.mu, b.mu2)[:f.ranks], **params)
+            # reading mu solves the block's eigenvalues: only where f reads them
+            lhs, rhs = f.sides(b, *(getattr(b, mu) for mu in ("mu", "mu2")[:f.ranks]),
+                               **params)
         except (ValueError, OverflowError):
             return None
         lhs, rhs = (np.broadcast_to(np.asarray(side, dtype=float), ood.shape)

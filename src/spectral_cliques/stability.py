@@ -273,35 +273,28 @@ def _search_mode(n: int, mode: str | None) -> str:
     return mode
 
 
-def stability_verdict(g: Graph, r: int, alpha, mode: str | None = None,
-                      tols: Tolerances = DEFAULT_TOLS
-                      ) -> tuple[str, StabilityWitness | None]:
-    """Premise check plus witness search: (verdict, witness or None).
+def stability_report(g: Graph, r: int, alpha, mode: str | None = None,
+                     tols: Tolerances = DEFAULT_TOLS) -> StabilityReport:
+    """Premise check plus witness search, with the thresholds and the
+    search mode used.
 
     The verdict is "witnessed", "exhaustive-miss", "heuristic-miss",
     "premise-failed", or "ood" when the eigensolver fails on the graph (the
     premise cannot be evaluated, so no search runs).  With no mode, the
     search follows the graph's order (:func:`_search_mode`).
     """
+    mode = _search_mode(g.n, mode)
     try:
-        if not stability_premise(g, r, alpha, tols):
-            return "premise-failed", None
+        premise = stability_premise(g, r, alpha, tols)
     except EigensolverError:
-        return "ood", None
-    mode = _search_mode(g.n, mode)
-    w = _search_witness(g, r, alpha, mode)
-    if w is not None:
-        return "witnessed", w
-    return ("exhaustive-miss" if mode == "exhaustive" else "heuristic-miss"), None
-
-
-def stability_report(g: Graph, r: int, alpha, mode: str | None = None,
-                     tols: Tolerances = DEFAULT_TOLS) -> StabilityReport:
-    """:func:`stability_verdict` packaged with the thresholds and the
-    search mode it used, for reporting."""
-    mode = _search_mode(g.n, mode)
-    verdict, w = stability_verdict(g, r, alpha, mode, tols)
+        premise = None
+    w = _search_witness(g, r, alpha, mode) if premise else None
+    if premise is None:
+        verdict = "ood"
+    elif not premise:
+        verdict = "premise-failed"
+    else:
+        verdict = "witnessed" if w is not None else f"{mode}-miss"
     a = float(alpha)
     thr_o, thr_d = witness_thresholds(g.n, r, a)
-    return StabilityReport(verdict not in ("premise-failed", "ood"), r, a,
-                           thr_o, thr_d, w, mode, verdict, a == 0.0)
+    return StabilityReport(bool(premise), r, a, thr_o, thr_d, w, mode, verdict, a == 0.0)

@@ -156,8 +156,22 @@ class TestBitIdentity:
 
     def test_block_with_no_reported_rows_solves_no_eigh(self, lapack_calls):
         masks = np.arange(0, 1024, 37, dtype=np.int64)
-        b = screen.Block.from_bits(5, masks, screen.EDGE_MASK, range(len(masks)), True, False)
+        b = screen.Block.from_bits(5, masks, range(len(masks)))
+        b.mu  # read, as a spectral screen reads it
         assert b.reported(np.zeros(len(masks), dtype=bool)) == []
+        assert lapack_calls == {"eigh": [], "eigvalsh": [(len(masks), 5, 5)]}
+
+    def test_block_solves_when_a_screen_first_reads_mu(self, lapack_calls):
+        masks = np.arange(0, 1024, 37, dtype=np.int64)
+        b = screen.Block.from_bits(5, masks, range(len(masks)))
+        tols = scan_module.DEFAULT_TOLS
+        for name, params in (("maxmu1", {}), ("theorem3", {"r": 2, "alpha": 0}),
+                             ("oldin", {"s": None, "l": 2}), ("momo", {})):
+            assert scan_module.CHECKS[name].screen(b, params, tols) is not None
+        assert lapack_calls == {"eigh": [], "eigvalsh": []}
+        for name, params in (("wilf", {}), ("conjecture", {"r": 2}),
+                             ("edge_corollary", {"r": 2, "alpha": 0})):
+            assert scan_module.CHECKS[name].screen(b, params, tols) is not None
         assert lapack_calls == {"eigh": [], "eigvalsh": [(len(masks), 5, 5)]}
 
 

@@ -10,10 +10,11 @@ import pytest
 from spectral_cliques import (bounds, complete_graph, emit_graph6,
                               graph_from_edge_mask, random_graph, screen)
 from spectral_cliques.graphs import mix64
-from spectral_cliques.scan import expand_param_grid
+from spectral_cliques.scan import CorpusSpec, ScanConfig, expand_param_grid, scan
 from spectral_cliques.spectral import spectrum
 
 from oracles import reference_scan
+from test_batched_spectra import lapack_calls  # noqa: F401 (a fixture)
 from test_screen import _scan_lines
 
 scan_module = importlib.import_module("spectral_cliques.scan")
@@ -40,10 +41,9 @@ def test_block_sides_agree_with_graph_sides(name):
     """The assumption SCREEN_MARGIN rests on: the screen's arithmetic is
     within 1e-12 of the reported figures, relative to their scale."""
     f = FORMULAS[name]
-    assert scan_module.CHECKS[name].reads_spectrum == (f.ranks > 0)
     checked = 0
     for graphs in BLOCKS:
-        b = screen.Block(graphs, range(len(graphs)), True, False)
+        b = screen.Block(graphs, range(len(graphs)), False)
         for params in expand_param_grid(name, {}):
             skip = np.zeros(len(graphs), dtype=bool) | f.gate(b, **params)
             if f.trivial is not None:
@@ -61,6 +61,26 @@ def test_block_sides_agree_with_graph_sides(name):
                 assert abs(rhs[i] - want[1]) <= 1e-12 * scale, (emit_graph6(g), params)
                 checked += 1
     assert checked > 1000
+
+
+@pytest.mark.parametrize("name", sorted(FORMULAS))
+def test_a_plan_solves_eigenvalues_iff_its_formula_reads_them(name, lapack_calls):
+    scan(CorpusSpec(kind="exhaustive", n=5), ScanConfig(checks={name: {}}))
+    assert bool(lapack_calls["eigvalsh"]) == (FORMULAS[name].ranks > 0)
+
+
+def test_a_check_declares_nothing_about_the_spectrum(monkeypatch):
+    """A copy of edge_corollary's entry, written by hand, scans as
+    edge_corollary does: its screen reads mu, and the block solves it."""
+    entry = scan_module.CHECKS["edge_corollary"]
+    monkeypatch.setitem(scan_module.CHECKS, "copy",
+                        scan_module.Check(entry.defaults, entry.evaluate,
+                                          screen=entry.screen))
+    corpus = CorpusSpec(kind="exhaustive", n=6)
+    want, got = (scan(corpus, ScanConfig(checks={name: {}})).to_json_dict(True)
+                 for name in ("edge_corollary", "copy"))
+    assert got == want
+    assert want["equalities"] and want["out_of_domain"]
 
 
 def test_a_new_check_is_one_registry_entry(monkeypatch):

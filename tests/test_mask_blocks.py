@@ -27,12 +27,10 @@ def _edge_mask(g):
 
 def _assert_blocks_agree(n, masks):
     graphs = [graph_from_edge_mask(n, mask) for mask in masks.tolist()]
-    want = screen.Block(graphs, range(len(graphs)), True, True)
+    want = screen.Block(graphs, range(len(graphs)), True)
     lines = [emit_graph6(g) for g in graphs]
-    for got in (screen.Block.from_bits(n, masks, screen.EDGE_MASK, range(len(masks)),
-                                       True, True),
-                screen.Block.from_bits(n, screen.graph6_payloads(lines, n), screen.GRAPH6,
-                                       range(len(masks)), True, True)):
+    for got in (screen.Block.from_bits(n, masks, range(len(masks))),
+                screen.Block.from_bits(n, screen.graph6_masks(lines, n), range(len(masks)))):
         np.testing.assert_array_equal(got.masks, masks)
         np.testing.assert_array_equal(got.m, want.m)
         assert got.adj.dtype == want.adj.dtype == np.uint8
@@ -64,8 +62,8 @@ def test_seeded_graphs_of_order_eight_to_ten(n):
 def test_reported_graphs_carry_the_pivot_tree_profiles(monkeypatch):
     n = 7
     masks = _masks(n)[5::4099]
-    b = screen.Block.from_bits(n, masks, screen.EDGE_MASK, np.arange(len(masks)) * 3,
-                               True, True)
+    b = screen.Block.from_bits(n, masks, np.arange(len(masks)) * 3)
+    b.mu, b.vertex_cliques  # read, as a plan with wilf and oldin reads them
     rows = np.zeros(len(masks), dtype=bool)
     rows[::2] = True
     reported = b.reported(rows)
@@ -82,7 +80,7 @@ def test_reported_graphs_carry_the_pivot_tree_profiles(monkeypatch):
 def test_filters_agree_with_graph_predicates(n):
     masks = _masks(n)
     graphs = [graph_from_edge_mask(n, mask) for mask in masks.tolist()]
-    b = screen.Block.from_bits(n, masks, screen.EDGE_MASK, range(len(masks)), False, False)
+    b = screen.Block.from_bits(n, masks, range(len(masks)))
     np.testing.assert_array_equal(screen.connected(b), [is_connected(g) for g in graphs])
     np.testing.assert_array_equal(screen.bipartite(b), [is_bipartite(g) for g in graphs])
     for r in range(1, n + 1):

@@ -171,7 +171,7 @@ class TestScan:
         modes = []
         search = stability._search_witness
 
-        def spy(*args):  # (g, r, alpha, mode), as stability_verdict passes them
+        def spy(*args):  # (g, r, alpha, mode), as stability_report passes them
             modes.append(args[3])
             return search(*args)
 

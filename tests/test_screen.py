@@ -155,7 +155,7 @@ class TestMargin:
 
     def test_zero_margin_changes_the_output(self, monkeypatch):
         [a, b] = (parse_graph6(line) for line in self.LINES)
-        block = screen.Block([a, b], [0, 1], True, False)
+        block = screen.Block([a, b], [0, 1], False)
         screened = scan_module.CHECKS["theorem1"].screen(block, {"r": 4},
                                                          scan_module.DEFAULT_TOLS)
         exact = [run_check("theorem1", g, {"r": 4})[0].slack for g in (a, b)]

@@ -6,7 +6,7 @@ from spectral_cliques import (find_stability_witness, random_graph,
                               stability_premise, stability_report, turan_graph,
                               verify_witness, witness_thresholds)
 from spectral_cliques import stability
-from spectral_cliques.stability import StabilityWitness, alpha_limit, stability_verdict
+from spectral_cliques.stability import StabilityWitness, alpha_limit
 
 
 class TestPremise:
@@ -82,7 +82,7 @@ class TestWitnessSearch:
         monkeypatch.setattr(stability, "stability_premise", spy)
         for g, r, verdict in ((t36, 3, "witnessed"), (c5, 2, "premise-failed")):
             decided.clear()
-            assert stability_verdict(g, r, 0, mode)[0] == verdict
+            assert stability_report(g, r, 0, mode).verdict == verdict
             assert decided == [g]
 
     def test_exhaustive_budget(self):
