@@ -9,18 +9,21 @@ tolerance at all.
 
 Verdicts that land inside the tolerance band (or below it) are certified
 before being classified: each eigenvalue they read is bracketed between
-rationals by exact inertia counts, and the slack is evaluated exactly on the
-brackets.  Such reports carry ``refined=True`` and keep the LAPACK figures;
-a verdict the brackets cannot decide is None (status ``inconclusive``).
+dyadic rationals by exact inertia counts, and the slack is evaluated
+exactly on the brackets, in ints (:class:`Ratio`).  Such reports carry
+``refined=True`` and keep the LAPACK figures; a verdict the brackets cannot
+decide is None (status ``inconclusive``).
 
 The seven checks whose verdict is one slack are each written once, as a
 :class:`Formula`: the same ``sides`` run on the LAPACK floats that a report
-prints, on the Fraction bracket ends that certify it, and on the arrays of
-the scan's screen (:mod:`screen`).
+prints, on the bracket ends (as :class:`Ratio`) that certify it, and on the
+arrays of the scan's screen (:mod:`screen`).
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -39,9 +42,6 @@ CERTIFY_MAX_N = DEFAULT_CAP
 #: many times, by halving its eigenvalue brackets
 CERTIFY_HALVINGS = 24
 
-_ZERO = Fraction(0)
-
-
 @dataclass(frozen=True)
 class Tolerances:
     """Relative epsilons: ``hold`` for violation detection, ``equality``
@@ -51,6 +51,11 @@ class Tolerances:
     equality: float = 1e-6
 
     def scaled(self, factor: float) -> "Tolerances":
+        """Both epsilons times ``factor``, which must be finite and >= 0
+        (ValueError otherwise): a negative band would call the equality
+        hosts of a theorem violations."""
+        if not (math.isfinite(factor) and factor >= 0):
+            raise ValueError(f"tolerance scale must be finite and >= 0, got {factor}")
         return Tolerances(self.hold * factor, self.equality * factor)
 
 
@@ -94,7 +99,7 @@ class BoundReport:
 
 
 def _report(name: str, params: dict, lhs: float, rhs: float, tols: Tolerances,
-            *, exact_slack: Fraction | int | None = None,
+            *, exact_slack: Ratio | Fraction | int | None = None,
             in_domain: bool = True) -> BoundReport:
     lhs_f = float(lhs)
     rhs_f = float(rhs)
@@ -118,16 +123,106 @@ def _skipped(name: str, params: dict) -> BoundReport:
                        in_domain=False)
 
 
+def _compare(op: Callable) -> Callable:
+    """A Ratio comparison: ``op`` on the two numerators over den * den'."""
+    def compare(x: "Ratio", y) -> bool:
+        if isinstance(y, int):
+            return op(x.num, y * x.den)
+        if isinstance(y, Ratio):
+            return op(x.num * y.den, y.num * x.den)
+        return NotImplemented
+    return compare
+
+
+class Ratio:
+    """An exact rational num/den with den > 0, never gcd-reduced: the
+    arithmetic of the sides on exact inputs.  Ints mix in on either side;
+    ``x / n`` takes an int n > 0 and ``x ** e`` an int e >= 0.  A sum over
+    denominators of which one divides the other (all powers of two on
+    bracket ends) keeps the larger one.  Every comparison is an int
+    cross-multiplication, and ``float`` is int true division, which rounds
+    correctly, so it equals float() of the reduced Fraction."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: int, den: int) -> None:
+        self.num = num
+        self.den = den
+
+    def __repr__(self) -> str:
+        return f"Ratio({self.num}, {self.den})"
+
+    def __float__(self) -> float:
+        return self.num / self.den
+
+    def __neg__(self) -> "Ratio":
+        return Ratio(-self.num, self.den)
+
+    def __add__(self, other) -> "Ratio":
+        if isinstance(other, int):
+            return Ratio(self.num + other * self.den, self.den)
+        if isinstance(other, Ratio):
+            return _sum(self.num, self.den, other.num, other.den)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "Ratio":
+        if isinstance(other, int):
+            return Ratio(self.num - other * self.den, self.den)
+        if isinstance(other, Ratio):
+            return _sum(self.num, self.den, -other.num, other.den)
+        return NotImplemented
+
+    def __rsub__(self, other) -> "Ratio":
+        if isinstance(other, int):
+            return Ratio(other * self.den - self.num, self.den)
+        return NotImplemented
+
+    def __mul__(self, other) -> "Ratio":
+        if isinstance(other, int):
+            return Ratio(self.num * other, self.den)
+        if isinstance(other, Ratio):
+            return Ratio(self.num * other.num, self.den * other.den)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "Ratio":
+        if isinstance(other, int) and other > 0:
+            return Ratio(self.num, self.den * other)
+        return NotImplemented
+
+    def __pow__(self, e: int) -> "Ratio":
+        return Ratio(self.num ** e, self.den ** e)
+
+    __eq__ = _compare(operator.eq)
+    __lt__ = _compare(operator.lt)
+    __le__ = _compare(operator.le)
+    __gt__ = _compare(operator.gt)
+    __ge__ = _compare(operator.ge)
+
+
+def _sum(a: int, b: int, c: int, d: int) -> Ratio:
+    """a/b + c/d over d or b where one divides the other, else over b * d."""
+    if b == d:
+        return Ratio(a + c, b)
+    if d % b == 0:
+        return Ratio(a * (d // b) + c, d)
+    if b % d == 0:
+        return Ratio(a + c * (b // d), b)
+    return Ratio(a * d + c * b, b * d)
+
+
 def _ratio(a: int, b: int, like):
-    """a / b in the arithmetic of ``like``: the exact rational next to an
-    int or a Fraction, the true division next to a float or an array."""
-    return Fraction(a, b) if isinstance(like, (int, Fraction)) else a / b
+    """a / b in the arithmetic of ``like``: the exact :class:`Ratio` next to
+    an int or a Ratio, the true division next to a float or an array."""
+    return Ratio(a, b) if isinstance(like, (int, Ratio)) else a / b
 
 
-def _slack_range(build: Callable, brackets: list[tuple[Fraction, Fraction]]
-                 ) -> tuple[Fraction, Fraction]:
+def _slack_range(build: Callable, brackets: list[tuple[int, int, int]]) -> tuple[Ratio, Ratio]:
     """Least and greatest slack rhs - lhs while each eigenvalue ranges over
-    its bracket.
+    its bracket ``(lo, hi, q)``, the ints lo/q < hi/q.
 
     Every side is nondecreasing in mu_1 on mu_1 >= 0 (which holds on every
     graph: the trace is 0) and reads mu_2 only through mu_2^2.  So both
@@ -135,13 +230,13 @@ def _slack_range(build: Callable, brackets: list[tuple[Fraction, Fraction]]
     (0 itself if its bracket holds 0), and greatest at mu_1's upper end with
     mu_2 farthest from 0.
     """
-    (lo, hi), *rest = brackets
-    least = [max(lo, _ZERO)]
-    most = [hi]
-    for lo, hi in rest:
+    (lo, hi, q), *rest = brackets
+    least = [Ratio(max(lo, 0), q)]
+    most = [Ratio(hi, q)]
+    for lo, hi, q in rest:
         near, far = sorted((lo, hi), key=abs)
-        least.append(_ZERO if lo < 0 < hi else near)
-        most.append(far)
+        least.append(Ratio(0 if lo < 0 < hi else near, q))
+        most.append(Ratio(far, q))
     lhs_least, rhs_least = build(*least)
     lhs_most, rhs_most = build(*most)
     return rhs_least - lhs_most, rhs_most - lhs_least
@@ -152,15 +247,17 @@ def _certify(g: Graph, build: Callable, ranks: int, tols: Tolerances,
     """(holds, equality) of the exact slack, from eigenvalue brackets.
 
     A verdict is decided once the slack interval lies on one side of its
-    thresholds (-hold * scale for holds, +-equality * scale for equality);
-    until then the brackets are halved, at most CERTIFY_HALVINGS times.  A
-    verdict still undecided, one whose LAPACK value the counts refute, or
-    one on a graph above CERTIFY_MAX_N vertices, is None.
+    thresholds (-hold * scale for holds, +-equality * scale for equality,
+    exact products of the floats' integer ratios); until then the brackets
+    are halved, at most CERTIFY_HALVINGS times.  A verdict still undecided,
+    one whose LAPACK value the counts refute, or one on a graph above
+    CERTIFY_MAX_N vertices, is None.
     """
     if g.n > CERTIFY_MAX_N:
         return None, None
-    hold = Fraction(tols.hold) * Fraction(scale)
-    band = Fraction(tols.equality) * Fraction(scale)
+    scale_q = Ratio(*scale.as_integer_ratio())
+    hold = Ratio(*tols.hold.as_integer_ratio()) * scale_q
+    band = Ratio(*tols.equality.as_integer_ratio()) * scale_q
     for halvings in range(CERTIFY_HALVINGS + 1):
         brackets = [eigenvalue_bracket(g, rank, halvings) for rank in range(1, ranks + 1)]
         if None in brackets:
@@ -211,7 +308,8 @@ class Formula:
 
     ``sides(x, mu_1, ..., mu_ranks, **params)`` returns (lhs, rhs).  ``x``
     is a :class:`GraphView` or a screen ``Block``; the eigenvalues are
-    LAPACK floats, the Fraction ends of exact brackets, or arrays.
+    LAPACK floats, the ends of exact brackets as :class:`Ratio`, or arrays.
+    Exact sides are ints or Ratios (:func:`_ratio`).
     ``gate(x, **params)`` is true where a graph is out of domain, and
     raises ValueError on params the check refuses.  With ``ranks`` 0 the
     sides are exact, and so is the verdict.  Polyn alone uses the last two
@@ -232,9 +330,9 @@ def evaluate(f: Formula, g: Graph, params: dict,
              tols: Tolerances = DEFAULT_TOLS) -> BoundReport:
     """``f`` on one graph: out of domain where its gate holds, exact where
     it reads no eigenvalue, else evaluated on the LAPACK floats.  A report
-    whose slack is at most hold * scale is then decided on the Fraction ends
-    of exact eigenvalue brackets (:func:`_certify`) and keeps the LAPACK
-    figures.
+    whose slack is at most hold * scale is then decided on the ends of
+    exact eigenvalue brackets, in ints (:func:`_certify`), and keeps the
+    LAPACK figures.
     """
     x = GraphView(g)
     if f.gate(x, **params):

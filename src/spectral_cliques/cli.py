@@ -239,22 +239,22 @@ def _cmd_check(args) -> int:
     return _exit_code(violations)
 
 
-def _corpus_from_args(args) -> CorpusSpec:
-    filters = []
+def _least_r(args) -> int:
+    """The r of a bare ``--filter kfree``: the least of the --r grid, else
+    of the checks' default r grids."""
     grid = _grid_from_args(args)
     if "r" in grid:
-        min_r = min(grid["r"])
+        rs = grid["r"]
     else:
-        default_rs = [r for name in args.checks for r in CHECKS[name].defaults.get("r", ())]
-        min_r = min(default_rs, default=None)
-    for f in args.filters:
-        if f == "kfree":
-            if min_r is None:
-                raise ValueError("--filter kfree needs an --r grid (or kfree:R)")
-            filters.append(f"kfree:{min_r}")
-        else:
-            filters.append(f)
-    filters_t = tuple(filters)
+        rs = [r for name in args.checks for r in CHECKS[name].defaults.get("r", ())]
+    if not rs:
+        raise ValueError("--filter kfree needs an --r grid (or kfree:R)")
+    return min(rs)
+
+
+def _corpus_from_args(args) -> CorpusSpec:
+    filters_t = tuple(f"kfree:{_least_r(args)}" if f == "kfree" else f
+                      for f in args.filters)
     if args.exhaustive_n is not None:
         return CorpusSpec(kind="exhaustive", n=args.exhaustive_n,
                           filters=filters_t, allow_n8=args.allow_n8)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -124,21 +123,23 @@ def spectrum(g: Graph) -> Spectrum:
     return Spectrum(tuple(row))
 
 
-def eigenvalues_above(g: Graph, shift: Fraction) -> int:
-    """Exact number of adjacency eigenvalues above a non-integer rational.
+def eigenvalues_above(g: Graph, p: int, q: int) -> int:
+    """Exact number of adjacency eigenvalues above p/q, a non-integer
+    rational with q > 0.
 
-    With shift = p/q, the eigenvalues of A below the shift are as many as
-    the negative eigenvalues of qA - pI, which by Sylvester's law of inertia
-    are as many as the sign changes in its leading principal minors
-    1, D_1, ..., D_n.  Fraction-free (Bareiss) elimination yields D_k as its
-    k-th pivot, in exact integers.  D_k is, up to sign, q^k times the monic
-    integer characteristic polynomial of A's leading k-by-k block at p/q, and
-    a rational that is not an integer is never a root of such a polynomial,
-    so no pivot is zero and no row is exchanged.
+    The eigenvalues of A below p/q are as many as the negative
+    eigenvalues of qA - pI (p/q in lowest terms), which by Sylvester's law
+    of inertia are as many as the sign changes in its leading principal
+    minors 1, D_1, ..., D_n.  Fraction-free (Bareiss) elimination yields
+    D_k as its k-th pivot, in exact integers.  D_k is, up to sign, q^k
+    times the monic integer characteristic polynomial of A's leading
+    k-by-k block at p/q, and a rational that is not an integer is never a
+    root of such a polynomial, so no pivot is zero and no row is exchanged.
     """
-    p, q = shift.numerator, shift.denominator
+    d = math.gcd(p, q)
+    p, q = p // d, q // d
     if q == 1:
-        raise ValueError(f"shift {shift} is an integer")
+        raise ValueError(f"shift {p} is an integer")
     n = g.n
     # only the upper triangle is read or written: every intermediate matrix
     # of Bareiss elimination on a symmetric matrix is symmetric
@@ -162,11 +163,12 @@ def eigenvalues_above(g: Graph, shift: Fraction) -> int:
 
 
 @per_graph
-def eigenvalue_bracket(g: Graph, rank: int,
-                       halvings: int) -> tuple[Fraction, Fraction] | None:
-    """Non-integer dyadic rationals lo < hi with lo < mu_rank < hi, where
-    mu_rank is the rank-th largest adjacency eigenvalue, proven by exact
-    counts (:func:`eigenvalues_above`).
+def eigenvalue_bracket(g: Graph, rank: int, halvings: int) -> tuple[int, int, int] | None:
+    """(lo, hi, q): non-integer dyadic rationals lo/q < hi/q with
+    lo/q < mu_rank < hi/q, where mu_rank is the rank-th largest adjacency
+    eigenvalue, proven by exact counts (:func:`eigenvalues_above`).  The
+    denominator q is 2^(BRACKET_BITS + 1 + 2 * halvings), one power of two
+    for every rank, so brackets read together share it.
 
     With no halvings the bracket is about 2^-29 wide around the LAPACK
     value; it is None if the counts refute that value.  Each halving splits
@@ -175,19 +177,19 @@ def eigenvalue_bracket(g: Graph, rank: int,
     """
     if halvings == 0:
         j = math.floor(spectrum(g).eigenvalues[rank - 1] * (1 << BRACKET_BITS))
-        lo = Fraction(2 * j - 1, 1 << (BRACKET_BITS + 1))
-        hi = Fraction(2 * j + 3, 1 << (BRACKET_BITS + 1))
-        if eigenvalues_above(g, lo) >= rank > eigenvalues_above(g, hi):
-            return lo, hi
+        lo, hi, q = 2 * j - 1, 2 * j + 3, 1 << (BRACKET_BITS + 1)
+        if eigenvalues_above(g, lo, q) >= rank > eigenvalues_above(g, hi, q):
+            return lo, hi, q
         return None
     prev = eigenvalue_bracket(g, rank, halvings - 1)
     if prev is None:
         return None
-    lo, hi = prev
-    mid = (lo + hi) / 2
-    if mid.denominator == 1:
-        mid += (hi - lo) / 4
-    return (mid, hi) if eigenvalues_above(g, mid) >= rank else (lo, mid)
+    # two more bits: the midpoint, and a quarter step off it if it is an integer
+    lo, hi, q = (4 * end for end in prev)
+    mid = (lo + hi) // 2
+    if mid % q == 0:
+        mid += (hi - lo) // 4
+    return (mid, hi, q) if eigenvalues_above(g, mid, q) >= rank else (lo, mid, q)
 
 
 def spectral_radius(g: Graph) -> float:

@@ -4,6 +4,7 @@ certified from them."""
 
 import json
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,12 +12,15 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spectral_cliques import (complete_graph, conjecture_check, emit_graph6,
-                              graph_from_edge_mask, random_graph, run_check,
-                              spectral, spectrum, turan_graph, wilf_bound)
-from spectral_cliques.bounds import CERTIFY_HALVINGS, CERTIFY_MAX_N, Tolerances
+from spectral_cliques import (bounds, complete_graph, conjecture_check, cycle_graph,
+                              emit_graph6, graph_from_edge_mask, random_graph, run_check,
+                              spectral, spectrum, turan_edge_bound, turan_graph,
+                              wilf_bound)
+from spectral_cliques.bounds import (CERTIFY_HALVINGS, CERTIFY_MAX_N, DEFAULT_TOLS,
+                                     GraphView, Ratio, Tolerances)
 from spectral_cliques.cli import main
-from spectral_cliques.spectral import Spectrum, eigenvalue_bracket, eigenvalues_above
+from spectral_cliques.spectral import (BRACKET_BITS, Spectrum, eigenvalue_bracket,
+                                      eigenvalues_above)
 
 from oracles import dense_adjacency
 
@@ -34,6 +38,16 @@ def shifts(bound):
         lambda a: a.denominator != 1)
 
 
+def count_above(g, shift):
+    return eigenvalues_above(g, shift.numerator, shift.denominator)
+
+
+def bracket(g, rank, halvings):
+    """eigenvalue_bracket's ends as Fractions, or None."""
+    b = eigenvalue_bracket(g, rank, halvings)
+    return None if b is None else (Fraction(b[0], b[2]), Fraction(b[1], b[2]))
+
+
 def sympy_count_above(g, shift):
     """Eigenvalues above the shift, with multiplicity: Sturm counts on each
     square-free factor of the characteristic polynomial."""
@@ -49,7 +63,7 @@ class TestEigenvaluesAbove:
     @given(graphs_upto(8), shifts(8))
     @settings(max_examples=60, deadline=None)
     def test_agrees_with_sympy(self, g, shift):
-        assert eigenvalues_above(g, shift) == sympy_count_above(g, shift)
+        assert count_above(g, shift) == sympy_count_above(g, shift)
 
     @given(st.integers(min_value=1, max_value=12), st.floats(min_value=0.0, max_value=1.0),
            st.integers(min_value=0, max_value=2**32), shifts(12))
@@ -58,17 +72,19 @@ class TestEigenvaluesAbove:
         g = random_graph(n, p, seed)
         vals = np.linalg.eigvalsh(dense_adjacency(g))
         assume(np.min(np.abs(vals - float(shift))) > 1e-6)
-        assert eigenvalues_above(g, shift) == int(np.sum(vals > float(shift)))
+        assert count_above(g, shift) == int(np.sum(vals > float(shift)))
 
     def test_both_signs_on_k4(self):
         # K4: 3 once and -1 three times
         k4 = complete_graph(4)
-        assert [eigenvalues_above(k4, Fraction(a, 2)) for a in (-3, -1, 1, 5, 7)] == [
+        assert [count_above(k4, Fraction(a, 2)) for a in (-3, -1, 1, 5, 7)] == [
             4, 1, 1, 1, 0]
 
     def test_integer_shift_refused(self):
         with pytest.raises(ValueError):
-            eigenvalues_above(complete_graph(3), Fraction(2))
+            count_above(complete_graph(3), Fraction(2))
+        with pytest.raises(ValueError):  # 4/2 is the integer 2 too
+            eigenvalues_above(complete_graph(3), 4, 2)
 
 
 class TestBracket:
@@ -76,16 +92,17 @@ class TestBracket:
     @settings(max_examples=40, deadline=None)
     def test_holds_the_eigenvalue(self, g, rank, halvings):
         assume(rank <= g.n)
-        lo, hi = eigenvalue_bracket(g, rank, halvings)
+        lo, hi = bracket(g, rank, halvings)
+        assert eigenvalue_bracket(g, rank, halvings)[2] == 1 << (BRACKET_BITS + 1 + 2 * halvings)
         assert lo.denominator != 1 and hi.denominator != 1
         assert hi - lo <= Fraction(1, 1 << 29) * Fraction(3, 4) ** halvings
-        assert eigenvalues_above(g, lo) >= rank > eigenvalues_above(g, hi)
+        assert count_above(g, lo) >= rank > count_above(g, hi)
 
     def test_halvings_nest(self):
         g = random_graph(9, 0.5, 3)
-        outer = eigenvalue_bracket(g, 1, 0)
+        outer = bracket(g, 1, 0)
         for halvings in range(1, 20):
-            inner = eigenvalue_bracket(g, 1, halvings)
+            inner = bracket(g, 1, halvings)
             assert outer[0] <= inner[0] < inner[1] <= outer[1]
             outer = inner
 
@@ -126,7 +143,7 @@ class TestCertifiedVerdicts:
         k33 = turan_graph(2, 6)
         rep = conjecture_check(k33, 2)
         assert rep.refined and rep.holds and rep.equality
-        lo, hi = eigenvalue_bracket(k33, 2, 0)
+        lo, hi = bracket(k33, 2, 0)
         assert lo < 0 < hi
 
     def test_turan_hosts_certify_as_equalities(self):
@@ -138,7 +155,7 @@ class TestCertifiedVerdicts:
     def test_above_the_order_cap_inconclusive_without_counting(self, monkeypatch):
         monkeypatch.setenv("SCL_MAX_N", str(CERTIFY_MAX_N + 1))
 
-        def refuse(g, shift):
+        def refuse(g, p, q):
             raise AssertionError("counted above the certification cap")
 
         monkeypatch.setattr(spectral, "eigenvalues_above", refuse)
@@ -154,3 +171,177 @@ class TestCertifiedVerdicts:
         assert rep.refined
         assert rep.lhs == mu ** 2 + mu2 ** 2
         assert rep.rhs == (3 - 1) / 3 * 2.0 * t36.m
+
+
+# ---------------------------------------------------------------------------
+# the int arithmetic of certification against a Fraction reference
+
+#: every one-slack formula that reads an eigenvalue, with its params
+CASES = ([(bounds.WILF, {}), (bounds.POLYN, {})]
+         + [(bounds.MAXMU, {"s": s}) for s in range(1, 5)]
+         + [(bounds.THEOREM1, {"r": r}) for r in range(2, 5)]
+         + [(bounds.THEOREM2, {"r": r}) for r in (2, 3)]
+         + [(bounds.CONJECTURE, {"r": r}) for r in (2, 3)])
+
+
+def fraction_ratio(a, b, like):
+    """``bounds._ratio`` in Fraction arithmetic."""
+    return Fraction(a, b) if isinstance(like, (int, Fraction)) else a / b
+
+
+def fraction_sides(build, *args):
+    """``build`` on Fraction arguments, its exact constants Fractions too."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bounds, "_ratio", fraction_ratio)
+        return build(*args)
+
+
+def reference_slack_range(build, brackets):
+    """Least and greatest slack over the brackets, all in Fraction."""
+    (lo, hi), *rest = [(Fraction(lo, q), Fraction(hi, q)) for lo, hi, q in brackets]
+    least = [max(lo, Fraction(0))]
+    most = [hi]
+    for lo, hi in rest:
+        near, far = sorted((lo, hi), key=abs)
+        least.append(Fraction(0) if lo < 0 < hi else near)
+        most.append(far)
+    lhs_least, rhs_least = fraction_sides(build, *least)
+    lhs_most, rhs_most = fraction_sides(build, *most)
+    return rhs_least - lhs_most, rhs_most - lhs_least
+
+
+def reference_certify(g, build, ranks, tols, scale):
+    """(holds, equality) from the same brackets, thresholds and slacks in
+    Fraction."""
+    hold = Fraction(tols.hold) * Fraction(scale)
+    band = Fraction(tols.equality) * Fraction(scale)
+    for halvings in range(CERTIFY_HALVINGS + 1):
+        brackets = [eigenvalue_bracket(g, rank, halvings) for rank in range(1, ranks + 1)]
+        if None in brackets:
+            return None, None
+        lo, hi = reference_slack_range(build, brackets)
+        holds = True if lo >= -hold else False if hi < -hold else None
+        if hi < -band or lo > band:
+            equality = False
+        elif -band <= lo and hi <= band:
+            equality = True
+        else:
+            equality = None
+        if holds is not None and equality is not None:
+            break
+    return holds, equality
+
+
+def as_fraction(x):
+    return Fraction(x.num, x.den) if isinstance(x, Ratio) else Fraction(x)
+
+
+def lapack_scale(g, build, ranks):
+    lhs, rhs = build(*spectrum(g).eigenvalues[:ranks])
+    return max(1.0, abs(lhs), abs(rhs))
+
+
+class TestAgainstFractionReference:
+    @given(graphs_upto(8), st.sampled_from(CASES), st.integers(min_value=0, max_value=4))
+    @settings(max_examples=150, deadline=None)
+    def test_slack_range(self, g, case, halvings):
+        f, params = case
+        assume(g.n >= f.ranks)
+        build = partial(f.sides, GraphView(g), **params)
+        brackets = [eigenvalue_bracket(g, rank, halvings) for rank in range(1, f.ranks + 1)]
+        assume(None not in brackets)
+        lo, hi = bounds._slack_range(build, brackets)
+        assert isinstance(lo, Ratio) and isinstance(hi, Ratio)
+        assert (as_fraction(lo), as_fraction(hi)) == reference_slack_range(build, brackets)
+
+    @given(graphs_upto(8), st.sampled_from(CASES), st.sampled_from([1.0, 0.0, 10.0]))
+    @settings(max_examples=80, deadline=None)
+    def test_certify(self, g, case, factor):
+        f, params = case
+        assume(g.n >= f.ranks)
+        tols = DEFAULT_TOLS.scaled(factor)
+        build = partial(f.sides, GraphView(g), **params)
+        scale = lapack_scale(g, build, f.ranks)
+        assert (bounds._certify(g, build, f.ranks, tols, scale)
+                == reference_certify(g, build, f.ranks, tols, scale))
+
+    @pytest.mark.parametrize("factor", [1.0, 0.0, 10.0])
+    @pytest.mark.parametrize("case", CASES, ids=[f"{f.name}{p}" for f, p in CASES])
+    def test_certify_on_equality_hosts(self, case, factor):
+        # complete multipartite hosts are where the thresholds straddle
+        f, params = case
+        tols = DEFAULT_TOLS.scaled(factor)
+        for g in (turan_graph(2, 6), turan_graph(3, 6), complete_graph(4), cycle_graph(5)):
+            build = partial(f.sides, GraphView(g), **params)
+            scale = lapack_scale(g, build, f.ranks)
+            assert (bounds._certify(g, build, f.ranks, tols, scale)
+                    == reference_certify(g, build, f.ranks, tols, scale))
+
+    @given(graphs_upto(8))
+    @settings(max_examples=60, deadline=None)
+    def test_maxmu1_exact_slack_and_printed_floats(self, g):
+        lhs, rhs = bounds.MAXMU1.sides(GraphView(g))
+        lhs_f, rhs_f = fraction_sides(partial(bounds.MAXMU1.sides, GraphView(g)))
+        slack = rhs - lhs
+        assert as_fraction(lhs) == lhs_f and as_fraction(rhs) == rhs_f
+        assert as_fraction(slack) == rhs_f - lhs_f
+        rep = turan_edge_bound(g)
+        assert (rep.lhs, rep.rhs, rep.slack) == (float(lhs_f), float(rhs_f),
+                                                 float(rhs_f) - float(lhs_f))
+        assert (rep.holds, rep.equality) == (rhs_f - lhs_f >= 0, rhs_f == lhs_f)
+
+    @given(st.integers(min_value=-(1 << 300), max_value=1 << 300),
+           st.integers(min_value=1, max_value=1 << 300))
+    def test_float_of_an_unreduced_ratio(self, num, den):
+        # int true division rounds correctly, as float(Fraction) does
+        for k in (1, 3, 1 << 40):
+            assert float(Ratio(num * k, den * k)) == float(Fraction(num, den))
+
+    def test_mixed_arithmetic(self):
+        x = Ratio(6, 4)
+        y = Ratio(-1, 3)
+        cases = [(x + y, Fraction(7, 6)), (x - y, Fraction(11, 6)), (2 - x, Fraction(1, 2)),
+                 (x * y, Fraction(-1, 2)), (3 * x, Fraction(9, 2)), (x / 3, Fraction(1, 2)),
+                 (x ** 3, Fraction(27, 8)), (x ** 0, Fraction(1)),
+                 (-x, Fraction(-3, 2)), (1 + x, Fraction(5, 2)), (x + Ratio(1, 8), Fraction(13, 8))]
+        for got, want in cases:
+            assert got.den > 0 and as_fraction(got) == want
+        assert x == Ratio(3, 2) and not x == 1 and x != Ratio(1, 2)
+        assert y < 0 < x and x <= Ratio(3, 2) and x >= 1 and x > y
+        for divisor in (0, -3, y):  # the sides divide by n > 0 only
+            with pytest.raises(TypeError):
+                x / divisor
+
+
+FRACTION_DUNDERS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                    "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__",
+                    "__mod__", "__rmod__", "__pow__", "__rpow__", "__neg__", "__pos__",
+                    "__abs__", "__eq__", "__lt__", "__le__", "__gt__", "__ge__")
+
+
+def test_certification_does_no_fraction_arithmetic(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic in certification")
+
+    for name in FRACTION_DUNDERS:
+        monkeypatch.setattr(Fraction, name, refuse)
+    with pytest.raises(AssertionError):
+        Fraction(1, 2) + 1
+    # fresh graphs, so nothing is served from a memo
+    for f, g, params in [(bounds.WILF, turan_graph(2, 6), {}),
+                         (bounds.WILF, turan_graph(3, 6), {}),
+                         (bounds.WILF, cycle_graph(5), {}),
+                         (bounds.POLYN, turan_graph(2, 6), {}),
+                         (bounds.POLYN, turan_graph(3, 6), {}),
+                         (bounds.POLYN, cycle_graph(5), {}),
+                         (bounds.THEOREM1, turan_graph(2, 6), {"r": 2}),
+                         (bounds.THEOREM1, turan_graph(3, 6), {"r": 2}),
+                         (bounds.THEOREM1, cycle_graph(5), {"r": 2}),
+                         (bounds.CONJECTURE, turan_graph(2, 6), {"r": 2}),
+                         (bounds.CONJECTURE, turan_graph(3, 6), {"r": 3}),
+                         (bounds.CONJECTURE, cycle_graph(5), {"r": 2})]:
+        build = partial(f.sides, GraphView(g), **params)
+        holds, equality = bounds._certify(g, build, f.ranks, DEFAULT_TOLS, 1.0)
+        assert holds is not None and equality is not None
+        rep = bounds.evaluate(f, g, params)
+        assert rep.holds is not None and rep.equality is not None

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 from spectral_cliques import complete_graph, emit_graph6, screen, turan_graph
+from spectral_cliques.bounds import DEFAULT_TOLS
 from spectral_cliques.cli import EXIT_INTERNAL, _build_parser, main
-from spectral_cliques.scan import CHECKS, CheckOutcome, ScanResult
+from spectral_cliques.scan import (CHECKS, CheckOutcome, CorpusSpec, ScanConfig, ScanResult,
+                                   scan)
 
 
 def run_cli(*args, cwd=None, env_extra=None, timeout=None):
@@ -362,6 +364,53 @@ class TestTheorem3RBelowOne:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: r must be >= 1" in captured.err
+
+
+class TestTolRefused:
+    """A negative or non-finite --tol is a usage error (exit 2) on every
+    command, raised before any graph is evaluated; --tol 0 is accepted."""
+
+    COMMANDS = {
+        "check": ["check", "--g6", "Bw", "--check", "polyn"],
+        "scan": ["scan", "--exhaustive-n", "4", "--check", "polyn"],
+        "witness": ["witness", "--g6", "Bw", "--r", "2", "--alpha", "0"],
+    }
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_refused(self, command, tol, tmp_path, capsys):
+        argv = ["--tol", tol, *self.COMMANDS[command]]
+        if command == "scan":
+            argv += ["--artifact-dir", str(tmp_path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: tolerance scale must be finite and >= 0" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_zero_accepted(self, command, tmp_path, capsys):
+        argv = ["--tol", "0", *self.COMMANDS[command]]
+        if command == "scan":
+            argv += ["--artifact-dir", str(tmp_path)]
+        assert main(argv) == 0
+
+    @pytest.mark.parametrize("factor", [-1.0, float("nan"), float("inf")])
+    def test_library_scan_refuses(self, factor):
+        with pytest.raises(ValueError, match="tolerance scale"):
+            scan(CorpusSpec(kind="exhaustive", n=3),
+                 ScanConfig(checks={"polyn": {}}, tol_scale=factor))
+        with pytest.raises(ValueError, match="tolerance scale"):
+            DEFAULT_TOLS.scaled(factor)
+
+
+def test_empty_r_grid_same_message_in_scan_and_check(capsys):
+    assert main(["check", "--g6", "Bw", "--check", "theorem1", "--r", ","]) == 2
+    check_err = capsys.readouterr().err
+    assert main(["scan", "--exhaustive-n", "4", "--check", "theorem1", "--r", ","]) == 2
+    scan_err = capsys.readouterr().err
+    assert check_err == "error: empty grid for axis 'r' of check 'theorem1'\n"
+    assert scan_err == check_err
 
 
 def _check_choices(command: str) -> set[str]:

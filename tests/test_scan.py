@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -184,9 +185,9 @@ class TestScan:
         counted = []
         count = spectral.eigenvalues_above
 
-        def counting(g, shift):
-            counted.append((g.adj, shift))
-            return count(g, shift)
+        def counting(g, p, q):  # one shift value is one count, however written
+            counted.append((g.adj, Fraction(p, q)))
+            return count(g, p, q)
 
         monkeypatch.setattr(spectral, "eigenvalues_above", counting)
         checks = {name: {} for name in ("wilf", "maxmu", "polyn", "theorem1", "theorem2")}
