@@ -14,10 +14,12 @@ exactly on the brackets, in ints (:class:`Ratio`).  Such reports carry
 ``refined=True`` and keep the LAPACK figures; a verdict the brackets cannot
 decide is None (status ``inconclusive``).
 
-The seven checks whose verdict is one slack are each written once, as a
+Every check but momo and stability's witness search is one
 :class:`Formula`: the same ``sides`` run on the LAPACK floats that a report
 prints, on the bracket ends (as :class:`Ratio`) that certify it, and on the
-arrays of the scan's screen (:mod:`screen`).
+arrays of the scan's screen (:mod:`screen`).  The implications (theorem3,
+edge_corollary, stability) carry a ``premise`` formula, decided by the
+same rules.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable
 
-from .cliques import clique_counts, is_kfree, vertex_clique_counts
-from .graphs import DEFAULT_CAP, Graph
+from .cliques import clique_counts, vertex_clique_counts
+from .graphs import DEFAULT_CAP, Graph, per_graph
 from .spectral import eigenvalue_bracket, spectrum, walk_counts
 
 #: near-threshold verdicts are certified up to this order and inconclusive
@@ -282,10 +284,11 @@ def _certify(g: Graph, build: Callable, ranks: int, tols: Tolerances,
 
 class GraphView:
     """The invariants a formula reads, of one graph, in exact ints: ``n``,
-    ``m``, ``omega``, ``k(s)`` (s-cliques) and ``w(l)`` (l-walks).  The
+    ``m``, ``omega``, ``k(s)`` (s-cliques), ``w(l)`` (l-walks) and
+    ``kw(s, l)``, the sum over the vertices u of k_s(u) w_l(u).  The
     screen's ``Block`` offers the same names as arrays.  Counts are read
-    through this module's ``clique_counts`` and ``walk_counts``, once each
-    per view."""
+    through this module's ``clique_counts``, ``vertex_clique_counts`` and
+    ``walk_counts``."""
 
     def __init__(self, g: Graph) -> None:
         self.g = g
@@ -301,6 +304,17 @@ class GraphView:
             self._walks[l] = walk_counts(self.g, l).total(l)
         return self._walks[l]
 
+    def kw(self, s: int, l: int) -> int:
+        kw = _vertex_walk_sums(self.g, l)
+        return kw[s - 1] if s <= len(kw) else 0
+
+
+@per_graph
+def _vertex_walk_sums(g: Graph, l: int) -> list[int]:
+    """sum_u k_s(u) w_l(u) for s = 1..omega, all at once, as a block does."""
+    walks = walk_counts(g, l).per_vertex[l - 1]
+    return [sum(c * w for c, w in zip(col, walks)) for col in zip(*vertex_clique_counts(g).rows)]
+
 
 @dataclass(frozen=True)
 class Formula:
@@ -309,46 +323,87 @@ class Formula:
     ``sides(x, mu_1, ..., mu_ranks, **params)`` returns (lhs, rhs).  ``x``
     is a :class:`GraphView` or a screen ``Block``; the eigenvalues are
     LAPACK floats, the ends of exact brackets as :class:`Ratio`, or arrays.
-    Exact sides are ints or Ratios (:func:`_ratio`).
+    Exact sides are ints, Ratios or Fractions (:func:`_ratio`).
     ``gate(x, **params)`` is true where a graph is out of domain, and
     raises ValueError on params the check refuses.  With ``ranks`` 0 the
-    sides are exact, and so is the verdict.  Polyn alone uses the last two
-    fields: its report names ``shown`` invariants of the graph beside the
-    params, and where ``trivial`` holds (omega = 1) it reads 0 <= 0 without
-    an eigenvalue.
+    sides are exact, and so is the verdict.
+
+    ``premise``, a formula of the same params, makes the check an
+    implication: where the premise fails the evaluation is out of domain,
+    or with ``vacuous`` a ``holds`` with no slack; where the brackets cannot
+    decide it, ``inconclusive``.  A formula with no ``sides`` (stability,
+    whose conclusion is a witness search) is only screened.
+    ``slots(x, **params)`` turns one parameter combination of a scan into
+    the (exact params, present) pair of each outcome, expanding an axis
+    left at None; ``present`` is an array on a block.  Polyn alone uses
+    ``shown`` (invariants its report names) and ``trivial`` (omega = 1,
+    where it reads 0 <= 0 without an eigenvalue).
     """
 
     name: str
-    sides: Callable
+    sides: Callable | None
     gate: Callable = lambda x, **params: False
     ranks: int = 1
     shown: tuple[str, ...] = ()
     trivial: Callable | None = None
+    premise: "Formula | None" = None
+    vacuous: bool = False
+    slots: Callable = lambda x, **params: [(params, True)]
+
+
+def _shown(params: dict) -> dict:
+    """A report's params: an exact rational alpha is shown as a float."""
+    shown = dict(params)
+    if isinstance(shown.get("alpha"), Fraction):
+        shown["alpha"] = float(shown["alpha"])
+    return shown
 
 
 def evaluate(f: Formula, g: Graph, params: dict,
              tols: Tolerances = DEFAULT_TOLS) -> BoundReport:
-    """``f`` on one graph: out of domain where its gate holds, exact where
-    it reads no eigenvalue, else evaluated on the LAPACK floats.  A report
-    whose slack is at most hold * scale is then decided on the ends of
-    exact eigenvalue brackets, in ints (:func:`_certify`), and keeps the
-    LAPACK figures.
-    """
+    """``f`` on one graph for one exact parameter combination: out of
+    domain where its gate holds or its premise fails, exact where it reads
+    no eigenvalue, else on the LAPACK floats, and where a spectral slack (a
+    premise's too) is at most hold * scale, decided on exact eigenvalue
+    brackets in ints (:func:`_certify`), keeping the LAPACK figures."""
+    return _evaluate(f, GraphView(g), params, tols)
+
+
+def evaluate_slots(f: Formula, g: Graph, params: dict,
+                   tols: Tolerances = DEFAULT_TOLS) -> list[BoundReport]:
+    """``f`` on one graph for one parameter combination of a scan: one
+    report per outcome of ``f.slots``."""
     x = GraphView(g)
+    return [_evaluate(f, x, p, tols) for p, present in f.slots(x, **params) if present]
+
+
+def _evaluate(f: Formula, x: GraphView, params: dict, tols: Tolerances) -> BoundReport:
     if f.gate(x, **params):
-        return _skipped(f.name, dict(params))
-    shown = {**params, **{name: getattr(x, name) for name in f.shown}}
+        return _skipped(f.name, _shown(params))
+    premise = True
+    if f.premise is not None:
+        pre = _evaluate(f.premise, x, params, tols)
+        premise = pre.holds if pre.in_domain else False
+        if premise is False and not f.vacuous:
+            return _skipped(f.name, _shown(params))
+    shown = _shown(params)
+    if f.shown:
+        shown.update((name, getattr(x, name)) for name in f.shown)
     if f.trivial is not None and f.trivial(x):
         return _report(f.name, shown, 0.0, 0.0, tols)
-    build = partial(f.sides, x, **params)
     if not f.ranks:
-        lhs, rhs = build()
-        return _report(f.name, shown, lhs, rhs, tols, exact_slack=rhs - lhs)
-    lhs, rhs = build(*spectrum(g).eigenvalues[:f.ranks])
-    rep = _report(f.name, shown, lhs, rhs, tols)
-    if rep.slack <= tols.hold * rep.scale:
-        rep.holds, rep.equality = _certify(g, build, f.ranks, tols, rep.scale)
-        rep.refined = True
+        lhs, rhs = f.sides(x, **params)
+        rep = _report(f.name, shown, lhs, rhs, tols, exact_slack=rhs - lhs)
+    else:
+        build = partial(f.sides, x, **params)
+        lhs, rhs = build(*spectrum(x.g).eigenvalues[:f.ranks])
+        rep = _report(f.name, shown, lhs, rhs, tols)
+        if premise and rep.slack <= tols.hold * rep.scale:
+            rep.holds, rep.equality = _certify(x.g, build, f.ranks, tols, rep.scale)
+            rep.refined = True
+    if not premise:  # failed, so vacuous, or undecided: no slack is claimed
+        rep.slack = None
+        rep.holds, rep.equality = (None, None) if premise is None else (True, False)
     return rep
 
 
@@ -457,33 +512,8 @@ def conjecture_check(g: Graph, r: int, tols: Tolerances = DEFAULT_TOLS) -> Bound
 
 
 # ---------------------------------------------------------------------------
-# conditional clique-count lower bound
-
-
-@dataclass
-class Theorem3Report:
-    """Premise/conclusion pair of the conditional clique-count bound.
-
-    The hypothesis r < omega is reported as a domain gate rather than mixed
-    into the implication, so vacuous cases stay visible.
-    """
-
-    params: dict
-    premise_holds: bool
-    in_domain: bool
-    conclusion: BoundReport
-    implication_holds: bool
-    name: str = "theorem3"
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "params": dict(self.params),
-            "premise_holds": self.premise_holds,
-            "in_domain": self.in_domain,
-            "implication_holds": self.implication_holds,
-            "conclusion": self.conclusion.to_dict(),
-        }
+# conditional clique-count bound, per-vertex walk/clique inequality, and
+# the edge-count corollary under the spectral premise
 
 
 def exact_alpha(alpha) -> Fraction:
@@ -507,85 +537,85 @@ def theorem3_conclusion_threshold(n: int, r: int, alpha: Fraction) -> Fraction:
     return alpha * Fraction(r * r, r + 1) * Fraction(n, r) ** (r + 1)
 
 
-def theorem3_conditional(g: Graph, r: int, s: int, alpha,
-                         tols: Tolerances = DEFAULT_TOLS) -> Theorem3Report:
-    """If (s+1) k_{s+1} >= n^(s+1) prod_{t=1..s} ((r-t)/(rt) + alpha), then
-    k_{r+1} >= alpha (r^2/(r+1)) (n/r)^(r+1).
-
-    Both sides are evaluated in exact rationals.  in_domain is r < omega.
-    """
+def _theorem3_gate(x, r: int, s: int, alpha):
     if not 1 <= s <= r:
         raise ValueError("need 1 <= s <= r")
+    return x.omega <= r
+
+
+def _theorem3_slots(x, r: int, alpha, s: int | None = None) -> list[tuple[dict, bool]]:
+    """One outcome per s: each of 1..r where s is None, else s unless s > r."""
     if r < 1:
         raise ValueError("r must be >= 1")
     a = exact_alpha(alpha)
-    prof = clique_counts(g)
-    n = g.n
-    premise_lhs = (s + 1) * prof.count(s + 1)
-    premise_rhs = theorem3_premise_threshold(n, r, s, a)
-    premise = premise_lhs >= premise_rhs
-    bound = theorem3_conclusion_threshold(n, r, a)
-    k = prof.count(r + 1)
-    conclusion = _report("theorem3", {"r": r, "s": s, "alpha": float(a)},
-                         bound, k, tols, exact_slack=k - bound)
-    in_domain = r < prof.omega
-    implication = (not premise) or conclusion.holds
-    return Theorem3Report(
-        params={"r": r, "s": s, "alpha": float(a)},
-        premise_holds=premise,
-        in_domain=in_domain,
-        conclusion=conclusion,
-        implication_holds=implication,
-    )
+    sizes = range(1, r + 1) if s is None else [s] if s <= r else []
+    return [({"r": r, "s": t, "alpha": a}, True) for t in sizes]
 
 
-# ---------------------------------------------------------------------------
-# per-vertex walk/clique inequality (exact integers)
+def _oldin_gate(x, s: int, l: int):
+    if l < 2:
+        raise ValueError("walk length l must be >= 2")
+    return (s < 2) | (s > x.omega)
+
+
+def _oldin_slots(x, s: int | None, l: int) -> list[tuple[dict, object]]:
+    """One outcome per clique size: s, or each of 2..omega (on a block, of
+    2..its largest omega, present up to the graph's)."""
+    if s is not None:
+        return [({"s": s, "l": l}, True)]
+    om = x.omega
+    top = om if isinstance(om, int) else int(om.max())
+    return [({"s": t, "l": l}, t <= om) for t in range(2, top + 1)]
+
+
+def _edge_gate(x, r: int, alpha):
+    if r < 2:
+        raise ValueError("r must be >= 2")
+    return x.omega > r
+
+
+def _premise_sides(x, mu, r: int, alpha):
+    return (1 - _ratio(1, r, mu) - _ratio(*alpha.as_integer_ratio(), mu)) * x.n, mu
+
+
+#: (s+1) k_{s+1} >= n^(s+1) prod_{t=1..s} ((r-t)/(rt) + alpha)
+THEOREM3_PREMISE = Formula("theorem3_premise", lambda x, r, s, alpha: (
+    theorem3_premise_threshold(x.n, r, s, alpha), (s + 1) * x.k(s + 1)), ranks=0)
+THEOREM3 = Formula("theorem3", lambda x, r, s, alpha: (
+    theorem3_conclusion_threshold(x.n, r, alpha), x.k(r + 1)), _theorem3_gate, ranks=0,
+    premise=THEOREM3_PREMISE, vacuous=True, slots=_theorem3_slots)
+OLDIN = Formula("oldin", lambda x, s, l: (
+    x.kw(s, l + 1) - x.kw(s + 1, l), (s - 1) * x.k(s) * x.w(l)), _oldin_gate, ranks=0,
+    slots=_oldin_slots)
+#: mu >= (1 - 1/r - alpha) n, the premise of the edge corollary and (behind
+#: its own gate, in :mod:`stability`) of the stability theorem
+SPECTRAL_PREMISE = Formula("premise", _premise_sides)
+EDGE_COROLLARY = Formula("edge_corollary", lambda x, r, alpha: (
+    (Fraction(r - 1, 2 * r) - 2 * alpha) * x.n * x.n, x.m), _edge_gate, ranks=0,
+    premise=SPECTRAL_PREMISE,
+    slots=lambda x, r, alpha: [({"r": r, "alpha": exact_alpha(alpha)}, True)])
+
+Theorem3Report = BoundReport  # theorem3 reports as every formula does
+
+
+def theorem3_conditional(g: Graph, r: int, s: int, alpha,
+                         tols: Tolerances = DEFAULT_TOLS) -> BoundReport:
+    """If (s+1) k_{s+1} >= n^(s+1) prod_{t=1..s} ((r-t)/(rt) + alpha), then
+    k_{r+1} >= alpha (r^2/(r+1)) (n/r)^(r+1), in exact rationals.  Out of
+    domain unless r < omega; a failed premise gives a vacuous ``holds``
+    with the conclusion's sides and no slack."""
+    return evaluate(THEOREM3, g, {"r": r, "s": s, "alpha": exact_alpha(alpha)}, tols)
 
 
 def oldin_check(g: Graph, s: int, l: int, tols: Tolerances = DEFAULT_TOLS) -> BoundReport:
     """sum_u (k_s(u) w_{l+1}(u) - k_{s+1}(u) w_l(u)) <= (s-1) k_s w_l,
-    exact on both sides (tolerance zero).
-
-    Needs 2 <= s <= omega and l >= 2.
-    """
-    if l < 2:
-        raise ValueError("walk length l must be >= 2")
-    prof = clique_counts(g)
-    if not 2 <= s <= prof.omega:
-        raise ValueError(f"clique size s={s} outside 2..omega={prof.omega}")
-    per = vertex_clique_counts(g)
-    walks = walk_counts(g, l + 1)
-    lhs = sum(per.count(u, s) * walks.at(l + 1, u) - per.count(u, s + 1) * walks.at(l, u)
-              for u in range(g.n))
-    rhs = (s - 1) * prof.count(s) * walks.total(l)
-    return _report("oldin", {"s": s, "l": l}, lhs, rhs, tols, exact_slack=rhs - lhs)
-
-
-# ---------------------------------------------------------------------------
-# edge-count corollary of the walk-power bound under a spectral premise
-
-
-def premise_cut(n: int, r: int, alpha: float, tols: Tolerances) -> float:
-    """The least spectral radius that meets the spectral premise
-    mu >= (1 - 1/r - alpha) n of the stability theorem and of the edge
-    corollary, up to the hold epsilon."""
-    thr = (1.0 - 1.0 / r - alpha) * n
-    return thr - tols.hold * max(1.0, abs(thr))
+    exact (tolerance zero).  Needs l >= 2; out of domain unless
+    2 <= s <= omega."""
+    return evaluate(OLDIN, g, {"s": s, "l": l}, tols)
 
 
 def edge_corollary_check(g: Graph, r: int, alpha,
                          tols: Tolerances = DEFAULT_TOLS) -> BoundReport:
     """Under mu >= (1 - 1/r - alpha) n and K_{r+1}-freeness:
     m >= ((r-1)/(2r) - 2 alpha) n^2."""
-    if r < 2:
-        raise ValueError("r must be >= 2")
-    a = exact_alpha(alpha)
-    params = {"r": r, "alpha": float(a)}
-    if not is_kfree(g, r + 1):
-        return _skipped("edge_corollary", params)
-    if spectrum(g).mu < premise_cut(g.n, r, float(a), tols):
-        return _skipped("edge_corollary", params)
-    bound = (Fraction(r - 1, 2 * r) - 2 * a) * g.n * g.n
-    return _report("edge_corollary", params, bound, g.m, tols,
-                   exact_slack=g.m - bound)
+    return evaluate(EDGE_COROLLARY, g, {"r": r, "alpha": exact_alpha(alpha)}, tols)

@@ -332,6 +332,10 @@ def _cmd_witness(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "--tol" in argv[:-1]:  # argparse reads a value such as -inf or -1e3 as an option
+        i = argv.index("--tol")
+        argv[i:i + 2] = [f"--tol={argv[i + 1]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -35,12 +35,12 @@ import numpy as np
 
 from . import bounds, screen
 from .bounds import DEFAULT_TOLS, Tolerances
-from .cliques import clique_counts, is_kfree, moon_moser_check
+from .cliques import is_kfree, moon_moser_check
 from .graphs import (Graph, Graph6Error, emit_graph6, is_bipartite, is_connected,
                      mix64, parse_graph6, random_edge_mask, random_graph,
                      short_graph6_order, vertex_cap)
 from .spectral import EigensolverError, WalkOverflowError
-from .stability import stability_alpha, stability_report
+from .stability import STABILITY, stability_alpha, stability_report
 
 EXHAUSTIVE_LIMIT = 7
 EXHAUSTIVE_OVERRIDE_LIMIT = 8
@@ -228,49 +228,6 @@ def _outcome(rep: bounds.BoundReport) -> CheckOutcome:
                         rep.slack, rep)
 
 
-def _single(evaluator) -> Callable:
-    """Evaluator of a one-report check whose keyword names are its axes."""
-    return lambda g, params, tols: [_outcome(evaluator(g, **params, tols=tols))]
-
-
-def _theorem3_outcomes(g: Graph, params: dict, tols: Tolerances) -> list[CheckOutcome]:
-    r = params["r"]
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    # an explicit s grid is capped by r, as the default s grid 1..r is
-    s_values = range(1, r + 1) if params.get("s") is None else [params["s"]]
-    return [_theorem3_outcome(g, r, s, params["alpha"], tols)
-            for s in s_values if s <= r]
-
-
-def _theorem3_outcome(g: Graph, r: int, s: int, alpha, tols: Tolerances) -> CheckOutcome:
-    rep = bounds.theorem3_conditional(g, r, s, alpha, tols)
-    con = rep.conclusion
-    if not rep.in_domain:
-        status = OOD
-    elif not rep.implication_holds:
-        status = VIOLATION
-    elif rep.premise_holds:
-        status = EQUALITY if con.equality else HOLDS
-    else:
-        status = HOLDS  # vacuously; no slack to rank
-    slack = con.slack if rep.premise_holds else None
-    return CheckOutcome("theorem3", rep.params, status, con.lhs, con.rhs, slack, rep)
-
-
-def _oldin_outcomes(g: Graph, params: dict, tols: Tolerances) -> list[CheckOutcome]:
-    omega = clique_counts(g).omega
-    l = params["l"]
-    s_values = range(2, omega + 1) if params.get("s") is None else [params["s"]]
-    out = []
-    for s in s_values:
-        if not 2 <= s <= omega:
-            out.append(CheckOutcome("oldin", {"s": s, "l": l}, OOD, None, None, None))
-            continue
-        out.append(_outcome(bounds.oldin_check(g, s, l, tols)))
-    return out
-
-
 def _momo_outcomes(g: Graph, params: dict, tols: Tolerances) -> list[CheckOutcome]:
     rep = moon_moser_check(g)
     if rep.monotone:
@@ -284,7 +241,7 @@ def _momo_outcomes(g: Graph, params: dict, tols: Tolerances) -> list[CheckOutcom
 
 #: a witness-search verdict's outcome status; premise-failed and ood are OOD
 _STABILITY_STATUS = {"witnessed": HOLDS, "exhaustive-miss": VIOLATION,
-                     "heuristic-miss": INCONCLUSIVE}
+                     "heuristic-miss": INCONCLUSIVE, "premise-inconclusive": INCONCLUSIVE}
 
 
 def _stability_outcomes(g: Graph, params: dict, tols: Tolerances) -> list[CheckOutcome]:
@@ -293,8 +250,8 @@ def _stability_outcomes(g: Graph, params: dict, tols: Tolerances) -> list[CheckO
     out_params = {"r": r, "alpha": alpha}
     rep = stability_report(g, r, alpha, tols=tols)
     status = _STABILITY_STATUS.get(rep.verdict, OOD)
-    if status == OOD:
-        return [CheckOutcome("stability", out_params, OOD, None, None, None)]
+    if not rep.premise_ok:  # no search ran
+        return [CheckOutcome("stability", out_params, status, None, None, None)]
     return [CheckOutcome("stability", out_params, status, rep.order_min,
                          float(rep.witness.order if rep.witness else 0), None)]
 
@@ -340,10 +297,11 @@ class Check:
 
 def formula_check(f: bounds.Formula, defaults: dict[str, tuple | None],
                   discovery: Callable[[dict], bool] = _hard_claim) -> Check:
-    """The entry of a one-slack check: ``f`` evaluated graph by graph
-    (:func:`bounds.evaluate`) and screened on a chunk's arrays."""
+    """The entry of a check written as a formula: ``f`` evaluated graph by
+    graph (:func:`bounds.evaluate_slots`) and screened on a chunk's arrays."""
     return Check(defaults,
-                 lambda g, params, tols: [_outcome(bounds.evaluate(f, g, params, tols))],
+                 lambda g, params, tols: [_outcome(rep) for rep in
+                                          bounds.evaluate_slots(f, g, params, tols)],
                  discovery, screen=screen.formula_screen(f))
 
 
@@ -354,16 +312,13 @@ CHECKS: dict[str, Check] = {
     "polyn": formula_check(bounds.POLYN, {}),
     "theorem1": formula_check(bounds.THEOREM1, {"r": (2, 3, 4)}),
     "theorem2": formula_check(bounds.THEOREM2, {"r": (2, 3)}),
-    "theorem3": Check({"r": (2, 3), "s": None, "alpha": (0,)}, _theorem3_outcomes,
-                      screen=screen.screen_theorem3),
+    "theorem3": formula_check(bounds.THEOREM3, {"r": (2, 3), "s": None, "alpha": (0,)}),
     "conjecture": formula_check(bounds.CONJECTURE, {"r": (2, 3)}, _open_conjecture),
-    "oldin": Check({"s": None, "l": (2, 3)}, _oldin_outcomes, screen=screen.screen_oldin),
+    "oldin": formula_check(bounds.OLDIN, {"s": None, "l": (2, 3)}),
     "momo": Check({}, _momo_outcomes, screen=screen.screen_momo),
-    "edge_corollary": Check({"r": (2, 3), "alpha": (0,)},
-                            _single(bounds.edge_corollary_check),
-                            screen=screen.screen_edge_corollary),
+    "edge_corollary": formula_check(bounds.EDGE_COROLLARY, {"r": (2, 3), "alpha": (0,)}),
     "stability": Check({"r": (2, 3), "alpha": None}, _stability_outcomes,
-                       screen=screen.screen_stability),
+                       screen=screen.formula_screen(STABILITY)),
 }
 
 

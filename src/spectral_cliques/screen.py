@@ -24,29 +24,17 @@ and the block's clique profiles, so the reporting path recomputes
 neither.  Larger graphs arrive as ``Graph``s and are counted on their
 pivot trees.
 
-``theorem3`` is screened exactly in ints, one outcome per s: an
-evaluation with r >= omega is out of domain, an outcome whose premise
-fails is a vacuous ``holds``, and one whose premise holds is reported where
-its conclusion is an equality or a violation; elsewhere it ranks on its
-slack.
-
-``stability`` and ``edge_corollary`` apply only under a spectral premise
-(K_{r+1}-free and mu at least ``bounds.premise_cut``), which almost no graph
-of a random corpus meets.  Their screen decides the premise alone: a graph
-that fails it clear of the margin is out of domain, and every other one is
-reported, since neither check has a slack to screen on (a stability outcome
-never ranks; an edge_corollary outcome that meets the premise is printed or
-ranked by the reporting path).
-
-The seven one-slack checks are screened by running their own
-``bounds.Formula`` on the block's arrays (:func:`formula_screen`), so a
-screened slack differs from the reported one only by rounding (numpy's
-``**``, the floats of maxmu1's exact sides, ``eigvalsh`` against ``eigh``),
-a few units in the last place.  That is far inside ``SCREEN_MARGIN``;
-printed figures always come from the reporting path.  The screens of
-``oldin`` and ``momo`` (exact in int64) and of the spectral premise are
-written here.  Where an int64 count or product could overflow, the screen
-steps aside and the reporting path evaluates every graph.
+Every check but momo is a ``bounds.Formula``, screened by running its
+slots, gate, premise and sides on the block's arrays (:func:`formula_screen`).
+A screened float slack differs from the reported one only by rounding
+(numpy's ``**``, the floats of maxmu1's exact sides, ``eigvalsh`` against
+``eigh``), far inside ``SCREEN_MARGIN``; printed figures always come from
+the reporting path.  Exact sides are decided in ints, on counts capped so
+that no int64 step wraps.  A premise that fails clear of the reporting
+path's doubt makes an outcome out of domain, or for theorem3 a vacuous
+``holds``.  momo's screen, exact in int64, is written here.  Where a count
+could leave int64, the screen steps aside and the reporting path
+evaluates every graph.
 """
 
 from __future__ import annotations
@@ -54,17 +42,16 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .bounds import (Formula, Tolerances, exact_alpha, premise_cut,
-                     theorem3_conclusion_threshold, theorem3_premise_threshold)
+from .bounds import CERTIFY_MAX_N, Formula, Tolerances
 from .cliques import (CliqueProfile, VertexCliqueProfile, clique_counts,
                       vertex_clique_counts)
 from .graphs import Graph, graph6_width, graph_from_edge_mask
 from .spectral import STACK_ENTRIES, adjacency_stack, prime_rows, stacked_eigenvalues
-from .stability import alpha_limit, stability_alpha
 
 #: a screened slack counts as far from a threshold, or from the chunk's
 #: tightest instances, only when it clears them by this much times its
@@ -195,6 +182,11 @@ class Block:
         """Every graph's eigenvalues, each row descending, from one stacked
         ``eigvalsh`` (a row of NaN where the solver failed)."""
         return stacked_eigenvalues(self.adj, np.linalg.eigvalsh)
+
+    @functools.cached_property
+    def exact(self) -> "_Exact":
+        """The block as exact sides read it."""
+        return _Exact(self)
 
     @functools.cached_property
     def mu(self) -> np.ndarray:
@@ -357,71 +349,155 @@ def _scale(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
 
 
+class _Exact:
+    """A block as an exact formula's sides read it: ``k(s)``, ``w(l)`` and
+    ``kw(s, l)`` (the sum over u of k_s(u) w_l(u)) as int64 arrays, each
+    computed once, from counts all below 2^30.5 / (n + 1), OverflowError
+    otherwise.  A side that adds at most 2 (n + 1) terms, each at most
+    n + 1 times a product of two counts, then stays below 2^62."""
+
+    def __init__(self, b: Block) -> None:
+        self.b = b
+        self.cap = math.isqrt(1 << 61) // (b.n + 1)
+        self._memo: dict = {}
+
+    def __getattr__(self, name: str):
+        return getattr(self.b, name)
+
+    def _counts(self, key, compute: Callable[[], np.ndarray]) -> np.ndarray:
+        if key not in self._memo:
+            counts = compute()
+            if counts.size and int(counts.max()) >= self.cap:
+                raise OverflowError("an exact side may leave int64")
+            self._memo[key] = counts
+        return self._memo[key]
+
+    def k(self, s: int) -> np.ndarray:
+        return self._counts(("k", s), lambda: self.b.k(s))
+
+    def w(self, l: int) -> np.ndarray:
+        return self._counts(("w", l), lambda: self.b.w(l))
+
+    def kw(self, s: int, l: int) -> np.ndarray:
+        if ("kw", l) not in self._memo:
+            self.w(l)  # refuses walks that may leave int64
+            per = self._counts(("w(u)", l), lambda: self.b.walks(l)[:, l])
+            if self.b.vertex_cliques is None:
+                raise OverflowError("a clique count may leave int64")
+            ks = self._counts("k(u)", lambda: self.b.vertex_cliques)
+            self._memo["kw", l] = np.matmul(per[:, None, :], ks)[:, 0]
+        kw = self._memo["kw", l]
+        return kw[:, s] if s < kw.shape[1] else np.zeros(len(kw), dtype=np.int64)
+
+
+def _signs(lhs, rhs) -> np.ndarray | None:
+    """sign(rhs - lhs) in ints, where rhs is an int64 array and lhs one too
+    or a rational q (a > q iff a > floor(q), a < q iff a < ceil(q)); else
+    None."""
+    if not (isinstance(rhs, np.ndarray) and rhs.dtype.kind == "i"):
+        return None
+    if isinstance(lhs, np.ndarray):
+        return np.sign(rhs - lhs) if lhs.dtype.kind == "i" else None
+    if not isinstance(lhs, (int, Fraction)):
+        return None
+    lo, hi = (min(max(end, -_INT64_SAFE), _INT64_SAFE) for end in (math.floor(lhs), math.ceil(lhs)))
+    return (rhs > lo).astype(np.int64) - (rhs < hi)
+
+
+def _sides(f: Formula, b: Block, params: dict, count: int):
+    """``f``'s sides as floats, and the exact sign of its slack (or None)."""
+    if f.ranks:
+        # reading mu solves the block's eigenvalues: only where f reads them
+        lhs, rhs = f.sides(b, *(getattr(b, mu) for mu in ("mu", "mu2")[:f.ranks]), **params)
+    else:
+        lhs, rhs = f.sides(b.exact, **params)
+    signs = _signs(lhs, rhs)
+    lhs, rhs = (np.asarray(side, dtype=float) if isinstance(side, np.ndarray)
+                else np.full(count, float(side)) for side in (lhs, rhs))
+    return lhs, rhs, signs
+
+
+def _premise_clear(f: Formula, b: Block, params: dict, tols: Tolerances, count: int):
+    """Where the premise ``f`` holds, and where it fails (its gate
+    included), clear of the reporting path's doubt: exactly, or by the
+    margin around -hold * scale, a failure only up to CERTIFY_MAX_N
+    vertices, where the brackets can confirm it."""
+    gated = np.zeros(count, dtype=bool) | f.gate(b, **params)
+    if gated.all():  # read no eigenvalue
+        return ~gated, gated
+    lhs, rhs, signs = _sides(f, b, params, count)
+    if signs is not None:
+        return ~gated & (signs >= 0), gated | (signs < 0)
+    slack, band = rhs - lhs, (tols.hold + SCREEN_MARGIN) * _scale(lhs, rhs)
+    return ~gated & (slack > band), gated | (slack < -band) & (b.n <= CERTIFY_MAX_N)
+
+
+def _slot(f: Formula, b: Block, params: dict, present, tols: Tolerances, count: int):
+    """One outcome of ``f`` on a block: where it is live (in domain, premise
+    not failed), out of domain and sure (premise holding clear), and
+    :func:`_sides`."""
+    ood = np.zeros(count, dtype=bool) | f.gate(b, **params)
+    live = ~ood
+    if present is not True:  # an outcome only some graphs have
+        ood &= present
+        live &= present
+    sure = live
+    if f.premise is not None:
+        holds, fails = _premise_clear(f.premise, b, params, tols, count)
+        if not f.vacuous:
+            ood |= live & fails
+        live = live & ~fails
+        sure = live & holds
+    if f.sides is None:
+        return live, ood, sure
+    return live, ood, sure, *_sides(f, b, params, count)
+
+
+def _columns(arrays: list[np.ndarray]) -> np.ndarray:
+    return arrays[0][:, None] if len(arrays) == 1 else np.stack(arrays, axis=1)
+
+
 def formula_screen(f: Formula) -> ScreenFn:
-    """The screen of a one-slack check, ``f``'s gate and sides on a block's
-    arrays.  Graphs the gate marks are out of domain.  The others are
-    reported unless their slack clears the hold and equality thresholds by
-    the margin (a failed spectrum's NaN never does); polyn's trivial ones
-    always are.  Params the gate refuses, or a count that may leave int64,
-    make the screen step aside."""
+    """The screen of formula ``f``.  Per outcome, graphs its gate marks,
+    or whose premise fails clear (unless vacuous), are out of domain; the
+    others are reported unless their premise holds clear and their slack
+    clears the hold and equality thresholds by the margin (a failed
+    spectrum's NaN never does), or for exact sides is positive.  polyn's
+    trivial outcomes are always reported.  Params the slots or gate refuse,
+    or a count that may leave int64, make the screen step aside."""
     def run(b: Block, params: dict, tols: Tolerances) -> Screen | None:
+        count = len(b.m)
         try:
-            ood = np.zeros(len(b.m), dtype=bool) | f.gate(b, **params)
-            # reading mu solves the block's eigenvalues: only where f reads them
-            lhs, rhs = f.sides(b, *(getattr(b, mu) for mu in ("mu", "mu2")[:f.ranks]),
-                               **params)
-        except (ValueError, OverflowError):
+            slots = f.slots(b, **params)
+            cols = [_slot(f, b, p, present, tols, count) for p, present in slots]
+        except (ValueError, ArithmeticError):
             return None
-        lhs, rhs = (np.broadcast_to(np.asarray(side, dtype=float), ood.shape)
-                    for side in (lhs, rhs))
-        slack = rhs - lhs
-        scale = _scale(lhs, rhs)
-        thr = max(abs(tols.hold), abs(tols.equality)) + SCREEN_MARGIN
-        far = (slack > thr * scale) & ~ood
+        none = np.empty((count, 0))
+        if not cols:
+            return Screen(np.zeros(count, dtype=bool), np.zeros(count, dtype=np.int64),
+                          none, none)
+        live, ood, sure, *sides = zip(*cols)
+        live, ood, sure = _columns(live), _columns(ood), _columns(sure)
+        if f.sides is None:  # never clear: every live outcome is reported, unranked
+            return Screen(live.any(axis=1), ood.sum(axis=1), none, none)
+        lhs, rhs = _columns(sides[0]), _columns(sides[1])
+        slack, scale = rhs - lhs, _scale(lhs, rhs)
+        if sides[2][0] is not None:  # exact sides
+            clear = _columns(sides[2]) > 0
+        else:
+            clear = slack > (max(abs(tols.hold), abs(tols.equality)) + SCREEN_MARGIN) * scale
         if f.trivial is not None:
-            far &= ~f.trivial(b)
-        return Screen(~far & ~ood, ood.astype(np.int64),
-                      np.where(far, slack, np.nan)[:, None], scale[:, None])
+            clear &= ~f.trivial(b)[:, None]
+        ranked = sure & clear
+        return Screen((live & ~ranked).any(axis=1), ood.sum(axis=1),
+                      np.where(ranked, slack, np.nan), scale)
     return run
-
-
-def screen_oldin(b: Block, params: dict, tols: Tolerances) -> Screen | None:
-    l = params["l"]
-    if l < 2:
-        return None
-    walks = b.walks(l + 1)
-    per = b.vertex_cliques
-    k = b.cliques
-    if walks is None or per is None or k is None:
-        return None
-    n = b.n
-    totals = walks[:, l].sum(axis=1)
-    bound = max(n * int(per.max()) * int(walks[:, l:l + 2].max()) * 2,
-                n * int(k.max()) * int(totals.max()))
-    if bound >= _INT64_SAFE:
-        return None
-    om = b.omega
-    top = int(om.max())
-    s = params["s"]
-    sizes = np.arange(2, top + 1) if s is None else np.array([s])
-    valid = (sizes[None, :] >= 2) & (sizes[None, :] <= om[:, None])
-    ood = np.zeros(len(om), dtype=np.int64) if s is None else (~valid[:, 0]).astype(np.int64)
-    cols = np.clip(sizes, 0, top)  # any column of an invalid slot will do
-    # sum_u k_s(u) w_{l+1}(u) - k_{s+1}(u) w_l(u)  and  (s-1) k_s w_l
-    lhs = (np.einsum("gus,gu->gs", per[:, :, cols], walks[:, l + 1])
-           - np.einsum("gus,gu->gs", per[:, :, cols + 1], walks[:, l]))
-    rhs = (sizes - 1)[None, :] * k[:, cols] * totals[:, None]
-    # reported where the exact slack is not positive (an equality or a
-    # violation) in an outcome slot that exists
-    far = valid & (rhs > lhs)
-    lhs_f, rhs_f = lhs.astype(float), rhs.astype(float)
-    return Screen((valid & ~far).any(axis=1), ood, np.where(far, rhs_f - lhs_f, np.nan),
-                  _scale(lhs_f, rhs_f))
 
 
 def screen_momo(b: Block, params: dict, tols: Tolerances) -> Screen | None:
     # rho_t = ((t+1) k_{t+1} - n k_t) / (t k_t) for 1 <= t < omega must not
-    # decrease; compared by cross-multiplying, exactly
+    # decrease; compared by cross-multiplying, exactly.  An outcome never
+    # ranks among the tightest.
     k = b.cliques
     n = b.n
     if k is None or 2 * n * n * int(k.max()) ** 2 >= _INT64_SAFE:
@@ -433,81 +509,9 @@ def screen_momo(b: Block, params: dict, tols: Tolerances) -> Screen | None:
     descent = num[:, :-1] * den[:, 1:] > num[:, 1:] * den[:, :-1]
     # the pair (t, t + 1) exists when t + 1 < omega
     exists = t[None, :-1] + 1 < om[:, None]
-    exact = (descent & exists).any(axis=1)
-    return _unranked(exact, np.zeros(len(om), dtype=bool))
-
-
-def screen_theorem3(b: Block, params: dict, tols: Tolerances) -> Screen | None:
-    """An evaluation is out of domain where r >= omega, one outcome per s.
-    Elsewhere an outcome whose premise fails is a vacuous ``holds`` with
-    no slack.  One whose premise holds is reported where k_{r+1} is at
-    most the conclusion's bound (an equality or a violation), and ranks on
-    the slack k_{r+1} - bound elsewhere.  Premise and conclusion are
-    decided exactly in ints; the slack is the reported float."""
-    r, s = params["r"], params.get("s")
-    try:
-        a = exact_alpha(params["alpha"])
-    except (ValueError, ArithmeticError):
-        a = None
-    if r < 1 or (s is not None and s < 1) or a is None or b.cliques is None:
-        return None  # the reporting path raises the same error, or counts
-    sizes = range(1, r + 1) if s is None else [s] if s <= r else []
-    premise = np.zeros((len(b.m), len(sizes)), dtype=bool)
-    for col, t in enumerate(sizes):
-        # (t+1) k_{t+1} is an int below 2^62, so it meets the threshold
-        # iff it meets its ceiling, clamped into that range
-        need = math.ceil(theorem3_premise_threshold(b.n, r, t, a))
-        premise[:, col] = (t + 1) * b.k(t + 1) >= min(max(need, 0), _INT64_SAFE)
-    ood = b.omega <= r
-    premise &= ~ood[:, None]
-    # the int k_{r+1} exceeds the rational bound iff it exceeds its floor
-    bound = theorem3_conclusion_threshold(b.n, r, a)
-    k = b.k(r + 1)
-    far = premise & (k > min(math.floor(bound), _INT64_SAFE))[:, None]
-    lhs = np.full(len(k), float(bound))
-    rhs = k.astype(float)
-    slack = np.where(far, (rhs - lhs)[:, None], np.nan)
-    scale = np.broadcast_to(_scale(lhs, rhs)[:, None], slack.shape)
-    return Screen((premise & ~far).any(axis=1), np.where(ood, len(sizes), 0), slack, scale)
-
-
-def screen_stability(b: Block, params: dict, tols: Tolerances) -> Screen | None:
-    r = params["r"]
-    try:
-        a = stability_alpha(r, params["alpha"])
-    except ValueError:
-        return None  # the reporting path raises the same error
-    if a > alpha_limit(r):
-        return _unranked(np.zeros(len(b.m), dtype=bool), np.ones(len(b.m), dtype=bool))
-    return _premise(b, r, a, tols)
-
-
-def screen_edge_corollary(b: Block, params: dict, tols: Tolerances) -> Screen | None:
-    r = params["r"]
-    try:
-        a = exact_alpha(params["alpha"])
-    except (ValueError, ArithmeticError):
-        a = None
-    if r < 2 or a is None:
-        return None  # the reporting path raises the same error
-    return _premise(b, r, float(a), tols)
-
-
-def _premise(b: Block, r: int, alpha: float, tols: Tolerances) -> Screen:
-    """The spectral premise: K_{r+1}-free (exact) and mu at least
-    ``bounds.premise_cut``.  A graph below the cut by more than the margin
-    is out of domain; every other one is reported, a failed spectrum's NaN
-    included."""
-    cut = premise_cut(b.n, r, alpha, tols)
-    ood = (b.omega > r) | (b.mu < cut - SCREEN_MARGIN * max(1.0, abs(cut)))
-    return _unranked(~ood, ood)
-
-
-def _unranked(exact: np.ndarray, ood: np.ndarray) -> Screen:
-    """A screen whose outcomes never rank among the tightest: those not
-    reported are out of domain where ``ood`` marks them, else ``holds``."""
-    none = np.empty((len(exact), 0))
-    return Screen(exact, ood.astype(np.int64), none, none)
+    none = np.empty((len(om), 0))
+    return Screen((descent & exists).any(axis=1), np.zeros(len(om), dtype=np.int64),
+                  none, none)
 
 
 def screen_chunk(blocks: Sequence[Block], size: int, combos: Sequence[tuple[str, dict]],

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .bounds import DEFAULT_TOLS, Tolerances, premise_cut
-from .cliques import is_kfree, proper_coloring
+from .bounds import DEFAULT_TOLS, SPECTRAL_PREMISE, Formula, Tolerances, evaluate
+from .cliques import proper_coloring
 from .graphs import Graph, mask_from, mask_members
-from .spectral import EigensolverError, spectrum
+from .spectral import EigensolverError
 
 EXHAUSTIVE_MAX_N = 16
 
@@ -56,7 +56,9 @@ class StabilityReport:
     degree_min: float
     witness: StabilityWitness | None
     search_mode: str
-    verdict: str  # witnessed | heuristic-miss | exhaustive-miss | premise-failed | ood
+    # witnessed | heuristic-miss | exhaustive-miss | premise-failed |
+    # premise-inconclusive | ood
+    verdict: str
     boundary: bool
 
     def to_dict(self) -> dict:
@@ -96,17 +98,22 @@ def witness_thresholds(n: int, r: int, alpha: float) -> tuple[float, float]:
     return (1.0 - 3.0 * c) * n, (1.0 - 1.0 / r - 6.0 * c) * n
 
 
+#: K_{r+1}-free, alpha at most 2^-10 r^-6, and mu >= (1 - 1/r - alpha) n
+STABILITY_PREMISE = replace(SPECTRAL_PREMISE, name="stability_premise", gate=lambda x, r, alpha:
+                            alpha > alpha_limit(r) or x.omega > r)
+#: the stability check as a scan screens it (its conclusion is a search)
+STABILITY = Formula("stability", None, premise=STABILITY_PREMISE, slots=lambda x, r, alpha: [
+    ({"r": r, "alpha": stability_alpha(r, alpha)}, True)])
+
+
 def stability_premise(g: Graph, r: int, alpha,
-                      tols: Tolerances = DEFAULT_TOLS) -> bool:
+                      tols: Tolerances = DEFAULT_TOLS) -> bool | None:
     """K_{r+1}-free, alpha at most 2^-10 r^-6, and spectral radius at
-    least (1 - 1/r - alpha) n (up to the usual epsilon).  Raises
+    least (1 - 1/r - alpha) n (up to the hold epsilon, certified near the
+    cut); None where the eigenvalue brackets cannot decide it.  Raises
     ValueError where :func:`stability_alpha` does."""
-    a = stability_alpha(r, alpha)
-    if a > alpha_limit(r):
-        return False
-    if not is_kfree(g, r + 1):
-        return False
-    return spectrum(g).mu >= premise_cut(g.n, r, a, tols)
+    rep = evaluate(STABILITY_PREMISE, g, {"r": r, "alpha": stability_alpha(r, alpha)}, tols)
+    return rep.holds if rep.in_domain else False
 
 
 def _order_ok(order: int, thr: float, boundary: bool, n: int) -> bool:
@@ -279,21 +286,19 @@ def stability_report(g: Graph, r: int, alpha, mode: str | None = None,
     search mode used.
 
     The verdict is "witnessed", "exhaustive-miss", "heuristic-miss",
-    "premise-failed", or "ood" when the eigensolver fails on the graph (the
-    premise cannot be evaluated, so no search runs).  With no mode, the
-    search follows the graph's order (:func:`_search_mode`).
+    "premise-failed", "premise-inconclusive" (the eigenvalue brackets
+    cannot decide it), or "ood" when the eigensolver fails on the graph;
+    only a premise that holds runs a search.  With no mode, the search
+    follows the graph's order (:func:`_search_mode`).
     """
     mode = _search_mode(g.n, mode)
     try:
         premise = stability_premise(g, r, alpha, tols)
+        verdict = {None: "premise-inconclusive", False: "premise-failed"}.get(premise)
     except EigensolverError:
-        premise = None
+        premise, verdict = False, "ood"
     w = _search_witness(g, r, alpha, mode) if premise else None
-    if premise is None:
-        verdict = "ood"
-    elif not premise:
-        verdict = "premise-failed"
-    else:
+    if premise:
         verdict = "witnessed" if w is not None else f"{mode}-miss"
     a = float(alpha)
     thr_o, thr_d = witness_thresholds(g.n, r, a)

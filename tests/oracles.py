@@ -1,5 +1,7 @@
 """Brute-force oracles, independent of the production counting paths."""
 
+from fractions import Fraction
+
 import numpy as np
 
 from spectral_cliques.bounds import DEFAULT_TOLS
@@ -100,3 +102,82 @@ def reference_scan(graph6_lines, checks: dict, top_k: int, tol_scale: float) -> 
                                      tuple(sorted(rec["params"].items()))))
     out["tightest"] = candidates[:top_k]
     return out
+
+
+def brute_force_vertex_cliques(g: Graph) -> list[list[int]]:
+    """k_s(u) at [u][s] for 0 <= s <= n + 1, by enumerating vertex subsets."""
+    per = [[0] * (g.n + 2) for _ in range(g.n)]
+    for mask in range(1, 1 << g.n):
+        members = mask_members(mask)
+        if all(g.adj[v] & mask == mask & ~(1 << v) for v in members):
+            for v in members:
+                per[v][len(members)] += 1
+    return per
+
+
+#: a premise whose float spectral radius lies within this relative distance
+#: of its cut is not decided by :func:`reference_statuses`
+PREMISE_CLEARANCE = 1e-6
+
+
+def reference_outcomes(check: str, g: Graph, params: dict) -> list[tuple] | None:
+    """(params, status, lhs, rhs, slack) of each outcome of theorem3, oldin
+    or edge_corollary on ``g``, as the paper states the check, in Fractions
+    on brute-force clique and walk counts; None for an edge_corollary
+    evaluation whose numpy spectral radius lies within PREMISE_CLEARANCE of
+    its premise's cut.  ``params`` are a scan's, with s None for the
+    default s range.  An outcome out of domain has no sides, and one whose
+    premise fails (theorem3) is a vacuous holds with no slack."""
+    prof = brute_force_cliques(g)
+    k = list(prof.counts) + [0, 0]
+    omega, n = prof.omega, g.n
+
+    def outcome(shown, lhs, rhs, premise=True) -> tuple:
+        status = "holds" if lhs < rhs or not premise else "equality" if lhs == rhs else "violation"
+        slack = float(rhs) - float(lhs) if premise else None
+        return shown, status, float(lhs), float(rhs), slack
+
+    def ood(shown) -> tuple:
+        return shown, "ood", None, None, None
+
+    if check == "theorem3":
+        r, s, alpha = params["r"], params["s"], Fraction(params["alpha"])
+        sizes = range(1, r + 1) if s is None else [s] if s <= r else []
+        out = []
+        for t in sizes:
+            shown = {"r": r, "s": t, "alpha": float(alpha)}
+            threshold = Fraction(n) ** (t + 1)
+            for u in range(1, t + 1):
+                threshold *= Fraction(r - u, r * u) + alpha
+            if omega <= r:
+                out.append(ood(shown))
+            else:
+                out.append(outcome(shown, alpha * Fraction(r * r, r + 1) * Fraction(n, r) ** (r + 1),
+                                   k[r], (t + 1) * k[t] >= threshold))
+        return out
+    if check == "oldin":
+        s, l = params["s"], params["l"]
+        per = brute_force_vertex_cliques(g)
+        walks = brute_force_walks(g, l + 1)
+        out = []
+        for t in range(2, omega + 1) if s is None else [s]:
+            if not 2 <= t <= omega:
+                out.append(ood({"s": t, "l": l}))
+                continue
+            lhs = sum(per[u][t] * walks.at(l + 1, u) - per[u][t + 1] * walks.at(l, u)
+                      for u in range(n))
+            out.append(outcome({"s": t, "l": l}, lhs, (t - 1) * k[t - 1] * walks.total(l)))
+        return out
+    if check == "edge_corollary":
+        r, alpha = params["r"], Fraction(params["alpha"])
+        shown = {"r": r, "alpha": float(alpha)}
+        if omega > r:
+            return [ood(shown)]
+        mu = float(np.linalg.eigvalsh(dense_adjacency(g))[-1]) if n else 0.0
+        cut = (1 - Fraction(1, r) - alpha) * n
+        if abs(mu - cut) <= PREMISE_CLEARANCE * max(1, abs(cut)):
+            return None
+        if mu < cut:
+            return [ood(shown)]
+        return [outcome(shown, (Fraction(r - 1, 2 * r) - 2 * alpha) * n * n, g.m)]
+    raise ValueError(f"no reference for {check!r}")

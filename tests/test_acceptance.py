@@ -195,7 +195,7 @@ def test_criterion_08_theorem3_grid(corpus6):
                         if not rep.in_domain:
                             continue
                         in_domain += 1
-                        if not rep.implication_holds:
+                        if not rep.holds:  # premise met, conclusion failed
                             failures += 1
     report(8, "conditional clique bound grid", failures == 0,
            f"{in_domain} in-domain evaluations, {failures} implication failures")

@@ -376,7 +376,9 @@ class TestTolRefused:
         "witness": ["witness", "--g6", "Bw", "--r", "2", "--alpha", "0"],
     }
 
-    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    # -inf and -1e3 start with "-" and are no plain number: argparse would
+    # read them as options, were --tol not joined to its value first
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "-inf", "-1e3"])
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_refused(self, command, tol, tmp_path, capsys):
         argv = ["--tol", tol, *self.COMMANDS[command]]

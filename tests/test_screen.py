@@ -20,7 +20,7 @@ from spectral_cliques.cliques import is_kfree
 from spectral_cliques.graphs import mix64
 from spectral_cliques.scan import CorpusSpec, ScanConfig, scan
 from spectral_cliques.spectral import spectrum
-from spectral_cliques.stability import alpha_limit, stability_premise
+from spectral_cliques.stability import alpha_limit
 
 from oracles import reference_scan
 from test_batched_spectra import _fail_lapack_on
@@ -46,6 +46,13 @@ CHECKS = {
     "stability": {"r": [2, 3, 4], "alpha": [None, 0, 1e-3]},
     "edge_corollary": {"r": [2, 3], "alpha": [0, 0.01]},
     "theorem3": {"r": [1, 2, 3], "alpha": [0, 0.05]},
+}
+
+#: the two checks that expand s per graph, on explicit s grids: oldin's
+#: s = 5 is out of domain below omega 5, theorem3's s = 3 is dropped at r = 2
+EXPLICIT_S = {
+    "oldin": {"s": [2, 3, 5]},
+    "theorem3": {"r": [2, 3], "s": [1, 3], "alpha": [0, 0.25]},
 }
 
 
@@ -128,6 +135,17 @@ class TestScreenEquivalence:
             want = reference_scan(lines, checks, top_k, tol_scale)
         assert got == want
 
+    @given(lines=corpora(), top_k=st.sampled_from([1, 10]),
+           tol_scale=st.sampled_from([0.0, 1.0]), chunk=st.sampled_from([3, 7, 512]))
+    @settings(max_examples=30, deadline=None)
+    def test_explicit_s_matches_graph_by_graph_reference(self, lines, top_k, tol_scale,
+                                                         chunk):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scan_module, "_CHUNK_ITEMS", chunk)
+            got = _scan_lines(lines, EXPLICIT_S, top_k, tol_scale)
+            want = reference_scan(lines, EXPLICIT_S, top_k, tol_scale)
+        assert got == want
+
     def test_every_screened_check_is_covered(self):
         screened = {name for name, check in scan_module.CHECKS.items() if check.screen}
         assert screened == set(CHECKS)
@@ -170,24 +188,28 @@ class TestMargin:
 
 
 class TestPremiseMargin:
-    """At tol_scale 0 and alpha 0, T(2, 2q) sits on the spectral premise's
-    cut: its LAPACK spectral radius is q, exactly (1 - 1/2) 2q.  The screen
-    sends it to the reporting path, which finds the premise met; a negative
-    margin screens it out as out of domain."""
+    """At alpha 0, T(2, 2q) sits on the spectral premise's cut: mu = q,
+    exactly (1 - 1/2) 2q, and so is its LAPACK spectral radius.  The screen
+    sends it to the reporting path.  At the default tolerance the brackets
+    certify the premise, and edge_corollary reports an equality; at
+    tolerance 0 no bracket can show a slack of exactly 0, so both checks
+    are inconclusive, neither out of domain nor reported.  A negative
+    margin screens them out as out of domain at tolerance 0."""
 
     LINES = [emit_graph6(turan_graph(2, 2 * q)) for q in (2, 3, 4)]
     CHECK = {"stability": {"r": [2], "alpha": [0]},
              "edge_corollary": {"r": [2], "alpha": [0]}}
 
-    def _scan(self, margin, monkeypatch):
+    def _scan(self, margin, monkeypatch, tol_scale=0.0):
         monkeypatch.setattr(screen, "SCREEN_MARGIN", margin)
-        return _scan_lines(self.LINES, self.CHECK, 10, 0.0)
+        return _scan_lines(self.LINES, self.CHECK, 10, tol_scale)
 
     def test_reference_agrees(self, monkeypatch):
-        want = reference_scan(self.LINES, self.CHECK, 10, 0.0)
-        assert self._scan(screen.SCREEN_MARGIN, monkeypatch) == want
-        assert want["out_of_domain"] == 0
-        assert len(want["equalities"]) == len(self.LINES)
+        for tol_scale, equalities in ((1.0, len(self.LINES)), (0.0, 0)):
+            want = reference_scan(self.LINES, self.CHECK, 10, tol_scale)
+            assert self._scan(screen.SCREEN_MARGIN, monkeypatch, tol_scale) == want
+            assert want["out_of_domain"] == 0
+            assert len(want["equalities"]) == equalities
 
     def test_negative_margin_changes_the_output(self, monkeypatch):
         want = self._scan(screen.SCREEN_MARGIN, monkeypatch)
@@ -211,16 +233,30 @@ def test_premise_screen_reports_only_near_premise_pairs(monkeypatch):
     res = scan(CorpusSpec(kind="exhaustive", n=6),
                ScanConfig(checks={name: {"r": [2, 3]} for name in calls}))
     want = dict.fromkeys(calls, 0)
+    hold = bounds.DEFAULT_TOLS.hold
     for mask in range(1 << 15):
         g = graph_from_edge_mask(6, mask)
+        x = bounds.GraphView(g)
         for r in (2, 3):
-            for name, alpha in (("stability", alpha_limit(r)), ("edge_corollary", 0.0)):
-                cut = bounds.premise_cut(g.n, r, alpha, bounds.DEFAULT_TOLS)
-                near = (is_kfree(g, r + 1) and spectrum(g).mu
-                        >= cut - screen.SCREEN_MARGIN * max(1.0, abs(cut)))
-                want[name] += stability_premise(g, r, alpha) or near
-    assert calls == want
+            for name, alpha in (("stability", alpha_limit(r)), ("edge_corollary", 0)):
+                lhs, rhs = bounds.SPECTRAL_PREMISE.sides(x, spectrum(g).mu, r=r, alpha=alpha)
+                band = (hold + screen.SCREEN_MARGIN) * max(1.0, abs(lhs), abs(rhs))
+                want[name] += is_kfree(g, r + 1) and rhs - lhs >= -band
+    assert calls == want == {"stability": 25, "edge_corollary": 25}
     assert 0 < sum(want.values()) < res.graphs_checked // 100
+
+
+def test_exact_counts_past_the_cap_step_aside():
+    """oldin at l = 12 on K16 sums k_s(u) w_13(u) to about 10^19, past
+    int64: the block's exact view refuses counts that large, so the screen
+    steps aside, and the scan reports what the graph-by-graph reference
+    does."""
+    lines = [emit_graph6(complete_graph(16)), emit_graph6(turan_graph(4, 16))]
+    b = screen.Block([parse_graph6(line) for line in lines], [0, 1], True)
+    oldin = scan_module.CHECKS["oldin"].screen
+    assert oldin(b, {"s": None, "l": 12}, scan_module.DEFAULT_TOLS) is None
+    checks = {"oldin": {"l": [12]}}
+    assert _scan_lines(lines, checks, 10, 1.0) == reference_scan(lines, checks, 10, 1.0)
 
 
 def test_pivot_tree_runs_once_per_graph(monkeypatch):

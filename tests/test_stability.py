@@ -1,11 +1,14 @@
+import json
 from dataclasses import replace
 
 import pytest
 
-from spectral_cliques import (find_stability_witness, random_graph,
+from spectral_cliques import (edge_corollary_check, emit_graph6,
+                              find_stability_witness, random_graph,
                               stability_premise, stability_report, turan_graph,
                               verify_witness, witness_thresholds)
 from spectral_cliques import stability
+from spectral_cliques.cli import main
 from spectral_cliques.stability import StabilityWitness, alpha_limit
 
 
@@ -39,6 +42,47 @@ class TestPremise:
     def test_bad_r(self, c5):
         with pytest.raises(ValueError):
             stability_premise(c5, 1, 0)
+
+
+class TestPremiseCertified:
+    """The spectral premise is decided as every spectral slack is: on the
+    balanced Turan hosts mu = (1 - 1/r) n exactly, so at alpha = 0 it sits
+    on the cut.  At the default tolerance the brackets show it met; at
+    tolerance 0 no positive-width bracket can show a slack of exactly 0,
+    so it is undecided, not failed."""
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_turan_hosts_meet_the_premise(self, r):
+        for q in range(1, 9):
+            g = turan_graph(r, q * r)
+            assert stability_premise(g, r, 0) is True
+            rep = edge_corollary_check(g, r, 0)
+            assert rep.in_domain and rep.holds and rep.equality
+
+    G6 = emit_graph6(turan_graph(4, 12))
+
+    def test_tol_zero_witness_premise_inconclusive(self, capsys):
+        assert self.G6 == "KFzf~z{~~~^{"
+        assert main(["--tol", "0", "witness", "--g6", self.G6, "--r", "4",
+                     "--alpha", "0"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdict"] == "premise-inconclusive"
+        assert payload["premise_ok"] is False and payload["witness"] is None
+
+    def test_tol_zero_edge_corollary_inconclusive(self, capsys):
+        assert main(["--tol", "0", "check", "--g6", self.G6, "--check", "edge_corollary",
+                     "--r", "4", "--alpha", "0"]) == 0
+        [entry] = json.loads(capsys.readouterr().out)
+        assert entry["status"] == "inconclusive" and entry["slack"] is None
+
+    def test_tol_zero_scan_counts_no_ood(self, tmp_path, capsys):
+        corpus = tmp_path / "t.g6"
+        corpus.write_text(self.G6 + "\n")
+        assert main(["--tol", "0", "scan", "--file", str(corpus), "--check", "stability",
+                     "--check", "edge_corollary", "--r", "4", "--alpha", "0"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["out_of_domain"] == 0
+        assert out["violations"] == out["equalities"] == out["tightest"] == []
 
 
 class TestThresholds:
