@@ -19,7 +19,8 @@ Every check but momo and stability's witness search is one
 prints, on the bracket ends (as :class:`Ratio`) that certify it, and on the
 arrays of the scan's screen (:mod:`screen`).  The implications (theorem3,
 edge_corollary, stability) carry a ``premise`` formula, decided by the
-same rules.
+same rules, except that a spectral premise failing by more than the
+screen's margin (``SCREEN_MARGIN``) is decided on its floats, unbracketed.
 """
 
 from __future__ import annotations
@@ -43,6 +44,12 @@ CERTIFY_MAX_N = DEFAULT_CAP
 #: a slack interval that straddles a threshold is narrowed at most this
 #: many times, by halving its eigenvalue brackets
 CERTIFY_HALVINGS = 24
+#: a float slack counts as far from a threshold, or from the tightest
+#: instances, only when it clears them by this much times its scale
+#: max(1, |lhs|, |rhs|): the screen's arithmetic is within a few units in
+#: the last place (about 1e-15 relative) of the reported figures, and a
+#: premise failing by more is decided without brackets, on either path
+SCREEN_MARGIN = 1e-9
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -362,11 +369,20 @@ def _shown(params: dict) -> dict:
 def evaluate(f: Formula, g: Graph, params: dict,
              tols: Tolerances = DEFAULT_TOLS) -> BoundReport:
     """``f`` on one graph for one exact parameter combination: out of
-    domain where its gate holds or its premise fails, exact where it reads
-    no eigenvalue, else on the LAPACK floats, and where a spectral slack (a
-    premise's too) is at most hold * scale, decided on exact eigenvalue
+    domain where its gate holds or its premise fails (:func:`premise_holds`),
+    exact where it reads no eigenvalue, else on the LAPACK floats, and where
+    a spectral slack is at most hold * scale, decided on exact eigenvalue
     brackets in ints (:func:`_certify`), keeping the LAPACK figures."""
     return _evaluate(f, GraphView(g), params, tols)
+
+
+def premise_holds(f: Formula, g: Graph, params: dict,
+                  tols: Tolerances = DEFAULT_TOLS) -> bool | None:
+    """Whether the premise ``f`` holds on one graph: False where its gate
+    holds or its spectral slack lies below -(hold + SCREEN_MARGIN) * scale,
+    as the screen decides it; certified on eigenvalue brackets between that
+    and hold * scale, None where they cannot decide it."""
+    return _premise(f, GraphView(g), params, tols)
 
 
 def evaluate_slots(f: Formula, g: Graph, params: dict,
@@ -377,13 +393,20 @@ def evaluate_slots(f: Formula, g: Graph, params: dict,
     return [_evaluate(f, x, p, tols) for p, present in f.slots(x, **params) if present]
 
 
-def _evaluate(f: Formula, x: GraphView, params: dict, tols: Tolerances) -> BoundReport:
+def _premise(f: Formula, x: GraphView, params: dict, tols: Tolerances) -> bool | None:
+    pre = _evaluate(f, x, params, tols, SCREEN_MARGIN)
+    return pre.holds if pre.in_domain else False
+
+
+def _evaluate(f: Formula, x: GraphView, params: dict, tols: Tolerances,
+              doubt: float = math.inf) -> BoundReport:
+    """A report of ``f``; a spectral slack is certified from hold * scale
+    down to -(hold + doubt) * scale."""
     if f.gate(x, **params):
         return _skipped(f.name, _shown(params))
     premise = True
     if f.premise is not None:
-        pre = _evaluate(f.premise, x, params, tols)
-        premise = pre.holds if pre.in_domain else False
+        premise = _premise(f.premise, x, params, tols)
         if premise is False and not f.vacuous:
             return _skipped(f.name, _shown(params))
     shown = _shown(params)
@@ -398,7 +421,7 @@ def _evaluate(f: Formula, x: GraphView, params: dict, tols: Tolerances) -> Bound
         build = partial(f.sides, x, **params)
         lhs, rhs = build(*spectrum(x.g).eigenvalues[:f.ranks])
         rep = _report(f.name, shown, lhs, rhs, tols)
-        if premise and rep.slack <= tols.hold * rep.scale:
+        if premise and -(tols.hold + doubt) * rep.scale <= rep.slack <= tols.hold * rep.scale:
             rep.holds, rep.equality = _certify(x.g, build, f.ranks, tols, rep.scale)
             rep.refined = True
     if not premise:  # failed, so vacuous, or undecided: no slack is claimed

@@ -66,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--tol", type=float, default=1.0,
                      help="scale every tolerance epsilon by this factor")
     top.add_argument("--jobs", type=int, default=1,
-                     help="processes that scan, this one included")
+                     help="processes that scan, this one included (at least 1)")
     sub = top.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="write generated graphs as graph6 lines")
@@ -296,9 +296,11 @@ def _persist_artifacts(args, result: ScanResult) -> list[str]:
 
 
 def _cmd_scan(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     corpus = _corpus_from_args(args)
     config = _config_from_args(args)
-    result = scan(corpus, config, jobs=max(1, args.jobs))
+    result = scan(corpus, config, jobs=args.jobs)
     _emit(result.to_json_dict(deterministic_timing=True))
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:

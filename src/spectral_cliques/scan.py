@@ -6,9 +6,11 @@ grids on every graph passing the filters, and aggregates violations,
 equality cases, and the tightest instances.  Work is split into fixed-size
 chunks.  With ``jobs`` > 1 the calling process and up to ``jobs - 1``
 pool workers claim the chunks in index order from one shared counter, the
-caller starting while the workers still boot; partial results merge by
-chunk index, so the outcome is byte-identical no matter how many
-processes scan.
+caller starting at once.  On Linux, while the caller runs no other thread,
+the workers are forked from it and start with the package and the scan
+plan in memory; elsewhere they start by the default method.  Partial
+results merge by chunk index, so the outcome is byte-identical no matter
+how many processes scan or how they start.
 
 A chunk is screened on arrays, one ``screen.Block`` per vertex order, and
 only its reported evaluations go through ``run_check``.  Graphs of order
@@ -27,6 +29,8 @@ from __future__ import annotations
 import functools
 import itertools
 import multiprocessing
+import sys
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -520,22 +524,35 @@ def _claim_chunks(chunks: list[tuple]) -> list[tuple[int, dict | Exception]]:
             return done
 
 
+def _pool_context() -> multiprocessing.context.BaseContext:
+    """Where a scan's pool and counter come from: fork on Linux while this
+    process runs no other thread (a thread may hold a lock that a forked
+    child would find taken), else the default start method."""
+    if sys.platform == "linux" and threading.active_count() == 1:
+        return multiprocessing.get_context("fork")
+    return multiprocessing.get_context()
+
+
 def _scan_in_pool(chunks: list[tuple], workers: int, init_args: tuple) -> list[dict]:
     """Each chunk's partial, in chunk order, scanned by this process and
     ``workers`` pool workers that claim chunks from one counter.
 
-    The chunk list goes to the workers as their task, not through the
-    initializer: a large initializer argument keeps ``Pool()`` from
-    returning, under spawn, until a worker has imported the package.  The
-    pool is left as soon as this process holds every partial, so a worker
-    still booting then is terminated instead of waited for.  Of several
-    failing chunks the lowest-indexed one's exception is raised; every
-    lower chunk was claimed before it, so it is the error a one-process
-    scan raises."""
-    counter = multiprocessing.Value("q", 0)
+    The workers start as :func:`_pool_context` says.  A forked worker
+    claims its first chunk a few tens of milliseconds after this process;
+    one started by spawn or forkserver first imports numpy and the
+    package, and may find every chunk claimed.  The chunk list goes to the workers as their task, not
+    through the initializer: a large initializer argument keeps ``Pool()``
+    from returning, under spawn, until a worker has imported the package.
+    The pool is left as soon as this process holds every partial, so a
+    worker still booting then is terminated instead of waited for.  Of
+    several failing chunks the lowest-indexed one's exception is raised;
+    every lower chunk was claimed before it, so it is the error a
+    one-process scan raises."""
+    ctx = _pool_context()
+    counter = ctx.Value("q", 0)
     _init_scan_worker(*init_args, counter)
-    with multiprocessing.Pool(processes=workers, initializer=_init_scan_worker,
-                              initargs=(*init_args, counter)) as pool:
+    with ctx.Pool(processes=workers, initializer=_init_scan_worker,
+                  initargs=(*init_args, counter)) as pool:
         claimed = pool.imap_unordered(_claim_chunks, [chunks] * workers)
         held = dict(_claim_chunks(chunks))
         while True:

@@ -47,17 +47,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bounds import CERTIFY_MAX_N, Formula, Tolerances
+from .bounds import SCREEN_MARGIN, Formula, Tolerances
 from .cliques import (CliqueProfile, VertexCliqueProfile, clique_counts,
                       vertex_clique_counts)
 from .graphs import Graph, graph6_width, graph_from_edge_mask
 from .spectral import STACK_ENTRIES, adjacency_stack, prime_rows, stacked_eigenvalues
-
-#: a screened slack counts as far from a threshold, or from the chunk's
-#: tightest instances, only when it clears them by this much times its
-#: scale max(1, |lhs|, |rhs|); the screen's arithmetic is within a few
-#: units in the last place (about 1e-15 relative) of the reported figures
-SCREEN_MARGIN = 1e-9
 
 #: int64 products stay below this bound, so a sum of two cannot overflow
 _INT64_SAFE = 1 << 62
@@ -420,8 +414,8 @@ def _sides(f: Formula, b: Block, params: dict, count: int):
 def _premise_clear(f: Formula, b: Block, params: dict, tols: Tolerances, count: int):
     """Where the premise ``f`` holds, and where it fails (its gate
     included), clear of the reporting path's doubt: exactly, or by the
-    margin around -hold * scale, a failure only up to CERTIFY_MAX_N
-    vertices, where the brackets can confirm it."""
+    margin around -hold * scale, outside which the reporting path decides
+    a premise on its floats too (:func:`bounds.premise_holds`)."""
     gated = np.zeros(count, dtype=bool) | f.gate(b, **params)
     if gated.all():  # read no eigenvalue
         return ~gated, gated
@@ -429,7 +423,7 @@ def _premise_clear(f: Formula, b: Block, params: dict, tols: Tolerances, count: 
     if signs is not None:
         return ~gated & (signs >= 0), gated | (signs < 0)
     slack, band = rhs - lhs, (tols.hold + SCREEN_MARGIN) * _scale(lhs, rhs)
-    return ~gated & (slack > band), gated | (slack < -band) & (b.n <= CERTIFY_MAX_N)
+    return ~gated & (slack > band), gated | (slack < -band)
 
 
 def _slot(f: Formula, b: Block, params: dict, present, tols: Tolerances, count: int):

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .bounds import DEFAULT_TOLS, SPECTRAL_PREMISE, Formula, Tolerances, evaluate
+from .bounds import DEFAULT_TOLS, SPECTRAL_PREMISE, Formula, Tolerances, premise_holds
 from .cliques import proper_coloring
 from .graphs import Graph, mask_from, mask_members
 from .spectral import EigensolverError
@@ -112,8 +112,7 @@ def stability_premise(g: Graph, r: int, alpha,
     least (1 - 1/r - alpha) n (up to the hold epsilon, certified near the
     cut); None where the eigenvalue brackets cannot decide it.  Raises
     ValueError where :func:`stability_alpha` does."""
-    rep = evaluate(STABILITY_PREMISE, g, {"r": r, "alpha": stability_alpha(r, alpha)}, tols)
-    return rep.holds if rep.in_domain else False
+    return premise_holds(STABILITY_PREMISE, g, {"r": r, "alpha": stability_alpha(r, alpha)}, tols)
 
 
 def _order_ok(order: int, thr: float, boundary: bool, n: int) -> bool:

@@ -173,6 +173,39 @@ class TestCertifiedVerdicts:
         assert rep.rhs == (3 - 1) / 3 * 2.0 * t36.m
 
 
+class TestPremiseBand:
+    """A spectral premise is certified only where its float slack lies
+    within (hold + SCREEN_MARGIN) * scale of its cut, the band the screen
+    sends on; one failing by more is out of domain on its floats, at any
+    order."""
+
+    def test_far_failure_brackets_no_eigenvalue(self, monkeypatch):
+        calls = []
+
+        def spy(g, rank, halvings):
+            calls.append((rank, halvings))
+            return eigenvalue_bracket(g, rank, halvings)
+
+        monkeypatch.setattr(bounds, "eigenvalue_bracket", spy)
+        rep = bounds.edge_corollary_check(cycle_graph(64), 2, 0)
+        assert not rep.in_domain
+        assert calls == []
+
+    def test_far_failure_above_the_certification_cap_is_ood(self, monkeypatch):
+        monkeypatch.setenv("SCL_MAX_N", "80")
+        c80 = cycle_graph(80)
+        assert c80.n > CERTIFY_MAX_N
+        rep = bounds.edge_corollary_check(c80, 2, 0)
+        assert (rep.in_domain, rep.holds) == (False, True)
+        [oc] = run_check("edge_corollary", c80, {"r": 2, "alpha": 0})
+        assert oc.status == "ood"
+
+    def test_premise_on_the_cut_still_inconclusive_at_tolerance_zero(self, capsys):
+        assert main(["--tol", "0", "witness", "--g6", "KFzf~z{~~~^{", "--r", "4",
+                     "--alpha", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "premise-inconclusive"
+
+
 # ---------------------------------------------------------------------------
 # the int arithmetic of certification against a Fraction reference
 

@@ -303,6 +303,14 @@ def test_negative_random_count_exit_2(jobs, capsys):
     assert "error: random corpus count must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_exit_2(jobs, capsys):
+    assert main(["--jobs", jobs, "scan", "--exhaustive-n", "4", "--check", "wilf"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: --jobs must be >= 1, got {jobs}" in captured.err
+
+
 class TestRBelowTwo:
     """r < 2 is a usage error (exit 2), checked before any division by r."""
 

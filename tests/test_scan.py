@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -216,8 +217,9 @@ class TestScan:
 
 
 class _InProcessPool:
-    """Stand-in for ``multiprocessing.Pool`` that records its size and runs
-    every task in this process, before the caller claims a chunk."""
+    """Stand-in for a multiprocessing context's ``Pool`` that records its
+    size and runs every task in this process, before the caller claims a
+    chunk."""
 
     sizes: list[int] = []
 
@@ -239,23 +241,42 @@ def _no_process_start(self):
     raise AssertionError("a real process was started")
 
 
-#: run with ``python -c``: three scans under spawn must print the same
+#: run with ``python -c``: with spawn as the start method, three scans
+#: while this is the only thread (their workers fork on Linux) and three
+#: while a helper thread runs (their workers spawn) must print the same
 #: bytes and leave no child process behind
 _SPAWN_SCRIPT = """
-import contextlib, io, multiprocessing
+import contextlib, io, multiprocessing, sys, threading
 from spectral_cliques.cli import main
+from spectral_cliques.scan import _pool_context
 
 multiprocessing.set_start_method("spawn")
-outs = []
-for jobs in ("1", "2", "3"):
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = main(["--jobs", jobs, "scan", "--exhaustive-n", "6", "--check", "wilf",
-                     "--check", "momo", "--top-k", "7"])
-    assert code == 0, (jobs, code)
-    assert multiprocessing.active_children() == [], jobs
-    outs.append(buf.getvalue())
-assert outs[0] == outs[1] == outs[2], "stdout differs across --jobs"
+
+
+def scans(method):
+    assert _pool_context().get_start_method() == method
+    outs = []
+    for jobs in ("1", "2", "3"):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(["--jobs", jobs, "scan", "--exhaustive-n", "6", "--check", "wilf",
+                         "--check", "momo", "--top-k", "7"])
+        assert code == 0, (method, jobs, code)
+        assert multiprocessing.active_children() == [], (method, jobs)
+        outs.append(buf.getvalue())
+    return outs
+
+
+outs = scans("fork" if sys.platform == "linux" else "spawn")
+stop = threading.Event()
+helper = threading.Thread(target=stop.wait)
+helper.start()
+try:
+    outs += scans("spawn")
+finally:
+    stop.set()
+    helper.join()
+assert len(set(outs)) == 1, "stdout differs across --jobs or start methods"
 print(len(outs[0]))
 """
 
@@ -267,7 +288,8 @@ class TestScanProcesses:
         config = ScanConfig(checks={"momo": {}, "wilf": {}})
         expected = scan(corpus, config, jobs=1).to_json_dict(deterministic_timing=True)
         monkeypatch.setattr(_InProcessPool, "sizes", [])
-        monkeypatch.setattr(scan_module.multiprocessing, "Pool", _InProcessPool)
+        monkeypatch.setattr(multiprocessing.context.BaseContext, "Pool",
+                            lambda ctx, **kwargs: _InProcessPool(**kwargs))
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
                             _no_process_start)
         got = scan(corpus, config, jobs=64).to_json_dict(deterministic_timing=True)
@@ -275,14 +297,15 @@ class TestScanProcesses:
         assert got == expected
 
     def test_each_chunk_claimed_once(self):
-        # the caller and three workers race for 16 chunks; a lost update of
-        # the counter would claim an index twice
+        # the caller and three workers, started as a scan starts them, race
+        # for 16 chunks; a lost update of the counter would claim an index
+        # twice
         corpus = CorpusSpec(kind="random", n=5, p=0.5, count=16 * 512, seed=5)
         chunks = scan_module._make_chunks(corpus)
-        init_args = (corpus, ScanConfig(checks={"momo": {}}), (),
-                     multiprocessing.Value("q", 0))
+        ctx = scan_module._pool_context()
+        init_args = (corpus, ScanConfig(checks={"momo": {}}), (), ctx.Value("q", 0))
         scan_module._init_scan_worker(*init_args)
-        with multiprocessing.Pool(3, scan_module._init_scan_worker, init_args) as pool:
+        with ctx.Pool(3, scan_module._init_scan_worker, init_args) as pool:
             claimed = pool.imap_unordered(scan_module._claim_chunks, [chunks] * 3)
             indices = [i for i, _ in scan_module._claim_chunks(chunks)]
             for _ in range(3):
@@ -294,6 +317,32 @@ class TestScanProcesses:
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert int(proc.stdout) > 0
+
+
+class TestPoolContext:
+    """Scan workers fork on Linux whatever the default start method,
+    unless another thread runs; then they start by the default."""
+
+    @pytest.fixture(autouse=True)
+    def spawn_default(self):
+        before = multiprocessing.get_start_method(allow_none=True)
+        multiprocessing.set_start_method("spawn", force=True)
+        yield
+        multiprocessing.set_start_method(before, force=True)
+
+    def test_fork_on_linux(self):
+        want = "fork" if sys.platform == "linux" else "spawn"
+        assert scan_module._pool_context().get_start_method() == want
+
+    def test_default_while_another_thread_runs(self):
+        stop = threading.Event()
+        helper = threading.Thread(target=stop.wait)
+        helper.start()
+        try:
+            assert scan_module._pool_context().get_start_method() == "spawn"
+        finally:
+            stop.set()
+            helper.join()
 
 
 def _turan_file():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectral_cliques import (build_graph, cliques, complete_graph, emit_graph6,
+from spectral_cliques import (build_graph, cliques, complete_graph, cycle_graph, emit_graph6,
                               graph_from_edge_mask, parse_graph6, random_graph,
                               run_check, screen, turan_graph)
 from spectral_cliques import bounds
@@ -244,6 +244,24 @@ def test_premise_screen_reports_only_near_premise_pairs(monkeypatch):
                 want[name] += is_kfree(g, r + 1) and rhs - lhs >= -band
     assert calls == want == {"stability": 25, "edge_corollary": 25}
     assert 0 < sum(want.values()) < res.graphs_checked // 100
+
+
+def test_far_premise_failures_past_the_certification_cap_screened_out(monkeypatch):
+    """Cycles of order 70 and 80 fail the spectral premise by far: the
+    screen counts them out of domain without the reporting path, above
+    CERTIFY_MAX_N too, as the graph-by-graph reference does."""
+    monkeypatch.setenv("SCL_MAX_N", "80")
+    lines = [emit_graph6(cycle_graph(n)) for n in (70, 80)]
+    checks = {"stability": {"r": [2], "alpha": [0]},
+              "edge_corollary": {"r": [2], "alpha": [0]}}
+    calls = []
+    original = scan_module.run_check
+    monkeypatch.setattr(scan_module, "run_check",
+                        lambda *args: calls.append(args) or original(*args))
+    got = _scan_lines(lines, checks, 10, 1.0)
+    assert calls == []
+    assert got == reference_scan(lines, checks, 10, 1.0)
+    assert got["out_of_domain"] == 4
 
 
 def test_exact_counts_past_the_cap_step_aside():
