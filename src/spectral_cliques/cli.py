@@ -22,7 +22,7 @@ from . import graphs
 from .bounds import DEFAULT_TOLS
 from .graphs import Graph, Graph6Error, parse_graph6
 from .scan import (CHECKS, CorpusSpec, ScanConfig, ScanResult, expand_param_grid,
-                   parse_graph6_line, read_graph6_lines, run_check, scan)
+                   parse_graph6_line, read_graph6, run_check, scan)
 from .stability import stability_report
 
 EXIT_OK = 0
@@ -157,8 +157,9 @@ def _config_from_args(args) -> ScanConfig:
 def _input_graphs(args) -> list[tuple[str, Graph]]:
     if args.g6 is not None:
         return [(args.g6.strip(), parse_graph6(args.g6))]
+    lines = read_graph6(args.file).decode("ascii").split("\n")
     return [(line, parse_graph6_line(args.file, lineno, line))
-            for lineno, line in read_graph6_lines(args.file)]
+            for lineno, line in enumerate(lines, 1) if line]
 
 
 _NAMED_PATTERN = re.compile(r"(k|c|p|e|star)(\d+)")

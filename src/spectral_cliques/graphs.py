@@ -327,17 +327,6 @@ def graph6_width(n: int) -> int:
     return (n * (n - 1) // 2 + 5) // 6
 
 
-def short_graph6_order(s: str, top: int) -> int:
-    """n if ``s`` is a stripped graph6 line of order n <= ``top`` that
-    writes its order in one character and is well formed, else 0.  Every
-    such line decodes without error; any other line is left to
-    :func:`parse_graph6`, which decides it."""
-    n = ord(s[0]) - 63 if s else 0
-    if 0 < n <= top and len(s) == 1 + graph6_width(n) and "?" <= min(s) and max(s) <= "~":
-        return n
-    return 0
-
-
 def _g6_order(s: str) -> tuple[int, str]:
     c0 = ord(s[0]) - 63
     if c0 != 63:

@@ -16,7 +16,11 @@ A chunk is screened on arrays, one ``screen.Block`` per vertex order, and
 only its reported evaluations go through ``run_check``.  Graphs of order
 up to ``screen.MASK_MAX_N`` (every exhaustive corpus, small random ones,
 graph6 lines of small order) reach their block as edge bits, and a
-``Graph`` is built only for a graph with a reported evaluation.
+``Graph`` is built only for a graph with a reported evaluation.  A graph6
+file is read once, as bytes, and split, checked and grouped by order on
+arrays (:func:`read_graph6`, :func:`_chunk_graphs`); only lines that are
+not plain graph6 characters, or not of small order, take Python work of
+their own.
 
 The checks, their parameter axes and default grids are declared once, in
 ``CHECKS``.  All are hard claims except where a check's ``discovery`` rule
@@ -40,9 +44,9 @@ import numpy as np
 from . import bounds, screen
 from .bounds import DEFAULT_TOLS, Tolerances
 from .cliques import is_kfree, moon_moser_check
-from .graphs import (Graph, Graph6Error, emit_graph6, is_bipartite, is_connected,
-                     mix64, parse_graph6, random_edge_mask, random_graph,
-                     short_graph6_order, vertex_cap)
+from .graphs import (Graph, Graph6Error, emit_graph6, graph6_width, is_bipartite,
+                     is_connected, mix64, parse_graph6, random_edge_mask, random_graph,
+                     vertex_cap)
 from .spectral import EigensolverError, WalkOverflowError
 from .stability import STABILITY, stability_alpha, stability_report
 
@@ -147,20 +151,56 @@ class CheckOutcome:
 # corpora
 
 
-def read_graph6_lines(path: str) -> list[tuple[int, str]]:
-    """(line number, graph6 text) for each graph in a file, numbered from 1;
-    blanks and '#' comments are skipped but counted, and a leading
-    '>>graph6<<' marker is tolerated."""
-    lines = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if line.startswith(">>graph6<<"):
-                line = line[len(">>graph6<<"):]
-            if not line or line.startswith("#"):
-                continue
-            lines.append((lineno, line))
-    return lines
+def _line_spans(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, ends) of the lines of a newline-terminated text, as byte
+    offsets; each end is the offset of the line's newline."""
+    ends = np.flatnonzero(buf == 10)
+    starts = np.empty_like(ends)
+    starts[:1] = 0
+    starts[1:] = ends[:-1] + 1
+    return starts, ends
+
+
+def _outside(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """How many bytes of each line lie outside the graph6 characters ?..~."""
+    bad = np.zeros(len(buf) + 1, dtype=np.int64)
+    np.cumsum((buf < 63) | (buf > 126), out=bad[1:])
+    return bad[ends] - bad[starts]
+
+
+def read_graph6(path: str) -> bytes:
+    """A graph6 file's text, line for line: each line stripped, a leading
+    '>>graph6<<' marker dropped, blanks and '#' comments left empty, and
+    every line ended by a newline, so that the graph on line k of the file
+    (from 1, by universal newlines) is on line k of the text.
+
+    A line of graph6 characters alone is kept as it stands, with no Python
+    work per line; only the others are decoded and stripped one by one.
+    A non-ASCII byte raises Graph6Error naming the file and its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    high = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) > 127)
+    if high.size:
+        at = int(high[0])
+        lineno = len((data[:at] + b"?").splitlines())
+        raise Graph6Error(f"{path}, line {lineno}: non-ASCII byte 0x{data[at]:02x}")
+    if b"\r" in data:
+        data = b"\n".join(data.splitlines())
+    if data and not data.endswith(b"\n"):
+        data += b"\n"
+    buf = np.frombuffer(data, dtype=np.uint8)
+    starts, ends = _line_spans(buf)
+    plain = (ends > starts) & (_outside(buf, starts, ends) == 0)
+    parts, done = [], 0
+    for i in np.flatnonzero(~plain).tolist():
+        start, end = int(starts[i]), int(ends[i])
+        line = data[start:end].decode("ascii").strip()
+        if line.startswith(">>graph6<<"):
+            line = line[len(">>graph6<<"):]
+        parts += [data[done:start], b"" if line.startswith("#") else line.encode("ascii")]
+        done = end
+    parts.append(data[done:])
+    return b"".join(parts)
 
 
 def parse_graph6_line(path: str, lineno: int, text: str, cap: int | None = None) -> Graph:
@@ -381,13 +421,28 @@ def _init_scan_worker(corpus: CorpusSpec, config: ScanConfig,
     )
 
 
+def _short_orders(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+                  top: int) -> np.ndarray:
+    """n for each line that is a graph6 line of order n <= ``top``, its
+    order in one character, and well formed, else 0.  Every such line
+    decodes without error; any other is left to :func:`parse_graph6`,
+    which decides it."""
+    n = buf[starts].astype(np.int64) - 63
+    short = ((n >= 1) & (n <= top) & (ends - starts == 1 + graph6_width(n))
+             & (_outside(buf, starts, ends) == 0))
+    return np.where(short, n, 0)
+
+
 def _chunk_graphs(chunk: tuple) -> tuple[int, dict[int, tuple], list[tuple[int, Graph]]]:
     """A chunk's size and its graphs: those of order up to
     ``screen.MASK_MAX_N`` as edge masks, ``{n: (positions, masks)}``
     (exhaustive and random masks, and the graph6 lines that
-    ``short_graph6_order`` admits), and every other one built, as
-    ``(position, Graph)``.  A line that fails to decode raises its error,
-    the earliest first."""
+    :func:`_short_orders` admits, read from the text as uint8 rows), and
+    every other one built, as ``(position, Graph)``.  A ``lines`` chunk is
+    ``("lines", first, text)``: its file's lines from line ``first`` on, as
+    :func:`read_graph6` gives them, the empty ones standing for skipped
+    lines.  A line that fails to decode raises its error, the earliest
+    first."""
     corpus: CorpusSpec = _WORKER["corpus"]
     bits: dict[int, tuple] = {}
     built: list[tuple[int, Graph]] = []
@@ -397,20 +452,22 @@ def _chunk_graphs(chunk: tuple) -> tuple[int, dict[int, tuple], list[tuple[int, 
         bits[n] = (range(stop - start), np.arange(start, stop, dtype=np.int64))
         return stop - start, bits, built
     if kind == "lines":
+        _, first, text = chunk
+        buf = np.frombuffer(text, dtype=np.uint8)
+        starts, ends = _line_spans(buf)
+        rows = np.flatnonzero(ends > starts)
+        starts, ends = starts[rows], ends[rows]
         cap = vertex_cap()
-        top = min(screen.MASK_MAX_N, cap)
-        lines: dict[int, tuple[list[int], list[str]]] = {}
-        for i, (lineno, line) in enumerate(chunk[1]):
-            n = short_graph6_order(line, top)
-            if n:
-                pos, texts = lines.setdefault(n, ([], []))
-                pos.append(i)
-                texts.append(line)
-            else:
-                built.append((i, parse_graph6_line(corpus.path, lineno, line, cap)))
-        for n, (pos, texts) in lines.items():
-            bits[n] = (pos, screen.graph6_masks(texts, n))
-        return len(chunk[1]), bits, built
+        orders = _short_orders(buf, starts, ends, min(screen.MASK_MAX_N, cap))
+        found, first_at = np.unique(orders[orders > 0], return_index=True)
+        for n in found[np.argsort(first_at)].tolist():  # orders as they first appear
+            pos = np.flatnonzero(orders == n)
+            chars = buf[starts[pos, None] + np.arange(1 + graph6_width(n))]
+            bits[n] = (pos, screen.graph6_masks(chars, n))
+        for i in np.flatnonzero(orders == 0).tolist():
+            line = text[starts[i]:ends[i]].decode("ascii")
+            built.append((i, parse_graph6_line(corpus.path, first + int(rows[i]), line, cap)))
+        return len(rows), bits, built
     _, start, stop = chunk
     n = corpus.n
     if n > screen.MASK_MAX_N:
@@ -506,20 +563,23 @@ def _scan_chunk(chunk: tuple) -> dict:
 def _claim_chunks(chunks: list[tuple]) -> list[tuple[int, dict | Exception]]:
     """Scan the chunks claimed, in index order, from the shared counter
     until none is left, as ``(index, partial)``.  A chunk that raises
-    ends the claims, its own and everyone's, as ``(index, exception)``."""
+    ends the claims, its own and everyone's, as ``(index, exception)``.
+    A process that stops claiming adds one to the counter, past the last
+    index, so that the counter less the chunk count is the number of
+    processes that have stopped."""
     counter = _WORKER["counter"]
     done: list[tuple[int, dict | Exception]] = []
     while True:
         with counter.get_lock():
             i = counter.value
+            counter.value = i + 1
             if i >= len(chunks):
                 return done
-            counter.value = i + 1
         try:
             done.append((i, _scan_chunk(chunks[i])))
         except Exception as exc:  # the scan raises the lowest-indexed one
             with counter.get_lock():
-                counter.value = len(chunks)
+                counter.value = max(counter.value, len(chunks)) + 1
             done.append((i, exc))
             return done
 
@@ -540,14 +600,18 @@ def _scan_in_pool(chunks: list[tuple], workers: int, init_args: tuple) -> list[d
     The workers start as :func:`_pool_context` says.  A forked worker
     claims its first chunk a few tens of milliseconds after this process;
     one started by spawn or forkserver first imports numpy and the
-    package, and may find every chunk claimed.  The chunk list goes to the workers as their task, not
-    through the initializer: a large initializer argument keeps ``Pool()``
-    from returning, under spawn, until a worker has imported the package.
-    The pool is left as soon as this process holds every partial, so a
-    worker still booting then is terminated instead of waited for.  Of
-    several failing chunks the lowest-indexed one's exception is raised;
-    every lower chunk was claimed before it, so it is the error a
-    one-process scan raises."""
+    package, and may find every chunk claimed.  The chunk list goes to the
+    workers as their task, under every start method: a few bytes objects
+    and ints (a ``lines`` chunk is its first line number and its text).
+    The pool is left as soon as this process holds every partial it
+    needs, so a worker still booting then is terminated instead of waited
+    for.  A worker terminated while it sends its reply would leave the
+    pool's result lock taken, and terminating the pool would hang; so the
+    pool is terminated under the counter's lock, which stops every worker
+    before its reply, once the replies of the workers that had stopped
+    claiming are in.  Of several failing chunks the lowest-indexed one's
+    exception is raised; every lower chunk was claimed before it, so it is
+    the error a one-process scan raises."""
     ctx = _pool_context()
     counter = ctx.Value("q", 0)
     _init_scan_worker(*init_args, counter)
@@ -555,12 +619,18 @@ def _scan_in_pool(chunks: list[tuple], workers: int, init_args: tuple) -> list[d
                   initargs=(*init_args, counter)) as pool:
         claimed = pool.imap_unordered(_claim_chunks, [chunks] * workers)
         held = dict(_claim_chunks(chunks))
+        replies = 0
         while True:
             end = min((i for i, part in held.items() if isinstance(part, Exception)),
                       default=len(chunks))
             if all(i in held for i in range(end)):
                 break
             held.update(next(claimed))
+            replies += 1
+        with counter.get_lock():
+            for _ in range(counter.value - len(chunks) - 1 - replies):
+                next(claimed)
+            pool.terminate()
     if end < len(chunks):
         raise held[end]
     return [held[i] for i in range(len(chunks))]
@@ -585,9 +655,14 @@ def _make_chunks(corpus: CorpusSpec) -> list[tuple]:
         return [("exhaustive", n, lo, min(lo + _CHUNK_MASKS, total))
                 for lo in range(0, total, _CHUNK_MASKS)]
     if corpus.kind == "file":
-        lines = read_graph6_lines(corpus.path)
-        return [("lines", tuple(lines[lo:lo + _CHUNK_ITEMS]))
-                for lo in range(0, len(lines), _CHUNK_ITEMS)] or [("lines", ())]
+        text = read_graph6(corpus.path)
+        starts, ends = _line_spans(np.frombuffer(text, dtype=np.uint8))
+        rows = np.flatnonzero(ends > starts)
+        chunks = []
+        for lo in range(0, len(rows), _CHUNK_ITEMS):
+            head, tail = int(rows[lo]), int(rows[min(lo + _CHUNK_ITEMS, len(rows)) - 1])
+            chunks.append(("lines", head + 1, text[starts[head]:ends[tail] + 1]))
+        return chunks or [("lines", 1, b"")]
     if corpus.kind == "random":
         if corpus.n is None or corpus.p is None or corpus.count is None or corpus.seed is None:
             raise ValueError("random corpus needs n, p, count and seed")

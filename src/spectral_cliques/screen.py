@@ -4,9 +4,11 @@ Almost every evaluation of a scan holds by a wide margin and is never
 printed.  A screen evaluates one check, for one parameter combination, on
 every graph of one vertex order in a chunk at once, on numpy arrays (a
 ``Block``): the eigenvalues of a stacked LAPACK ``eigvalsh``, an int64
-clique-count matrix, and walk counts from int64 matmuls.  A block solves
-and counts each of these the first time a screen reads it, so a plan
-whose screens read no eigenvalue solves none.  Domain gates are integer
+clique-count matrix, and walk counts from int64 matmuls.  A block counts
+each of these the first time a screen reads it, and solves eigenvalues
+per row, on first read: a screen asks only for the rows its domain gate
+leaves live, so a plan whose screens read no eigenvalue solves none, and
+a graph every gate rules out is never solved.  Domain gates are integer
 logic and are decided exactly.  An evaluation goes through
 ``scan.run_check`` and the reporting path only when its screened slack may
 lie near a verdict threshold, when it may be among the chunk's tightest
@@ -14,15 +16,15 @@ instances, or when its graph's eigensolver failed; every other one is a
 ``holds`` or an out-of-domain outcome that builds no object.
 
 Graphs of order up to ``MASK_MAX_N`` are screened from their edge masks
-alone (graph6 lines are decoded to masks, :func:`graph6_masks`): the
-adjacency stack, m, k_s, omega and k_s(u) all come from the masks, by
-vertex-subset tests.  A ``Graph`` is built only for a graph with a
-reported evaluation, its memo primed with what the block computed: its
-``eigh`` spectrum (the solve every printed figure is pinned to, run in one
-stack for the reported graphs alone) where the block solved eigenvalues,
-and the block's clique profiles, so the reporting path recomputes
-neither.  Larger graphs arrive as ``Graph``s and are counted on their
-pivot trees.
+alone (graph6 lines are decoded to masks from uint8 rows,
+:func:`graph6_masks`): the adjacency stack, m, k_s, omega and k_s(u) all
+come from the masks, by vertex-subset tests.  A ``Graph`` is built only
+for a graph with a reported evaluation, its memo primed with what the
+block computed: its ``eigh`` spectrum (the solve every printed figure is
+pinned to, run in one stack for the reported graphs alone) where the
+block solved its eigenvalues, and the block's clique profiles, so the
+reporting path recomputes neither.  Larger graphs arrive as ``Graph``s
+and are counted on their pivot trees.
 
 Every check but momo is a ``bounds.Formula``, screened by running its
 slots, gate, premise and sides on the block's arrays (:func:`formula_screen`).
@@ -81,14 +83,13 @@ def _subsets(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return edges, by_size, by_vertex
 
 
-def graph6_masks(lines: Sequence[str], n: int) -> np.ndarray:
-    """The edge masks of well-formed graph6 lines of order n <= MASK_MAX_N
-    (``graphs.short_graph6_order``), as int64.  A payload, read as one
-    big-endian int, holds its pairs column by column from the top bit
-    down, above the padding."""
+def graph6_masks(lines: np.ndarray, n: int) -> np.ndarray:
+    """The edge masks of well-formed graph6 lines of order n <= MASK_MAX_N,
+    given as uint8 rows of 1 + ``graph6_width(n)`` characters, as int64.
+    A payload, read as one big-endian int, holds its pairs column by
+    column from the top bit down, above the padding."""
     width = graph6_width(n)
-    chars = np.frombuffer("".join(lines).encode("ascii"), dtype=np.uint8)
-    chars = chars.reshape(len(lines), 1 + width)[:, 1:].astype(np.int64) - 63
+    chars = lines[:, 1:].astype(np.int64) - 63
     payloads = (chars << 6 * np.arange(width - 1, -1, -1)).sum(axis=1)
     i, j = _pairs(n)
     shifts = 6 * width - 1 - (j * (j - 1) // 2 + i)
@@ -100,17 +101,19 @@ class Block:
 
     A block is built from ``Graph``s or, for an order up to MASK_MAX_N,
     from edge masks (:meth:`from_bits`), with no ``Graph`` at all.  ``pos``
-    holds the graphs' positions in the chunk.  A block solves and counts
-    what a screen reads, the first time it is read: the eigenvalues
-    (``vals``, ``mu``, ``mu2``) from one stacked ``eigvalsh``, clique
-    counts, per-vertex clique counts and walk counts.  From ``Graph``s,
+    holds the graphs' positions in the chunk.  A block counts what a
+    screen reads, the first time it is read: clique counts, per-vertex
+    clique counts and walk counts.  It solves per row, on first read: the
+    eigenvalues (:meth:`eigenvalues`) of the rows a screen asks for and
+    no earlier read solved, in one stacked ``eigvalsh``.  From ``Graph``s,
     clique counts come from one pivot-tree walk per graph (per-vertex
     first with ``vertex``, so that one walk fills both memo entries); from
     masks, k_s is the number of s-subsets whose complete graph's edge mask
     the graph's mask covers, and k_s(u) the number of those that hold u.
     :meth:`reported` hands out the ``Graph``s of the rows that take the
     reporting path, with what the block computed primed into their memos;
-    the pinned ``eigh`` is solved there, for the reported graphs alone.
+    the pinned ``eigh`` is solved there, for the reported graphs the block
+    solved alone.
     The adjacency matrices are kept as bytes (n^2 per graph) and widened
     to floats or int64 at most STACK_ENTRIES entries at a time.
     """
@@ -122,6 +125,8 @@ class Block:
         self.pos = np.asarray(pos, dtype=np.intp)
         self.vertex = vertex
         self._walks: np.ndarray | None = None
+        self._vals: np.ndarray | None = None
+        self._solved: np.ndarray | None = None
 
     @classmethod
     def from_bits(cls, n: int, masks: np.ndarray, pos: Sequence[int]) -> "Block":
@@ -139,13 +144,13 @@ class Block:
         b.adj[:, i, j] = edges
         b.adj[:, j, i] = edges
         b.pos = np.asarray(pos, dtype=np.intp)
-        b._walks = None
+        b._walks = b._vals = b._solved = None
         return b
 
     def reported(self, rows: np.ndarray) -> list[tuple[int, Graph]]:
         """(position, Graph) of each graph that ``rows`` marks.  Where the
-        block solved its eigenvalues, the graph's memo holds its ``eigh``
-        spectrum, solved here in one stack for the marked graphs alone;
+        block solved a graph's eigenvalues, its memo holds its ``eigh``
+        spectrum, solved here in one stack for those marked graphs alone;
         where the block was built from masks, it holds the clique profiles
         the block counted."""
         picked = np.flatnonzero(rows)
@@ -155,8 +160,10 @@ class Block:
             self._prime_cliques(graphs, picked)
         else:
             graphs = [self.graphs[i] for i in picked]
-        if "vals" in self.__dict__:
-            prime_rows(graphs, stacked_eigenvalues(self.adj[picked]))
+        if self._solved is not None:
+            solved = self._solved[picked]
+            prime_rows([g for g, s in zip(graphs, solved.tolist()) if s],
+                       stacked_eigenvalues(self.adj[picked[solved]]))
         return list(zip(self.pos[picked].tolist(), graphs))
 
     def _prime_cliques(self, graphs: list[Graph], picked: np.ndarray) -> None:
@@ -171,24 +178,24 @@ class Block:
                 vertex_clique_counts.prime(g, VertexCliqueProfile(
                     tuple(tuple(row[1:om + 1]) for row in rows), om))
 
-    @functools.cached_property
-    def vals(self) -> np.ndarray:
-        """Every graph's eigenvalues, each row descending, from one stacked
-        ``eigvalsh`` (a row of NaN where the solver failed)."""
-        return stacked_eigenvalues(self.adj, np.linalg.eigvalsh)
+    def eigenvalues(self, rows: np.ndarray) -> np.ndarray:
+        """Every graph's eigenvalues, each row descending, solved by one
+        stacked ``eigvalsh`` for the graphs ``rows`` marks that no earlier
+        read solved; a row of NaN where a graph is not solved, or where
+        the solver failed on it."""
+        if self._solved is None:
+            self._vals = np.full((len(self.m), self.n), np.nan)
+            self._solved = np.zeros(len(self.m), dtype=bool)
+        need = rows & ~self._solved
+        if need.any():
+            self._vals[need] = stacked_eigenvalues(self.adj[need], np.linalg.eigvalsh)
+            self._solved |= need
+        return self._vals
 
     @functools.cached_property
     def exact(self) -> "_Exact":
         """The block as exact sides read it."""
         return _Exact(self)
-
-    @functools.cached_property
-    def mu(self) -> np.ndarray:
-        return self.vals[:, 0]
-
-    @functools.cached_property
-    def mu2(self) -> np.ndarray:
-        return self.vals[:, 1] if self.n > 1 else np.zeros(len(self.m))
 
     @functools.cached_property
     def adj(self) -> np.ndarray:
@@ -398,11 +405,15 @@ def _signs(lhs, rhs) -> np.ndarray | None:
     return (rhs > lo).astype(np.int64) - (rhs < hi)
 
 
-def _sides(f: Formula, b: Block, params: dict, count: int):
-    """``f``'s sides as floats, and the exact sign of its slack (or None)."""
+def _sides(f: Formula, b: Block, params: dict, rows: np.ndarray):
+    """``f``'s sides as floats, and the exact sign of its slack (or None).
+    Eigenvalues are solved for the graphs ``rows`` marks alone; the sides
+    of the others are meaningless."""
+    count = len(rows)
     if f.ranks:
-        # reading mu solves the block's eigenvalues: only where f reads them
-        lhs, rhs = f.sides(b, *(getattr(b, mu) for mu in ("mu", "mu2")[:f.ranks]), **params)
+        vals = b.eigenvalues(rows)
+        mu2 = vals[:, 1] if b.n > 1 else np.zeros(count)
+        lhs, rhs = f.sides(b, *(vals[:, 0], mu2)[:f.ranks], **params)
     else:
         lhs, rhs = f.sides(b.exact, **params)
     signs = _signs(lhs, rhs)
@@ -411,15 +422,15 @@ def _sides(f: Formula, b: Block, params: dict, count: int):
     return lhs, rhs, signs
 
 
-def _premise_clear(f: Formula, b: Block, params: dict, tols: Tolerances, count: int):
-    """Where the premise ``f`` holds, and where it fails (its gate
-    included), clear of the reporting path's doubt: exactly, or by the
-    margin around -hold * scale, outside which the reporting path decides
-    a premise on its floats too (:func:`bounds.premise_holds`)."""
-    gated = np.zeros(count, dtype=bool) | f.gate(b, **params)
-    if gated.all():  # read no eigenvalue
-        return ~gated, gated
-    lhs, rhs, signs = _sides(f, b, params, count)
+def _premise_clear(f: Formula, b: Block, params: dict, tols: Tolerances, live: np.ndarray):
+    """Where the premise ``f`` holds, and where it fails (its gate and the
+    graphs not ``live`` included), clear of the reporting path's doubt:
+    exactly, or by the margin around -hold * scale, outside which the
+    reporting path decides a premise on its floats too
+    (:func:`bounds.premise_holds`).  Only the graphs left live by its gate
+    are solved."""
+    gated = ~live | f.gate(b, **params)
+    lhs, rhs, signs = _sides(f, b, params, ~gated)
     if signs is not None:
         return ~gated & (signs >= 0), gated | (signs < 0)
     slack, band = rhs - lhs, (tols.hold + SCREEN_MARGIN) * _scale(lhs, rhs)
@@ -429,7 +440,7 @@ def _premise_clear(f: Formula, b: Block, params: dict, tols: Tolerances, count: 
 def _slot(f: Formula, b: Block, params: dict, present, tols: Tolerances, count: int):
     """One outcome of ``f`` on a block: where it is live (in domain, premise
     not failed), out of domain and sure (premise holding clear), and
-    :func:`_sides`."""
+    :func:`_sides` of the live graphs."""
     ood = np.zeros(count, dtype=bool) | f.gate(b, **params)
     live = ~ood
     if present is not True:  # an outcome only some graphs have
@@ -437,14 +448,14 @@ def _slot(f: Formula, b: Block, params: dict, present, tols: Tolerances, count: 
         live &= present
     sure = live
     if f.premise is not None:
-        holds, fails = _premise_clear(f.premise, b, params, tols, count)
+        holds, fails = _premise_clear(f.premise, b, params, tols, live)
         if not f.vacuous:
             ood |= live & fails
         live = live & ~fails
         sure = live & holds
     if f.sides is None:
         return live, ood, sure
-    return live, ood, sure, *_sides(f, b, params, count)
+    return live, ood, sure, *_sides(f, b, params, live)
 
 
 def _columns(arrays: list[np.ndarray]) -> np.ndarray:

@@ -6,8 +6,8 @@ import numpy as np
 
 from spectral_cliques.bounds import DEFAULT_TOLS
 from spectral_cliques.cliques import CliqueProfile
-from spectral_cliques.graphs import (Graph, emit_graph6, graph_from_edge_mask,
-                                     mask_members, parse_graph6)
+from spectral_cliques.graphs import (Graph, Graph6Error, emit_graph6, graph6_width,
+                                     graph_from_edge_mask, mask_members, parse_graph6)
 from spectral_cliques.scan import (EXHAUSTIVE_LIMIT, EXHAUSTIVE_OVERRIDE_LIMIT,
                                    expand_param_grid, run_check)
 from spectral_cliques.spectral import WalkProfile
@@ -65,6 +65,51 @@ def brute_force_walks(g: Graph, L: int) -> WalkProfile:
     for u in range(g.n):
         extend(u, u, 1)
     return WalkProfile(tuple(totals), tuple(tuple(row) for row in per))
+
+
+def read_graph6_lines(path: str) -> list[tuple[int, str]]:
+    """(line number, graph6 text) for each graph in a file, numbered from 1,
+    read line by line in text mode: blanks and '#' comments are skipped but
+    counted, and a leading '>>graph6<<' marker is tolerated."""
+    lines = []
+    with open(path, "r", encoding="ascii") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if line.startswith(">>graph6<<"):
+                line = line[len(">>graph6<<"):]
+            if not line or line.startswith("#"):
+                continue
+            lines.append((lineno, line))
+    return lines
+
+
+def short_graph6_order(s: str, top: int) -> int:
+    """n if ``s`` is a stripped graph6 line of order n <= ``top`` that
+    writes its order in one character and is well formed, else 0."""
+    n = ord(s[0]) - 63 if s else 0
+    if 0 < n <= top and len(s) == 1 + graph6_width(n) and "?" <= min(s) and max(s) <= "~":
+        return n
+    return 0
+
+
+def graph6_chunks(path: str, items: int, top: int) -> list[list[tuple[int, int, bool, Graph]]]:
+    """A graph6 file's graphs, ``items`` lines a chunk, as (position in the
+    chunk, line number, whether :func:`short_graph6_order` admits the line
+    at ``top``, Graph), decoded line by line; the first malformed line
+    raises its Graph6Error, naming the file and line.  A file with no
+    graph is one empty chunk."""
+    lines = read_graph6_lines(path)
+    chunks = []
+    for lo in range(0, len(lines), items):
+        chunk = []
+        for pos, (lineno, line) in enumerate(lines[lo:lo + items]):
+            try:
+                g = parse_graph6(line)
+            except Graph6Error as exc:
+                raise Graph6Error(f"{path}, line {lineno}: {exc}") from None
+            chunk.append((pos, lineno, bool(short_graph6_order(line, top)), g))
+        chunks.append(chunk)
+    return chunks or [[]]
 
 
 def dense_adjacency(g: Graph) -> np.ndarray:

@@ -4,6 +4,7 @@ outcomes, and scan output that does not depend on how graphs were batched."""
 
 import importlib
 import json
+from collections import Counter
 import os
 import subprocess
 import sys
@@ -17,9 +18,10 @@ from spectral_cliques import (complete_graph, cycle_graph, emit_graph6,
                               spectrum, turan_graph)
 from spectral_cliques.cli import main
 from spectral_cliques.graphs import mix64
-from spectral_cliques.scan import expand_param_grid, tightness_rank
+from spectral_cliques.scan import (CorpusSpec, ScanConfig, expand_param_grid, scan,
+                                   tightness_rank)
 
-from oracles import dense_adjacency
+from oracles import brute_force_cliques, dense_adjacency
 
 # the package re-exports the ``scan`` function under the module's name
 scan_module = importlib.import_module("spectral_cliques.scan")
@@ -157,7 +159,7 @@ class TestBitIdentity:
     def test_block_with_no_reported_rows_solves_no_eigh(self, lapack_calls):
         masks = np.arange(0, 1024, 37, dtype=np.int64)
         b = screen.Block.from_bits(5, masks, range(len(masks)))
-        b.mu  # read, as a spectral screen reads it
+        b.eigenvalues(np.ones(len(masks), dtype=bool))  # read, as a spectral screen reads it
         assert b.reported(np.zeros(len(masks), dtype=bool)) == []
         assert lapack_calls == {"eigh": [], "eigvalsh": [(len(masks), 5, 5)]}
 
@@ -234,9 +236,9 @@ def _pinned_shapes(seen) -> list[tuple[int, int, int]]:
 
 
 class TestOneStackPerChunk:
-    """The screen solves every graph of a chunk and order in one stacked
-    eigvalsh; the pinned eigh is solved in one stack per chunk and order,
-    for the graphs with a reported evaluation alone."""
+    """The screen solves the graphs of a chunk and order that a gate admits
+    in one stacked eigvalsh; the pinned eigh is solved in one stack per
+    chunk and order, for the graphs with a reported evaluation alone."""
 
     def test_exhaustive_n6_one_call_per_chunk(self, capsys, lapack_calls, reported_rows):
         _scan_stdout(capsys, "--exhaustive-n", "6", "--check", "wilf")
@@ -251,8 +253,13 @@ class TestOneStackPerChunk:
         graphs = [random_graph(3 + i % 3, 0.5, mix64(5, i)) for i in range(600)]
         corpus = _write_corpus(tmp_path / "mixed.g6", graphs)
         _scan_stdout(capsys, "--file", corpus, "--check", "conjecture", "--r", "2")
-        assert sorted(lapack_calls["eigvalsh"]) == sorted([
-            (171, 3, 3), (171, 4, 4), (170, 5, 5), (29, 3, 3), (29, 4, 4), (30, 5, 5)])
+        blocks = Counter((i // 512, g.n) for i, g in enumerate(graphs))
+        assert sorted(blocks.values()) == sorted([171, 171, 170, 29, 29, 30])
+        # of those, the triangle-free graphs, which the gate omega > 2 leaves
+        admitted = Counter((i // 512, g.n) for i, g in enumerate(graphs)
+                           if brute_force_cliques(g).omega <= 2)
+        assert sorted(lapack_calls["eigvalsh"]) == sorted(
+            (count, n, n) for (_, n), count in admitted.items())
         assert len(reported_rows["blocks"]) == 6
         assert sorted(lapack_calls["eigh"]) == _pinned_shapes(reported_rows)
         assert lapack_calls["eigh"]
@@ -261,6 +268,68 @@ class TestOneStackPerChunk:
         _scan_stdout(capsys, "--exhaustive-n", "5", "--check", "momo",
                      "--check", "maxmu1", "--check", "oldin", "--check", "theorem3")
         assert lapack_calls == {"eigh": [], "eigvalsh": []}
+
+
+class TestAdmittedRows:
+    """A block solves eigvalsh per row, on first read, for the rows some
+    screen's gate leaves live, each row once."""
+
+    @pytest.fixture
+    def solved(self, monkeypatch):
+        """Rows passed to np.linalg.eigvalsh, and every block scanned."""
+        seen = {"rows": 0, "blocks": []}
+        eigvalsh, chunk_blocks = np.linalg.eigvalsh, scan_module._chunk_blocks
+
+        def counting(a, *args, **kwargs):
+            seen["rows"] += len(a)
+            return eigvalsh(a, *args, **kwargs)
+
+        def spy_blocks(chunk):
+            blocks, size = chunk_blocks(chunk)
+            seen["blocks"] += blocks
+            return blocks, size
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        monkeypatch.setattr(scan_module, "_chunk_blocks", spy_blocks)
+        return seen
+
+    def _rows(self, solved, corpus, checks) -> int:
+        solved.update(rows=0, blocks=[])
+        scan(corpus, ScanConfig(checks=checks))
+        return solved["rows"]
+
+    def test_conjecture_and_stability_solve_only_k4_free_rows(self, tmp_path, solved):
+        graphs = [random_graph(7, 0.5, mix64(9, i)) for i in range(1200)]
+        graphs += [turan_graph(r, q * r) for r in (2, 3) for q in range(1, 16 // r + 1)]
+        corpus = CorpusSpec(kind="file", path=_write_corpus(tmp_path / "sample.g6", graphs))
+        checks = {"conjecture": {"r": [2, 3]}, "stability": {"r": [2, 3]}}
+        rows = self._rows(solved, corpus, checks)
+        admitted = sum(int((b.omega <= 3).sum()) for b in solved["blocks"])
+        assert rows == admitted
+        assert sum(len(b.pos) for b in solved["blocks"]) == len(graphs) > admitted
+        assert self._rows(solved, corpus, checks) == rows
+
+    def test_battery_solves_every_row_once(self, solved):
+        corpus = CorpusSpec(kind="exhaustive", n=5)
+        checks = {name: {} for name in ("wilf", "maxmu", "maxmu1", "polyn", "theorem1",
+                                        "theorem2", "momo", "oldin")}
+        assert self._rows(solved, corpus, checks) == 1024
+        assert self._rows(solved, corpus, checks) == 1024
+
+    def test_block_with_every_row_gated_solves_nothing(self, solved):
+        # every graph of order 5 with a K4: out of the domain of r = 2 and 3
+        masks = np.arange(1024, dtype=np.int64)
+        b = screen.Block.from_bits(5, masks, range(len(masks)))
+        keep = b.omega >= 4
+        b = screen.Block.from_bits(5, masks[keep], range(int(keep.sum())))
+        tols = scan_module.DEFAULT_TOLS
+        for name in ("conjecture", "stability", "edge_corollary"):
+            for params in expand_param_grid(name, {"r": [2, 3]}):
+                sc = scan_module.CHECKS[name].screen(b, params, tols)
+                assert not sc.exact.any()
+        assert solved["rows"] == 0
+        assert b.reported(np.ones(len(b.pos), dtype=bool))
+        assert solved["rows"] == 0
 
 
 class TestSolverFailureIsOutOfDomain:

@@ -48,8 +48,10 @@ def test_block_sides_agree_with_graph_sides(name):
             skip = np.zeros(len(graphs), dtype=bool) | f.gate(b, **params)
             if f.trivial is not None:
                 skip |= f.trivial(b)
+            vals = b.eigenvalues(np.ones(len(graphs), dtype=bool))
+            mus = (vals[:, 0], vals[:, 1] if b.n > 1 else np.zeros(len(graphs)))
             with np.errstate(divide="ignore", invalid="ignore"):
-                sides = f.sides(b, *(b.mu, b.mu2)[:f.ranks], **params)
+                sides = f.sides(b, *mus[:f.ranks], **params)
             lhs, rhs = (np.broadcast_to(np.asarray(v, dtype=float), skip.shape) for v in sides)
             for i in np.flatnonzero(~skip):
                 g = graphs[i]

@@ -9,7 +9,7 @@ from spectral_cliques import (Graph6Error, build_graph, complement,
                               parse_graph6, path_graph, random_graph,
                               spectrum, star_graph, turan_graph)
 from spectral_cliques.graphs import (SplitMix64, mask_from, mask_members, mix64,
-                                     random_edge_mask, short_graph6_order)
+                                     random_edge_mask)
 
 
 def random_small_graph(draw):
@@ -222,15 +222,6 @@ class TestRandomGraph:
         """Graphs drawn pair by pair, before the edge mask was split out."""
         assert emit_graph6(random_graph(n, p, seed)) == line
         assert graph_from_edge_mask(n, random_edge_mask(n, p, seed)) == parse_graph6(line)
-
-    def test_short_graph6_order(self):
-        # well formed, order in one character, at most the given top
-        assert short_graph6_order("FgaG_", 10) == 7
-        assert short_graph6_order("@", 10) == 1
-        for line in ("FgaG_", "FgaG", "FgaG_?", "Fga G", "?", "~??FgaG_", ""):
-            assert short_graph6_order(line, 6) == 0
-            if line != "FgaG_":
-                assert short_graph6_order(line, 10) == 0
 
     def test_edge_mask_checks(self):
         with pytest.raises(ValueError, match="vertex count 7 outside 1..5"):

@@ -13,7 +13,7 @@ from spectral_cliques import (clique_counts, complete_graph, emit_graph6,
                               stability, turan_graph, walk_counts)
 from spectral_cliques.graphs import mix64
 from spectral_cliques.scan import (CorpusSpec, ScanConfig, expand_param_grid,
-                                   read_graph6_lines, scan, tightness_rank)
+                                   read_graph6, scan, tightness_rank)
 
 from oracles import brute_force_cliques, brute_force_walks, enumerate_labeled
 
@@ -154,7 +154,7 @@ class TestScan:
         path = tmp_path / "corpus.g6"
         lines = [emit_graph6(turan_graph(2, 4)), emit_graph6(turan_graph(3, 6))]
         path.write_text("# comment\n\n" + "\n".join(lines) + "\n")
-        assert read_graph6_lines(str(path)) == [(3, lines[0]), (4, lines[1])]
+        assert read_graph6(str(path)) == ("\n\n" + "\n".join(lines) + "\n").encode("ascii")
         res = scan(CorpusSpec(kind="file", path=str(path)),
                    ScanConfig(checks={"maxmu1": {}}))
         assert res.graphs_checked == 2
@@ -236,6 +236,9 @@ class _InProcessPool:
     def imap_unordered(self, fn, tasks):
         return iter([fn(task) for task in tasks])
 
+    def terminate(self):
+        pass
+
 
 def _no_process_start(self):
     raise AssertionError("a real process was started")
@@ -281,7 +284,36 @@ print(len(outs[0]))
 """
 
 
+#: run with ``python -c FILE``: 600 scans at --jobs 2 of a file whose first
+#: line is malformed, in chunks of 3 lines, so that the caller fails on
+#: chunk 0 while its worker may still be replying for chunk 1
+_FAILING_SCANS = """
+import importlib, sys
+from spectral_cliques.graphs import Graph6Error
+from spectral_cliques.scan import CorpusSpec, ScanConfig, scan
+
+importlib.import_module("spectral_cliques.scan")._CHUNK_ITEMS = 3
+for _ in range(600):
+    try:
+        scan(CorpusSpec(kind="file", path=sys.argv[1]), ScanConfig(checks={"maxmu1": {}}),
+             jobs=2)
+    except Graph6Error as exc:
+        assert str(exc).endswith("line 1: truncated graph6 bit payload"), exc
+    else:
+        raise AssertionError("the malformed line was not reported")
+"""
+
+
 class TestScanProcesses:
+    def test_failing_scans_leave_the_pool(self, tmp_path):
+        # a worker terminated while it sent its reply left the pool's result
+        # lock taken, and leaving the pool then hung (in 2 of 5 runs of 300)
+        corpus = tmp_path / "bad.g6"
+        corpus.write_text("F?a\n" + "Bw\n" * 5)
+        proc = subprocess.run([sys.executable, "-c", _FAILING_SCANS, str(corpus)],
+                              capture_output=True, text=True, timeout=90)
+        assert proc.returncode == 0, proc.stderr
+
     def test_no_more_workers_than_chunks(self, monkeypatch):
         # 600 graphs are two chunks: the caller and one worker scan them
         corpus = CorpusSpec(kind="random", n=6, p=0.5, count=600, seed=3)
