@@ -1,10 +1,10 @@
 """Spectral and clique statistics of small graphs, plus mechanical
 verification of the inequalities tying them together."""
 
-from .bounds import (BoundReport, Theorem3Report, Tolerances, conjecture_check,
-                     edge_corollary_check, oldin_check, polyn_bound,
-                     theorem1_bound, theorem2_lower, theorem3_conditional,
-                     turan_edge_bound, walk_power_bound, wilf_bound)
+from .bounds import (BoundReport, Tolerances, conjecture_check, edge_corollary_check,
+                     oldin_check, polyn_bound, theorem1_bound, theorem2_lower,
+                     theorem3_conditional, turan_edge_bound, walk_power_bound,
+                     wilf_bound)
 from .cliques import (CliqueProfile, MoMoReport, VertexCliqueProfile,
                       clique_counts, is_complete_multipartite_plus_isolated,
                       is_kfree, moon_moser_check, proper_coloring,

@@ -304,12 +304,9 @@ class GraphView:
         cliques = clique_counts(g)
         self.omega = cliques.omega
         self.k = cliques.count
-        self._walks: dict[int, int] = {}
 
     def w(self, l: int) -> int:
-        if l not in self._walks:
-            self._walks[l] = walk_counts(self.g, l).total(l)
-        return self._walks[l]
+        return walk_counts(self.g, l).total(l)
 
     def kw(self, s: int, l: int) -> int:
         kw = _vertex_walk_sums(self.g, l)
@@ -617,9 +614,6 @@ EDGE_COROLLARY = Formula("edge_corollary", lambda x, r, alpha: (
     (Fraction(r - 1, 2 * r) - 2 * alpha) * x.n * x.n, x.m), _edge_gate, ranks=0,
     premise=SPECTRAL_PREMISE,
     slots=lambda x, r, alpha: [({"r": r, "alpha": exact_alpha(alpha)}, True)])
-
-Theorem3Report = BoundReport  # theorem3 reports as every formula does
-
 
 def theorem3_conditional(g: Graph, r: int, s: int, alpha,
                          tols: Tolerances = DEFAULT_TOLS) -> BoundReport:

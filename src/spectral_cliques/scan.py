@@ -170,9 +170,10 @@ def _outside(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarra
 
 def read_graph6(path: str) -> bytes:
     """A graph6 file's text, line for line: each line stripped, a leading
-    '>>graph6<<' marker dropped, blanks and '#' comments left empty, and
-    every line ended by a newline, so that the graph on line k of the file
-    (from 1, by universal newlines) is on line k of the text.
+    '>>graph6<<' marker dropped and the rest stripped again, blanks and '#'
+    comments left empty, and every line ended by a newline, so that the
+    graph on line k of the file (from 1, by universal newlines) is on line
+    k of the text.
 
     A line of graph6 characters alone is kept as it stands, with no Python
     work per line; only the others are decoded and stripped one by one.
@@ -196,7 +197,7 @@ def read_graph6(path: str) -> bytes:
         start, end = int(starts[i]), int(ends[i])
         line = data[start:end].decode("ascii").strip()
         if line.startswith(">>graph6<<"):
-            line = line[len(">>graph6<<"):]
+            line = line[len(">>graph6<<"):].strip()
         parts += [data[done:start], b"" if line.startswith("#") else line.encode("ascii")]
         done = end
     parts.append(data[done:])

@@ -31,11 +31,11 @@ slots, gate, premise and sides on the block's arrays (:func:`formula_screen`).
 A screened float slack differs from the reported one only by rounding
 (numpy's ``**``, the floats of maxmu1's exact sides, ``eigvalsh`` against
 ``eigh``), far inside ``SCREEN_MARGIN``; printed figures always come from
-the reporting path.  Exact sides are decided in ints, on counts capped so
-that no int64 step wraps.  A premise that fails clear of the reporting
-path's doubt makes an outcome out of domain, or for theorem3 a vacuous
-``holds``.  momo's screen, exact in int64, is written here.  Where a count
-could leave int64, the screen steps aside and the reporting path
+the reporting path.  Exact sides are decided in ints.  A premise that
+fails clear of the reporting path's doubt makes an outcome out of domain,
+or for theorem3 a vacuous ``holds``.  momo's screen, exact in int64, is
+written here.  Every count a screen reads must lie below its block's
+``cap``; where one does not, the screen steps aside and the reporting path
 evaluates every graph.
 """
 
@@ -55,7 +55,8 @@ from .cliques import (CliqueProfile, VertexCliqueProfile, clique_counts,
 from .graphs import Graph, graph6_width, graph_from_edge_mask
 from .spectral import STACK_ENTRIES, adjacency_stack, prime_rows, stacked_eigenvalues
 
-#: int64 products stay below this bound, so a sum of two cannot overflow
+#: :func:`_signs` clamps a rational side to within this bound of 0, which
+#: every int64 side (below 2^61, see ``Block``) lies well inside
 _INT64_SAFE = 1 << 62
 
 #: blocks of this order or less can be built from edge bits: the 2^n
@@ -96,6 +97,13 @@ def graph6_masks(lines: np.ndarray, n: int) -> np.ndarray:
     return ((payloads[:, None] >> shifts & 1) << np.arange(len(i))).sum(axis=1)
 
 
+def _clip(rows: Sequence[Sequence[int]], cap: int) -> Sequence[Sequence[int]]:
+    """Rows of exact counts with each count above ``cap`` lowered to it."""
+    if max(map(max, rows)) < cap:
+        return rows
+    return [[min(c, cap) for c in row] for row in rows]
+
+
 class Block:
     """The graphs of one vertex order in a chunk, as arrays.
 
@@ -116,6 +124,14 @@ class Block:
     solved alone.
     The adjacency matrices are kept as bytes (n^2 per graph) and widened
     to floats or int64 at most STACK_ENTRIES entries at a time.
+
+    Every count a formula or momo's screen reads, k_s, k_s(u) and w_l
+    (through :meth:`k`, :meth:`kw` and :meth:`w`), is below ``cap`` =
+    isqrt(2^61) // (n + 1), or the read raises OverflowError.  n + 1 times
+    a product of two counts then stays below 2^61, so no exact side or
+    comparison of two wraps int64.  Clique counts of ``Graph``s are clipped
+    to ``cap`` as they enter int64.  Walks are counted only while
+    n * maxdeg^(L-1), which bounds every walk total, stays below 2^63.
     """
 
     def __init__(self, graphs: Sequence[Graph], pos: Sequence[int], vertex: bool) -> None:
@@ -127,6 +143,7 @@ class Block:
         self._walks: np.ndarray | None = None
         self._vals: np.ndarray | None = None
         self._solved: np.ndarray | None = None
+        self._kw: dict[int, np.ndarray] = {}
 
     @classmethod
     def from_bits(cls, n: int, masks: np.ndarray, pos: Sequence[int]) -> "Block":
@@ -145,6 +162,7 @@ class Block:
         b.adj[:, j, i] = edges
         b.pos = np.asarray(pos, dtype=np.intp)
         b._walks = b._vals = b._solved = None
+        b._kw = {}
         return b
 
     def reported(self, rows: np.ndarray) -> list[tuple[int, Graph]]:
@@ -193,9 +211,8 @@ class Block:
         return self._vals
 
     @functools.cached_property
-    def exact(self) -> "_Exact":
-        """The block as exact sides read it."""
-        return _Exact(self)
+    def cap(self) -> int:
+        return math.isqrt(1 << 61) // (self.n + 1)
 
     @functools.cached_property
     def adj(self) -> np.ndarray:
@@ -221,29 +238,22 @@ class Block:
         return np.array([prof.omega for prof in self._profiles], dtype=np.int64)
 
     @functools.cached_property
-    def cliques(self) -> np.ndarray | None:
-        """k_s in column s for 0 <= s <= n + 1 (k_0 = 1, k_{n+1} = 0), or
-        None when (n + 1) k_s may leave int64."""
+    def cliques(self) -> np.ndarray:
+        """k_s in column s for 0 <= s <= n + 1 (k_0 = 1, k_{n+1} = 0), each
+        clipped to :attr:`cap`."""
         out = np.zeros((len(self.m), self.n + 2), dtype=np.int64)
         if self.graphs is None:
             # sums of at most 2^MASK_MAX_N ones: exact in floats
             out[:, :self.n + 1] = self._hits @ _subsets(self.n)[1]
             return out
-        try:
-            counts = np.array([prof.counts for prof in self._profiles], dtype=np.int64)
-        except OverflowError:
-            return None
-        if (self.n + 1) * int(counts.max()) >= _INT64_SAFE:
-            return None
         out[:, 0] = 1
-        out[:, 1:self.n + 1] = counts
+        out[:, 1:self.n + 1] = _clip([prof.counts for prof in self._profiles], self.cap)
         return out
 
     @functools.cached_property
-    def vertex_cliques(self) -> np.ndarray | None:
+    def vertex_cliques(self) -> np.ndarray:
         """k_s(u) at [:, u, s] for 1 <= s <= max omega + 1 (column 0 and
-        slots past a graph's omega are 0), or None when a count leaves
-        int64."""
+        slots past a graph's omega are 0), each clipped to :attr:`cap`."""
         n = self.n
         out = np.zeros((len(self.m), n, int(self.omega.max()) + 2), dtype=np.int64)
         if self.graphs is None:
@@ -251,21 +261,20 @@ class Block:
             width = min(out.shape[2], n + 1)
             out[:, :, :width] = per[:, :, :width]
             return out
-        try:
-            for i, g in enumerate(self.graphs):
-                prof = vertex_clique_counts(g)
-                out[i, :, 1:prof.omega + 1] = prof.rows
-        except OverflowError:
-            return None
+        for i, g in enumerate(self.graphs):
+            prof = vertex_clique_counts(g)
+            out[i, :, 1:prof.omega + 1] = _clip(prof.rows, self.cap)
         return out
 
+    def _below_cap(self, counts: np.ndarray) -> np.ndarray:
+        if counts.size and int(counts.max()) >= self.cap:
+            raise OverflowError("a count reaches the block's cap")
+        return counts
+
     def k(self, s: int) -> np.ndarray:
-        """k_s of every graph, zero past the block's order; OverflowError
-        where :attr:`cliques` is None."""
+        """k_s of every graph, zero past the block's order."""
         k = self.cliques
-        if k is None:
-            raise OverflowError("a clique count may leave int64")
-        return k[:, s] if s < k.shape[1] else np.zeros(len(k), dtype=np.int64)
+        return self._below_cap(k[:, s]) if s < k.shape[1] else np.zeros(len(k), dtype=np.int64)
 
     def w(self, l: int) -> np.ndarray:
         """w_l, the l-walk total of every graph; OverflowError where
@@ -273,7 +282,17 @@ class Block:
         walks = self.walks(l)
         if walks is None:
             raise OverflowError("a walk count may leave int64")
-        return walks[:, l].sum(axis=1)
+        return self._below_cap(walks[:, l].sum(axis=1))
+
+    def kw(self, s: int, l: int) -> np.ndarray:
+        """The sum over u of k_s(u) w_l(u) of every graph, zero past the
+        largest omega."""
+        if l not in self._kw:
+            self.w(l)  # w_l(u) <= w_l: this bounds every w_l(u) too
+            ks = self._below_cap(self.vertex_cliques)
+            self._kw[l] = np.matmul(self.walks(l)[:, l][:, None, :], ks)[:, 0]
+        kw = self._kw[l]
+        return kw[:, s] if s < kw.shape[1] else np.zeros(len(kw), dtype=np.int64)
 
     @functools.cached_property
     def _maxdeg(self) -> int:
@@ -350,47 +369,6 @@ def _scale(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
 
 
-class _Exact:
-    """A block as an exact formula's sides read it: ``k(s)``, ``w(l)`` and
-    ``kw(s, l)`` (the sum over u of k_s(u) w_l(u)) as int64 arrays, each
-    computed once, from counts all below 2^30.5 / (n + 1), OverflowError
-    otherwise.  A side that adds at most 2 (n + 1) terms, each at most
-    n + 1 times a product of two counts, then stays below 2^62."""
-
-    def __init__(self, b: Block) -> None:
-        self.b = b
-        self.cap = math.isqrt(1 << 61) // (b.n + 1)
-        self._memo: dict = {}
-
-    def __getattr__(self, name: str):
-        return getattr(self.b, name)
-
-    def _counts(self, key, compute: Callable[[], np.ndarray]) -> np.ndarray:
-        if key not in self._memo:
-            counts = compute()
-            if counts.size and int(counts.max()) >= self.cap:
-                raise OverflowError("an exact side may leave int64")
-            self._memo[key] = counts
-        return self._memo[key]
-
-    def k(self, s: int) -> np.ndarray:
-        return self._counts(("k", s), lambda: self.b.k(s))
-
-    def w(self, l: int) -> np.ndarray:
-        return self._counts(("w", l), lambda: self.b.w(l))
-
-    def kw(self, s: int, l: int) -> np.ndarray:
-        if ("kw", l) not in self._memo:
-            self.w(l)  # refuses walks that may leave int64
-            per = self._counts(("w(u)", l), lambda: self.b.walks(l)[:, l])
-            if self.b.vertex_cliques is None:
-                raise OverflowError("a clique count may leave int64")
-            ks = self._counts("k(u)", lambda: self.b.vertex_cliques)
-            self._memo["kw", l] = np.matmul(per[:, None, :], ks)[:, 0]
-        kw = self._memo["kw", l]
-        return kw[:, s] if s < kw.shape[1] else np.zeros(len(kw), dtype=np.int64)
-
-
 def _signs(lhs, rhs) -> np.ndarray | None:
     """sign(rhs - lhs) in ints, where rhs is an int64 array and lhs one too
     or a rational q (a > q iff a > floor(q), a < q iff a < ceil(q)); else
@@ -410,12 +388,11 @@ def _sides(f: Formula, b: Block, params: dict, rows: np.ndarray):
     Eigenvalues are solved for the graphs ``rows`` marks alone; the sides
     of the others are meaningless."""
     count = len(rows)
+    mus = ()
     if f.ranks:
         vals = b.eigenvalues(rows)
-        mu2 = vals[:, 1] if b.n > 1 else np.zeros(count)
-        lhs, rhs = f.sides(b, *(vals[:, 0], mu2)[:f.ranks], **params)
-    else:
-        lhs, rhs = f.sides(b.exact, **params)
+        mus = (vals[:, 0], vals[:, 1] if b.n > 1 else np.zeros(count))[:f.ranks]
+    lhs, rhs = f.sides(b, *mus, **params)
     signs = _signs(lhs, rhs)
     lhs, rhs = (np.asarray(side, dtype=float) if isinstance(side, np.ndarray)
                 else np.full(count, float(side)) for side in (lhs, rhs))
@@ -502,10 +479,11 @@ def formula_screen(f: Formula) -> ScreenFn:
 def screen_momo(b: Block, params: dict, tols: Tolerances) -> Screen | None:
     # rho_t = ((t+1) k_{t+1} - n k_t) / (t k_t) for 1 <= t < omega must not
     # decrease; compared by cross-multiplying, exactly.  An outcome never
-    # ranks among the tightest.
+    # ranks among the tightest.  With every k_s below cap, |num| and den
+    # stay below n cap, and each cross-product below 2^61.
     k = b.cliques
     n = b.n
-    if k is None or 2 * n * n * int(k.max()) ** 2 >= _INT64_SAFE:
+    if int(k.max()) >= b.cap:
         return None
     om = b.omega
     t = np.arange(1, n)

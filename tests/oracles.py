@@ -76,7 +76,7 @@ def read_graph6_lines(path: str) -> list[tuple[int, str]]:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if line.startswith(">>graph6<<"):
-                line = line[len(">>graph6<<"):]
+                line = line[len(">>graph6<<"):].strip()
             if not line or line.startswith("#"):
                 continue
             lines.append((lineno, line))

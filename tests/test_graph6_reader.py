@@ -3,6 +3,7 @@ graphs, chunk positions, line numbers and first error as reading the file
 line by line (``oracles.graph6_chunks``), at any ``--jobs``."""
 
 import importlib
+import json
 import pickle
 
 import numpy as np
@@ -46,6 +47,10 @@ def _malformed(draw) -> str:
     return line[:at] + draw(_BAD) + line[at + 1:]
 
 
+def _comment() -> st.SearchStrategy[str]:
+    return st.text(_PAYLOAD | _BAD, max_size=6).map(lambda text: "#" + text)
+
+
 @st.composite
 def _line(draw) -> str:
     kind = draw(st.sampled_from(["graph"] * 6 + ["padded", "marker", "comment",
@@ -55,10 +60,11 @@ def _line(draw) -> str:
     if kind == "padded":
         pad = st.text(" \t\x0b\x0c", max_size=3)
         return draw(pad) + draw(_graph_line()) + draw(pad)
-    if kind == "marker":
-        return ">>graph6<<" + draw(st.sampled_from(["", " "])) + draw(_graph_line())
+    if kind == "marker":  # after the marker, a graph or a comment
+        tail = draw(st.one_of(_graph_line(), _comment()))
+        return ">>graph6<<" + draw(st.sampled_from(["", " ", "\t "])) + tail
     if kind == "comment":
-        return "#" + draw(st.text(_PAYLOAD | _BAD, max_size=6))
+        return draw(_comment())
     if kind == "blank":
         return draw(st.sampled_from(["", " ", "\t"]))
     return draw(_malformed())
@@ -143,6 +149,15 @@ def test_non_ascii_byte_names_file_and_line(tmp_path, capsys, command):
     code = main([command, "--file", str(corpus), "--check", "wilf"])
     assert code == 2
     assert capsys.readouterr().err == f"error: {corpus}, line 3: non-ASCII byte 0xc3\n"
+
+
+def test_check_strips_what_follows_the_marker(tmp_path, capsys):
+    """The text after a '>>graph6<<' marker is stripped again: a graph is
+    printed as written, and a comment after the marker is skipped."""
+    corpus = tmp_path / "c.g6"
+    corpus.write_text(">>graph6<< Bw\n>>graph6<< # a comment\n")
+    assert main(["check", "--file", str(corpus), "--check", "wilf"]) == 0
+    assert [entry["graph6"] for entry in json.loads(capsys.readouterr().out)] == ["Bw"]
 
 
 def test_lines_chunk_is_compact(tmp_path):

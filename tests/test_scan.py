@@ -6,6 +6,7 @@ import sys
 import threading
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 
 from spectral_cliques import (clique_counts, complete_graph, emit_graph6,
@@ -15,7 +16,7 @@ from spectral_cliques.graphs import mix64
 from spectral_cliques.scan import (CorpusSpec, ScanConfig, expand_param_grid,
                                    read_graph6, scan, tightness_rank)
 
-from oracles import brute_force_cliques, brute_force_walks, enumerate_labeled
+from oracles import brute_force_cliques, brute_force_walks, enumerate_labeled, reference_scan
 
 # the package re-exports the ``scan`` function under the module's name
 scan_module = importlib.import_module("spectral_cliques.scan")
@@ -99,6 +100,21 @@ class TestParamGrid:
         assert combos == [{"s": None, "l": 2}]
 
 
+def _networkx(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
+#: the corpus filters as networkx decides them
+NX_FILTERS = {
+    "connected": nx.is_connected,
+    "nonbipartite": lambda h: not nx.is_bipartite(h),
+    "kfree:3": lambda h: max(len(c) for c in nx.find_cliques(h)) <= 3,
+}
+
+
 class TestScan:
     def test_exhaustive_n5_theorem1(self):
         res = scan(CorpusSpec(kind="exhaustive", n=5),
@@ -129,6 +145,23 @@ class TestScan:
         expected = sum(1 for g in enumerate_labeled(4)
                        if is_connected(g) and not is_bipartite(g))
         assert res.graphs_checked == expected
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("p", [0.2, 0.5])
+    @pytest.mark.parametrize("filters", [("connected",), ("nonbipartite",), ("kfree:3",),
+                                         ("connected", "nonbipartite", "kfree:3")])
+    def test_filters_on_built_random_graphs(self, filters, p, jobs, monkeypatch):
+        """Random graphs of order 12, above ``screen.MASK_MAX_N``, are built
+        as ``Graph``s and filtered one by one: the scan reports what the
+        reference reports on the graphs that networkx's predicates keep."""
+        monkeypatch.setattr(scan_module, "_CHUNK_ITEMS", 16)  # three chunks
+        graphs = [random_graph(12, p, mix64(3, i)) for i in range(40)]
+        kept = [emit_graph6(g) for g in graphs if all(NX_FILTERS[f](_networkx(g)) for f in filters)]
+        checks = {"wilf": {}, "theorem1": {"r": [2, 3]}}
+        got = scan(CorpusSpec(kind="random", n=12, p=p, count=40, seed=3, filters=filters),
+                   ScanConfig(checks=checks), jobs=jobs).to_json_dict(deterministic_timing=True)
+        del got["timing_s"]
+        assert got == reference_scan(kept, checks, 10, 1.0)
 
     def test_jobs_deterministic(self):
         corpus = CorpusSpec(kind="exhaustive", n=5)

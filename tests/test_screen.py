@@ -266,7 +266,7 @@ def test_far_premise_failures_past_the_certification_cap_screened_out(monkeypatc
 
 def test_exact_counts_past_the_cap_step_aside():
     """oldin at l = 12 on K16 sums k_s(u) w_13(u) to about 10^19, past
-    int64: the block's exact view refuses counts that large, so the screen
+    int64: the block refuses the walk counts at its cap, so the screen
     steps aside, and the scan reports what the graph-by-graph reference
     does."""
     lines = [emit_graph6(complete_graph(16)), emit_graph6(turan_graph(4, 16))]
@@ -274,6 +274,25 @@ def test_exact_counts_past_the_cap_step_aside():
     oldin = scan_module.CHECKS["oldin"].screen
     assert oldin(b, {"s": None, "l": 12}, scan_module.DEFAULT_TOLS) is None
     checks = {"oldin": {"l": [12]}}
+    assert _scan_lines(lines, checks, 10, 1.0) == reference_scan(lines, checks, 10, 1.0)
+
+
+def test_clique_counts_past_the_cap_step_aside():
+    """On K30 and T(5, 30) the block's cap is 48,983,879, and K30 has
+    C(30, 15) = 155,117,520 15-cliques: every screen that reads a clique
+    count past the cap steps aside (momo's too), wilf, which reads only
+    omega and n, still screens, and the scan reports what the
+    graph-by-graph reference does."""
+    lines = [emit_graph6(complete_graph(30)), emit_graph6(turan_graph(5, 30))]
+    b = screen.Block([parse_graph6(line) for line in lines], [0, 1], True)
+    assert b.cap == 48_983_879 and b.cliques[0, 15] == b.cap
+    checks = {"wilf": {}, "theorem1": {"r": [16]}, "polyn": {}, "momo": {},
+              "oldin": {"l": [2]}}
+    params = {"wilf": {}, "theorem1": {"r": 16}, "polyn": {}, "momo": {},
+              "oldin": {"s": None, "l": 2}}
+    screened = {name: scan_module.CHECKS[name].screen(b, params[name], scan_module.DEFAULT_TOLS)
+                for name in checks}
+    assert [name for name, sc in screened.items() if sc is not None] == ["wilf"]
     assert _scan_lines(lines, checks, 10, 1.0) == reference_scan(lines, checks, 10, 1.0)
 
 
