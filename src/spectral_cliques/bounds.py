@@ -108,8 +108,7 @@ class BoundReport:
 
 
 def _report(name: str, params: dict, lhs: float, rhs: float, tols: Tolerances,
-            *, exact_slack: Ratio | Fraction | int | None = None,
-            in_domain: bool = True) -> BoundReport:
+            *, exact_slack: Ratio | Fraction | int | None = None) -> BoundReport:
     lhs_f = float(lhs)
     rhs_f = float(rhs)
     slack = rhs_f - lhs_f
@@ -123,7 +122,7 @@ def _report(name: str, params: dict, lhs: float, rhs: float, tols: Tolerances,
         equality = abs(slack) <= tols.equality * scale
         exact = False
     return BoundReport(name, params, lhs_f, rhs_f, slack, scale, holds,
-                       equality, in_domain=in_domain, exact=exact)
+                       equality, exact=exact)
 
 
 def _skipped(name: str, params: dict) -> BoundReport:

@@ -47,7 +47,7 @@ from .cliques import is_kfree, moon_moser_check
 from .graphs import (Graph, Graph6Error, emit_graph6, graph6_width, is_bipartite,
                      is_connected, mix64, parse_graph6, random_edge_mask, random_graph,
                      vertex_cap)
-from .spectral import EigensolverError, WalkOverflowError
+from .spectral import EigensolverError
 from .stability import STABILITY, stability_alpha, stability_report
 
 EXHAUSTIVE_LIMIT = 7
@@ -277,11 +277,9 @@ def _momo_outcomes(g: Graph, params: dict, tols: Tolerances) -> list[CheckOutcom
     rep = moon_moser_check(g)
     if rep.monotone:
         return [CheckOutcome("momo", {}, HOLDS, None, None, None, rep)]
-    for t, (a, b) in enumerate(zip(rep.ratios, rep.ratios[1:]), start=1):
-        if b < a:
-            return [CheckOutcome("momo", {"t": t}, VIOLATION, float(a), float(b),
-                                 float(b - a), rep)]
-    raise AssertionError("non-monotone chain without a descent")
+    t, a, b = next((t, a, b) for t, (a, b) in enumerate(zip(rep.ratios, rep.ratios[1:]), start=1)
+                   if b < a)
+    return [CheckOutcome("momo", {"t": t}, VIOLATION, float(a), float(b), float(b - a), rep)]
 
 
 #: a witness-search verdict's outcome status; premise-failed and ood are OOD
@@ -370,15 +368,16 @@ CHECKS: dict[str, Check] = {
 def run_check(name: str, g: Graph, params: dict,
               tols: Tolerances = DEFAULT_TOLS) -> list[CheckOutcome]:
     """Evaluate one named check on one graph; oldin and theorem3 with s=None
-    expand over every valid s.  A walk count beyond the 128-bit range, or an
-    eigensolver that does not converge, turns the evaluation into one
+    expand over every valid s.  Arithmetic overflow (a walk count beyond
+    the 128-bit range, a floating-point side out of range) or an
+    eigensolver that does not converge turns the evaluation into one
     out-of-domain outcome."""
     check = CHECKS.get(name)
     if check is None:
         raise ValueError(f"unknown check {name!r}")
     try:
         return check.evaluate(g, params, tols)
-    except (WalkOverflowError, EigensolverError):
+    except (OverflowError, EigensolverError):
         return [CheckOutcome(name, dict(params), OOD, None, None, None)]
 
 

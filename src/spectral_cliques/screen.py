@@ -129,9 +129,9 @@ class Block:
     (through :meth:`k`, :meth:`kw` and :meth:`w`), is below ``cap`` =
     isqrt(2^61) // (n + 1), or the read raises OverflowError.  n + 1 times
     a product of two counts then stays below 2^61, so no exact side or
-    comparison of two wraps int64.  Clique counts of ``Graph``s are clipped
-    to ``cap`` as they enter int64.  Walks are counted only while
-    n * maxdeg^(L-1), which bounds every walk total, stays below 2^63.
+    comparison of two wraps int64.  Every count is clipped to ``cap``:
+    clique counts of ``Graph``s as they enter int64, walk counts after
+    each matmul step (:meth:`walks`).
     """
 
     def __init__(self, graphs: Sequence[Graph], pos: Sequence[int], vertex: bool) -> None:
@@ -277,12 +277,8 @@ class Block:
         return self._below_cap(k[:, s]) if s < k.shape[1] else np.zeros(len(k), dtype=np.int64)
 
     def w(self, l: int) -> np.ndarray:
-        """w_l, the l-walk total of every graph; OverflowError where
-        :meth:`walks` is None."""
-        walks = self.walks(l)
-        if walks is None:
-            raise OverflowError("a walk count may leave int64")
-        return self._below_cap(walks[:, l].sum(axis=1))
+        """w_l, the l-walk total of every graph."""
+        return self._below_cap(self.walks(l)[:, l].sum(axis=1))
 
     def kw(self, s: int, l: int) -> np.ndarray:
         """The sum over u of k_s(u) w_l(u) of every graph, zero past the
@@ -294,16 +290,11 @@ class Block:
         kw = self._kw[l]
         return kw[:, s] if s < kw.shape[1] else np.zeros(len(kw), dtype=np.int64)
 
-    @functools.cached_property
-    def _maxdeg(self) -> int:
-        return int(self.adj.sum(axis=2, dtype=np.int64).max())
-
-    def walks(self, L: int) -> np.ndarray | None:
+    def walks(self, L: int) -> np.ndarray:
         """w_l(u), the l-walks starting at u, at [:, l, u] for 1 <= l <= L
-        (row 0 is zero), or None when n * maxdeg^(L-1), which bounds every
-        walk total up to length L, reaches 2^63."""
-        if self.n * self._maxdeg ** (L - 1) >= 1 << 63:
-            return None
+        (row 0 is zero), each clipped to :attr:`cap`.  A count below the
+        cap is exact, as w_{l+1}(v) >= w_l(u) for every neighbour u of v,
+        and no step wraps, as it sums at most n counts of at most cap."""
         count = len(self.m)
         if self._walks is None:
             self._walks = np.zeros((count, 2, self.n), dtype=np.int64)
@@ -317,7 +308,8 @@ class Block:
                 a = self.adj[lo:lo + step].astype(np.int64)
                 last = self._walks[lo:lo + step, -1]
                 for j in range(L + 1 - have):
-                    last = more[lo:lo + step, j] = np.matmul(a, last[..., None])[..., 0]
+                    last = more[lo:lo + step, j] = np.minimum(
+                        np.matmul(a, last[..., None])[..., 0], self.cap)
             self._walks = np.concatenate([self._walks, more], axis=1)
         return self._walks[:, :L + 1]
 

@@ -11,11 +11,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spectral_cliques import complete_graph, emit_graph6, screen, turan_graph
+from spectral_cliques import (complete_graph, emit_graph6, graph_from_edge_mask, screen,
+                              turan_graph)
 from spectral_cliques.bounds import DEFAULT_TOLS
 from spectral_cliques.cli import EXIT_INTERNAL, _build_parser, main
 from spectral_cliques.scan import (CHECKS, CheckOutcome, CorpusSpec, ScanConfig, ScanResult,
                                    scan)
+
+from oracles import reference_scan
 
 
 def run_cli(*args, cwd=None, env_extra=None, timeout=None):
@@ -153,6 +156,31 @@ class TestCheck:
         assert proc.returncode == 0, proc.stderr
         [entry] = json.loads(proc.stdout)
         assert entry["status"] == "ood"
+
+
+class TestOverflowIsOod:
+    """An evaluation whose floating-point side or walk counts overflow is
+    one ``ood`` outcome, and the command exits 0."""
+
+    @pytest.mark.parametrize("name,args", [
+        ("k64", ("--check", "maxmu", "--s", "172")),
+        ("k64", ("--check", "theorem1", "--r", "171")),
+        ("c5", ("--check", "maxmu", "--s", "1024"))])
+    def test_check(self, name, args, tmp_path, capsys):
+        path = tmp_path / f"{name}.g6"
+        assert main(["gen", "named", "--name", name, "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["check", "--file", str(path), *args]) == 0
+        out = capsys.readouterr().out
+        assert out.count('"status":"ood"') == len(json.loads(out)) == 1
+
+    def test_scan(self, capsys):
+        assert main(["scan", "--exhaustive-n", "4", "--check", "maxmu", "--s", "2000"]) == 0
+        got = json.loads(capsys.readouterr().out)
+        del got["timing_s"]
+        assert got["out_of_domain"] == 54
+        lines = [emit_graph6(graph_from_edge_mask(4, mask)) for mask in range(64)]
+        assert got == reference_scan(lines, {"maxmu": {"s": [2000]}}, 10, 1.0)
 
 
 class TestScanCli:

@@ -3,9 +3,11 @@
 import importlib
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
 import spectral_cliques
+from spectral_cliques import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 MODULES = {info.name for info in pkgutil.iter_modules(spectral_cliques.__path__)}
@@ -35,3 +37,22 @@ def test_readme_names_resolve():
         if obj is None:
             missing.append(name)
     assert missing == []
+
+
+def _readme_cli_examples() -> list[list[str]]:
+    """The arguments of every ``scl`` line of the README's ``sh`` blocks,
+    backslash continuations joined and ``#`` comments cut."""
+    examples = []
+    text = README.read_text(encoding="utf-8")
+    for block in re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            args = shlex.split(line, comments=True)
+            if args[:1] == ["scl"]:
+                examples.append(args[1:])
+    return examples
+
+
+def test_readme_cli_examples_parse():
+    parser = cli._build_parser()
+    commands = {parser.parse_args(args).command for args in _readme_cli_examples()}
+    assert commands == {"gen", "check", "scan", "witness"}

@@ -3,11 +3,12 @@ block's arrays agree with its sides graph by graph, and a new check is one
 registry entry."""
 
 import importlib
+import os
 
 import numpy as np
 import pytest
 
-from spectral_cliques import (bounds, complete_graph, emit_graph6,
+from spectral_cliques import (bounds, cli, complete_graph, cycle_graph, emit_graph6,
                               graph_from_edge_mask, random_graph, screen)
 from spectral_cliques.graphs import mix64
 from spectral_cliques.scan import CorpusSpec, ScanConfig, expand_param_grid, scan
@@ -85,16 +86,30 @@ def test_a_check_declares_nothing_about_the_spectrum(monkeypatch):
     assert want["equalities"] and want["out_of_domain"]
 
 
-def test_a_new_check_is_one_registry_entry(monkeypatch):
-    """mu <= n - 1, with equality exactly on complete graphs, registered as
-    one entry, scans as the graph-by-graph reference does.  (At tolerance 0
-    a spectral equality cannot be certified and is not reported.)"""
-    toy = bounds.Formula("toy", lambda x, mu: (mu, x.n - 1))
-    monkeypatch.setitem(scan_module.CHECKS, "toy", scan_module.formula_check(toy, {}))
+def test_a_new_check_is_one_registry_entry(monkeypatch, tmp_path):
+    """A new check, registered as one entry, scans as the graph-by-graph
+    reference does.  ``toy``, mu <= n - 1, holds with equality exactly on
+    complete graphs.  ``half``, 2 mu <= n, is violated by K3 and every
+    larger complete graph, with equality on K2 and C4: its violations go
+    through the screen and the reporting path, and the CLI exits 1 with a
+    reproducer.  (At tolerance 0 a spectral equality cannot be certified
+    and is not reported.)"""
+    for f in (bounds.Formula("toy", lambda x, mu: (mu, x.n - 1)),
+              bounds.Formula("half", lambda x, mu: (2 * mu, x.n))):
+        monkeypatch.setitem(scan_module.CHECKS, f.name, scan_module.formula_check(f, {}))
     lines = [emit_graph6(graph_from_edge_mask(5, mask)) for mask in range(0, 1 << 10, 7)]
     lines += [emit_graph6(complete_graph(n)) for n in range(1, 9)]
-    for top_k, tol_scale, equalities in ((3, 1.0, 8), (10, 0.0, 0)):
-        want = reference_scan(lines, {"toy": {}}, top_k, tol_scale)
-        assert _scan_lines(lines, {"toy": {}}, top_k, tol_scale) == want
+    lines.append(emit_graph6(cycle_graph(4)))
+    for name, top_k, tol_scale, violations, equalities in (
+            ("toy", 3, 1.0, 0, 8), ("toy", 10, 0.0, 0, 0),
+            ("half", 3, 1.0, 59, 2), ("half", 10, 0.0, 59, 0)):
+        want = reference_scan(lines, {name: {}}, top_k, tol_scale)
+        assert _scan_lines(lines, {name: {}}, top_k, tol_scale) == want
+        assert len(want["violations"]) == violations
         assert len(want["equalities"]) == equalities
-        assert want["graphs_checked"] == len(lines) and not want["violations"]
+        assert want["graphs_checked"] == len(lines)
+    corpus, out = tmp_path / "c.g6", tmp_path / "artifacts"
+    corpus.write_text("".join(line + "\n" for line in lines))
+    assert cli.main(["scan", "--file", str(corpus), "--check", "half",
+                     "--artifact-dir", str(out)]) == 1
+    assert os.listdir(out) == ["violation_reproducer.json"]

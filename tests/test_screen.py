@@ -6,7 +6,9 @@ import importlib
 import os
 import tempfile
 from dataclasses import replace
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -268,13 +270,28 @@ def test_exact_counts_past_the_cap_step_aside():
     """oldin at l = 12 on K16 sums k_s(u) w_13(u) to about 10^19, past
     int64: the block refuses the walk counts at its cap, so the screen
     steps aside, and the scan reports what the graph-by-graph reference
-    does."""
+    does.  Walk counts are clipped to the cap, and exact below it."""
     lines = [emit_graph6(complete_graph(16)), emit_graph6(turan_graph(4, 16))]
     b = screen.Block([parse_graph6(line) for line in lines], [0, 1], True)
     oldin = scan_module.CHECKS["oldin"].screen
     assert oldin(b, {"s": None, "l": 12}, scan_module.DEFAULT_TOLS) is None
     checks = {"oldin": {"l": [12]}}
     assert _scan_lines(lines, checks, 10, 1.0) == reference_scan(lines, checks, 10, 1.0)
+    # On C64 and K64 the cap is 23,361,542.  Every per-vertex walk count is
+    # clipped to it after each step, and one below it is exact: C64's
+    # 2^(l-1) throughout, K64's 63^(l-1) up to l = 5 and the cap from l = 6
+    # on.  K64's w_4 = 64 * 63^3 is read; w_5 = 64 * 63^4, about 1e9, is not.
+    b = screen.Block([cycle_graph(64), complete_graph(64)], [0, 1], False)
+    assert b.cap == 23_361_542
+    walks = b.walks(12)
+    ls = np.arange(1, 13)
+    np.testing.assert_array_equal(walks[0, 1:], np.repeat(2 ** (ls - 1)[:, None], 64, axis=1))
+    k64 = np.minimum([63 ** (l - 1) for l in ls.tolist()], b.cap)
+    assert k64[4] < b.cap == k64[5]
+    np.testing.assert_array_equal(walks[1, 1:], np.repeat(k64[:, None], 64, axis=1))
+    np.testing.assert_array_equal(b.w(4), [64 * 8, 64 * 63 ** 3])
+    with pytest.raises(OverflowError):
+        b.w(5)
 
 
 def test_clique_counts_past_the_cap_step_aside():
@@ -294,6 +311,49 @@ def test_clique_counts_past_the_cap_step_aside():
                 for name in checks}
     assert [name for name, sc in screened.items() if sc is not None] == ["wilf"]
     assert _scan_lines(lines, checks, 10, 1.0) == reference_scan(lines, checks, 10, 1.0)
+
+
+def _primed(counts: list[int]):
+    """An edgeless graph of order counts[0] whose clique profile, which the
+    block and the reporting path both read, is primed to ``counts``."""
+    n = counts[0]
+    g = build_graph(n, [])
+    cliques.clique_counts.prime(g, cliques.CliqueProfile(
+        tuple(counts) + (0,) * (n - len(counts)), len(counts)))
+    return g
+
+
+def _momo_verdicts(g):
+    """Whether momo's screen reports ``g``, and its outcome on the
+    reporting path."""
+    b = screen.Block([g], [0], False)
+    [oc] = run_check("momo", g, {})
+    return bool(screen.screen_momo(b, {}, scan_module.DEFAULT_TOLS).exact[0]), oc
+
+
+def test_momo_descent_goes_through_screen_and_report():
+    """Moon-Moser is a theorem, so only a primed profile descends: n = 11,
+    k = (11, 40, 80, 5), omega = 4 give rho = (-41/11, -5/2, -43/12),
+    which descends at t = 2."""
+    reported, oc = _momo_verdicts(_primed([11, 40, 80, 5]))
+    assert reported
+    assert oc.report.ratios == (Fraction(-41, 11), Fraction(-5, 2), Fraction(-43, 12))
+    assert (oc.status, oc.params, oc.lhs, oc.rhs) == ("violation", {"t": 2}, -2.5, -43 / 12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(11, 16).flatmap(lambda n: st.lists(
+    st.integers(1, 10 ** 6), max_size=n - 1).map(lambda rest: [n] + rest)))
+def test_momo_screen_agrees_with_fractions(counts):
+    """On a random primed profile the int64 screen reports a graph exactly
+    where the ratio chain, in Fractions, descends, and the reporting path
+    names the first descent."""
+    n, k = counts[0], [None] + counts
+    rho = [Fraction((t + 1) * k[t + 1], t * k[t]) - Fraction(n, t) for t in range(1, len(counts))]
+    first = next((t for t in range(1, len(rho)) if rho[t] < rho[t - 1]), None)
+    reported, oc = _momo_verdicts(_primed(counts))
+    assert reported == (oc.status == "violation") == (first is not None)
+    assert oc.params == ({} if first is None else {"t": first})
 
 
 def test_pivot_tree_runs_once_per_graph(monkeypatch):
