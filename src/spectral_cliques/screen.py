@@ -129,9 +129,9 @@ class Block:
     (through :meth:`k`, :meth:`kw` and :meth:`w`), is below ``cap`` =
     isqrt(2^61) // (n + 1), or the read raises OverflowError.  n + 1 times
     a product of two counts then stays below 2^61, so no exact side or
-    comparison of two wraps int64.  Every count is clipped to ``cap``:
-    clique counts of ``Graph``s as they enter int64, walk counts after
-    each matmul step (:meth:`walks`).
+    comparison of two wraps int64.  Clique counts of ``Graph``s are clipped
+    to ``cap`` as they enter int64; walks are counted only while their
+    totals stay below it (:meth:`walks`).
     """
 
     def __init__(self, graphs: Sequence[Graph], pos: Sequence[int], vertex: bool) -> None:
@@ -140,7 +140,6 @@ class Block:
         self.m = np.array([g.m for g in graphs], dtype=np.int64)
         self.pos = np.asarray(pos, dtype=np.intp)
         self.vertex = vertex
-        self._walks: np.ndarray | None = None
         self._vals: np.ndarray | None = None
         self._solved: np.ndarray | None = None
         self._kw: dict[int, np.ndarray] = {}
@@ -161,7 +160,7 @@ class Block:
         b.adj[:, i, j] = edges
         b.adj[:, j, i] = edges
         b.pos = np.asarray(pos, dtype=np.intp)
-        b._walks = b._vals = b._solved = None
+        b._vals = b._solved = None
         b._kw = {}
         return b
 
@@ -278,40 +277,43 @@ class Block:
 
     def w(self, l: int) -> np.ndarray:
         """w_l, the l-walk total of every graph."""
-        return self._below_cap(self.walks(l)[:, l].sum(axis=1))
+        return self.walks(l).sum(axis=1)
 
     def kw(self, s: int, l: int) -> np.ndarray:
         """The sum over u of k_s(u) w_l(u) of every graph, zero past the
         largest omega."""
         if l not in self._kw:
-            self.w(l)  # w_l(u) <= w_l: this bounds every w_l(u) too
+            walks = self.walks(l)  # each w_l(u) <= w_l, below the cap
             ks = self._below_cap(self.vertex_cliques)
-            self._kw[l] = np.matmul(self.walks(l)[:, l][:, None, :], ks)[:, 0]
+            self._kw[l] = np.matmul(walks[:, None, :], ks)[:, 0]
         kw = self._kw[l]
         return kw[:, s] if s < kw.shape[1] else np.zeros(len(kw), dtype=np.int64)
 
-    def walks(self, L: int) -> np.ndarray:
-        """w_l(u), the l-walks starting at u, at [:, l, u] for 1 <= l <= L
-        (row 0 is zero), each clipped to :attr:`cap`.  A count below the
-        cap is exact, as w_{l+1}(v) >= w_l(u) for every neighbour u of v,
-        and no step wraps, as it sums at most n counts of at most cap."""
-        count = len(self.m)
-        if self._walks is None:
-            self._walks = np.zeros((count, 2, self.n), dtype=np.int64)
-            self._walks[:, 1] = 1
-        have = self._walks.shape[1]
-        if have <= L:
-            more = np.empty((count, L + 1 - have, self.n), dtype=np.int64)
-            # int64 copies of the 0/1 matrices, STACK_ENTRIES at a time
-            step = max(1, STACK_ENTRIES // (self.n * self.n))
-            for lo in range(0, count, step):
-                a = self.adj[lo:lo + step].astype(np.int64)
-                last = self._walks[lo:lo + step, -1]
-                for j in range(L + 1 - have):
-                    last = more[lo:lo + step, j] = np.minimum(
-                        np.matmul(a, last[..., None])[..., 0], self.cap)
-            self._walks = np.concatenate([self._walks, more], axis=1)
-        return self._walks[:, :L + 1]
+    @functools.cached_property
+    def _walks(self) -> list[np.ndarray]:
+        """w_l(u) at [l][:, u] for the lengths counted so far (row 0 is zero)."""
+        return [np.zeros((len(self.m), self.n), dtype=np.int64),
+                np.ones((len(self.m), self.n), dtype=np.int64)]
+
+    def walks(self, l: int) -> np.ndarray:
+        """w_l(u), the l-walks starting at u, at [:, u].  Walks are counted
+        while every total is below :attr:`cap`, so no step wraps, and until
+        a step leaves every count as it was, as every later one then does.
+        No total decreases from l = 2 on, so a length whose total reaches
+        the cap raises OverflowError.  A graph with a vertex of degree 2
+        has w_l >= 2^(l/2) and any other is steady from l = 2, so at most
+        2 log2(cap) + 2 steps are ever taken."""
+        rows = self._walks
+        # int64 copies of the 0/1 matrices, STACK_ENTRIES at a time
+        step = max(1, STACK_ENTRIES // (self.n * self.n))
+        while len(rows) <= l and not np.array_equal(rows[-1], rows[-2]):
+            last = np.concatenate([
+                np.matmul(self.adj[lo:lo + step].astype(np.int64), rows[-1][lo:lo + step, :, None])
+                for lo in range(0, len(self.m), step)])[..., 0]
+            if int(last.sum(axis=1).max()) >= self.cap:
+                raise OverflowError("a walk total reaches the block's cap")
+            rows.append(last)
+        return rows[min(l, len(rows) - 1)]
 
 
 def connected(b: Block) -> np.ndarray:

@@ -270,28 +270,62 @@ def test_exact_counts_past_the_cap_step_aside():
     """oldin at l = 12 on K16 sums k_s(u) w_13(u) to about 10^19, past
     int64: the block refuses the walk counts at its cap, so the screen
     steps aside, and the scan reports what the graph-by-graph reference
-    does.  Walk counts are clipped to the cap, and exact below it."""
+    does.  Walks are counted only while every total is below the cap."""
     lines = [emit_graph6(complete_graph(16)), emit_graph6(turan_graph(4, 16))]
     b = screen.Block([parse_graph6(line) for line in lines], [0, 1], True)
     oldin = scan_module.CHECKS["oldin"].screen
     assert oldin(b, {"s": None, "l": 12}, scan_module.DEFAULT_TOLS) is None
     checks = {"oldin": {"l": [12]}}
     assert _scan_lines(lines, checks, 10, 1.0) == reference_scan(lines, checks, 10, 1.0)
-    # On C64 and K64 the cap is 23,361,542.  Every per-vertex walk count is
-    # clipped to it after each step, and one below it is exact: C64's
-    # 2^(l-1) throughout, K64's 63^(l-1) up to l = 5 and the cap from l = 6
-    # on.  K64's w_4 = 64 * 63^3 is read; w_5 = 64 * 63^4, about 1e9, is not.
+    # On C64 and K64 the cap is 23,361,542.  K64's w_4 = 64 * 63^3 is below
+    # it and w_5 = 64 * 63^4, about 1e9, is not: a read of length 5 or more
+    # raises, and the rows up to 4 stay counted, exact.  Alone, C64 counts
+    # up to w_19 = 64 * 2^18.
     b = screen.Block([cycle_graph(64), complete_graph(64)], [0, 1], False)
     assert b.cap == 23_361_542
-    walks = b.walks(12)
-    ls = np.arange(1, 13)
-    np.testing.assert_array_equal(walks[0, 1:], np.repeat(2 ** (ls - 1)[:, None], 64, axis=1))
-    k64 = np.minimum([63 ** (l - 1) for l in ls.tolist()], b.cap)
-    assert k64[4] < b.cap == k64[5]
-    np.testing.assert_array_equal(walks[1, 1:], np.repeat(k64[:, None], 64, axis=1))
+    for l in (12, 5):
+        with pytest.raises(OverflowError):
+            b.walks(l)
+        with pytest.raises(OverflowError):
+            b.w(l)
+    assert len(b._walks) == 5
+    for l in range(1, 5):
+        np.testing.assert_array_equal(b.walks(l), [[2 ** (l - 1)] * 64, [63 ** (l - 1)] * 64])
     np.testing.assert_array_equal(b.w(4), [64 * 8, 64 * 63 ** 3])
+    c64 = screen.Block([cycle_graph(64)], [0], False)
+    assert c64.w(19).tolist() == [64 * 2 ** 18]
     with pytest.raises(OverflowError):
-        b.w(5)
+        c64.w(20)
+
+
+def test_long_walks_stop_at_the_cap():
+    """maxmu at s = 10^6 on the first 4096 masks of order 6: the block
+    stops counting walks at the first length whose total reaches the cap,
+    a dozen or so steps in, so the screen steps aside at once rather than
+    counting 10^6 lengths.  The scan reports what the graph-by-graph
+    reference does, each mu^s overflowing to an ood outcome."""
+    b = screen.Block.from_bits(6, np.arange(4096, dtype=np.int64), range(4096))
+    maxmu = scan_module.CHECKS["maxmu"].screen
+    with np.errstate(over="ignore"):
+        assert maxmu(b, {"s": 10 ** 6}, scan_module.DEFAULT_TOLS) is None
+    assert len(b._walks) < 20
+    lines = [emit_graph6(g) for g in (complete_graph(6), cycle_graph(6), turan_graph(2, 6))]
+    checks = {"maxmu": {"s": [10 ** 6]}}
+    got = _scan_lines(lines, checks, 10, 1.0)
+    assert got == reference_scan(lines, checks, 10, 1.0)
+    assert got["out_of_domain"] == 3
+
+
+def test_steady_walks_stop_counting():
+    """A perfect matching and an edgeless graph, whose walk totals never
+    reach the cap: w_l(u) = deg(u) from l = 2 on, so the block stops
+    counting at the first step that changes nothing (l = 3) and serves
+    every longer length from it."""
+    graphs = [build_graph(6, [(0, 1), (2, 3), (4, 5)]), build_graph(6, [])]
+    b = screen.Block(graphs, [0, 1], False)
+    assert b.w(10 ** 9).tolist() == [6, 0]
+    assert len(b._walks) == 4
+    assert b.w(1).tolist() == [6, 6] and b.w(2).tolist() == [6, 0]
 
 
 def test_clique_counts_past_the_cap_step_aside():
