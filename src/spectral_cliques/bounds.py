@@ -315,7 +315,8 @@ class GraphView:
 @per_graph
 def _vertex_walk_sums(g: Graph, l: int) -> list[int]:
     """sum_u k_s(u) w_l(u) for s = 1..omega, all at once, as a block does."""
-    walks = walk_counts(g, l).per_vertex[l - 1]
+    prof = walk_counts(g, l)
+    walks = [prof.at(l, u) for u in range(g.n)]
     return [sum(c * w for c, w in zip(col, walks)) for col in zip(*vertex_clique_counts(g).rows)]
 
 

@@ -2,8 +2,8 @@
 
 Machine-readable JSON goes to stdout, prose to stderr.  Exit codes:
 0 success (no violations), 1 theorem violation (the two-eigenvalue
-conjecture at r = 2 included) or exhaustive witness miss, 2 usage or
-malformed input, 3 I/O failure, 4 conjecture discovery (r >= 3),
+conjecture at r = 2 included) or witness miss (verdict exhaustive-miss),
+2 usage or malformed input, 3 I/O failure, 4 conjecture discovery (r >= 3),
 5 internal error (any other exception, its traceback on stderr).
 Identical invocations produce byte-identical stdout; wall-clock timing is
 therefore reported on stderr only.
@@ -112,15 +112,13 @@ def _build_parser() -> argparse.ArgumentParser:
     scn.add_argument("--artifact-dir", default=".",
                      help="where reproducer/discovery files go")
 
-    wit = sub.add_parser("witness", help="stability premise and witness search")
+    wit = sub.add_parser("witness", help="stability premise and witness search (exact up to "
+                                         "the default vertex cap, whole graph only above)")
     wsrc = wit.add_mutually_exclusive_group(required=True)
     wsrc.add_argument("--g6", help="inline graph6 string")
     wsrc.add_argument("--file", help="graph6 file")
     wit.add_argument("--r", type=int, required=True)
     wit.add_argument("--alpha", required=True, help="decimal alpha, e.g. 0.0000013")
-    wit.add_argument("--mode", choices=["exhaustive", "heuristic"],
-                     help="witness search; default: exhaustive up to 16 vertices, "
-                          "heuristic above")
     return top
 
 
@@ -323,7 +321,7 @@ def _cmd_witness(args) -> int:
     reports = []
     missed = False
     for _, g in _input_graphs(args):
-        rep = stability_report(g, args.r, args.alpha, args.mode, tols)
+        rep = stability_report(g, args.r, args.alpha, tols)
         reports.append(rep.to_dict())
         if rep.verdict == "exhaustive-miss":
             missed = True

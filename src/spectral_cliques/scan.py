@@ -284,7 +284,7 @@ def _momo_outcomes(g: Graph, params: dict, tols: Tolerances) -> list[CheckOutcom
 
 #: a witness-search verdict's outcome status; premise-failed and ood are OOD
 _STABILITY_STATUS = {"witnessed": HOLDS, "exhaustive-miss": VIOLATION,
-                     "heuristic-miss": INCONCLUSIVE, "premise-inconclusive": INCONCLUSIVE}
+                     "inconclusive": INCONCLUSIVE, "premise-inconclusive": INCONCLUSIVE}
 
 
 def _stability_outcomes(g: Graph, params: dict, tols: Tolerances) -> list[CheckOutcome]:

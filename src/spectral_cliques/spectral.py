@@ -203,21 +203,25 @@ def spectral_radius(g: Graph) -> float:
 
 @dataclass(frozen=True)
 class WalkProfile:
-    """Exact walk counts: totals w_1..w_L and per-start-vertex counts.
+    """Exact walk counts of lengths 1..``length``: totals w_l and
+    per-start-vertex counts.
 
     An l-walk is a sequence of l vertices with consecutive pairs adjacent,
     so w_1 = n and w_2 = 2m.  ``per_vertex[l-1][u]`` counts l-walks starting
-    at u.
+    at u.  The rows stop at the first length whose counts the next length
+    repeats, as on every graph of maximum degree at most 1; every longer
+    length has that row's counts, and ``total`` and ``at`` serve them.
     """
 
     totals: tuple[int, ...]
     per_vertex: tuple[tuple[int, ...], ...]
+    length: int
 
     def total(self, l: int) -> int:
-        return self.totals[l - 1]
+        return self.totals[min(l, len(self.totals)) - 1]
 
     def at(self, l: int, u: int) -> int:
-        return self.per_vertex[l - 1][u]
+        return self.per_vertex[min(l, len(self.per_vertex)) - 1][u]
 
 
 def _neighbor_lists(g: Graph) -> list[tuple[int, ...]]:
@@ -226,36 +230,40 @@ def _neighbor_lists(g: Graph) -> list[tuple[int, ...]]:
 
 @per_graph
 def walk_counts(g: Graph, L: int) -> WalkProfile:
-    """Exact integer walk counts up to length L via neighbor-sum updates.
+    """Exact integer walk counts up to length L via neighbor-sum updates,
+    stopping at the first step that changes no count.
 
-    The longest profile already in the graph's memo is reused: a shorter L
-    is served as its prefix, a longer L extends it.  Each L overflows on
-    its own: a longer request that raised stored nothing, so it cannot make
-    a shorter one fail.
+    The longest profile already in the graph's memo is reused: a shorter L,
+    or any L once the counts have stopped changing, is served from its
+    rows; a longer L extends it.  Each L overflows on its own: a longer
+    request that raised stored nothing, so it cannot make a shorter one
+    fail.
     """
     if L < 1:
         raise ValueError("walk length must be >= 1")
     base = max((prof for key, prof in g.memo.items() if key[0] == "walk_counts"),
-               key=lambda prof: len(prof.totals), default=None)
+               key=lambda prof: prof.length, default=None)
     if base is None:
         per = [(1,) * g.n]
         totals = [g.n]
-    elif len(base.totals) >= L:
-        return WalkProfile(base.totals[:L], base.per_vertex[:L])
+    elif base.length >= L or len(base.totals) < base.length:
+        return WalkProfile(base.totals[:L], base.per_vertex[:L], L)
     else:
         per = list(base.per_vertex)
         totals = list(base.totals)
     nbrs = _neighbor_lists(g)
     vec = per[-1]
     while len(totals) < L:
-        vec = [sum(vec[v] for v in nbrs[u]) for u in range(g.n)]
+        vec = tuple(sum(vec[v] for v in nbrs[u]) for u in range(g.n))
+        if vec == per[-1]:
+            break
         total = sum(vec)
         if total > INT128_MAX:
             raise WalkOverflowError(
                 f"walk total beyond 128-bit range at length {len(totals) + 1}")
-        per.append(tuple(vec))
+        per.append(vec)
         totals.append(total)
-    return WalkProfile(tuple(totals), tuple(per))
+    return WalkProfile(tuple(totals), tuple(per), L)
 
 
 @dataclass(frozen=True)

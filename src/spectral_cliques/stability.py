@@ -10,17 +10,15 @@ checked non-strictly and flagged.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .bounds import DEFAULT_TOLS, SPECTRAL_PREMISE, Formula, Tolerances, premise_holds
+from .bounds import (CERTIFY_MAX_N, DEFAULT_TOLS, SPECTRAL_PREMISE, Formula, Tolerances,
+                     premise_holds)
 from .cliques import proper_coloring
 from .graphs import Graph, mask_from, mask_members
 from .spectral import EigensolverError
-
-EXHAUSTIVE_MAX_N = 16
 
 
 @dataclass(frozen=True)
@@ -55,9 +53,8 @@ class StabilityReport:
     order_min: float
     degree_min: float
     witness: StabilityWitness | None
-    search_mode: str
-    # witnessed | heuristic-miss | exhaustive-miss | premise-failed |
-    # premise-inconclusive | ood
+    # witnessed | exhaustive-miss | inconclusive (a miss above
+    # CERTIFY_MAX_N) | premise-failed | premise-inconclusive | ood
     verdict: str
     boundary: bool
 
@@ -68,7 +65,6 @@ class StabilityReport:
             "alpha": self.alpha,
             "thresholds": {"order_min": self.order_min, "degree_min": self.degree_min},
             "witness": self.witness.to_dict() if self.witness else None,
-            "search_mode": self.search_mode,
             "verdict": self.verdict,
             "boundary": self.boundary,
         }
@@ -128,107 +124,105 @@ def _degree_ok(deg: int, thr: float, boundary: bool, n: int, r: int) -> bool:
     return deg > thr
 
 
-def find_stability_witness(g: Graph, r: int, alpha, mode: str = "exhaustive",
+def find_stability_witness(g: Graph, r: int, alpha,
                            tols: Tolerances = DEFAULT_TOLS) -> StabilityWitness | None:
     """Search for an induced r-partite subgraph meeting both thresholds.
 
-    Exhaustive mode enumerates vertex subsets by decreasing size (refused
-    above n = 16), lexicographic within a size, and returns the first hit,
-    so results are deterministic.  Heuristic mode r-partitions the whole
-    vertex set greedily, strips vertices on intra-class edges, peels below
-    the degree threshold, and keeps the outcome only if both thresholds
-    pass.
+    The search is exact up to ``CERTIFY_MAX_N`` vertices: it returns the
+    largest witness, lexicographically least among those of its order, or
+    None when there is none.  Above that only the whole graph is tried.
+    A premise that fails, or that the eigenvalue brackets cannot decide,
+    raises ValueError.
     """
-    if not stability_premise(g, r, alpha, tols):
+    premise = stability_premise(g, r, alpha, tols)
+    if premise is None:
+        raise ValueError("stability premise is undecided for this graph")
+    if not premise:
         raise ValueError("stability premise does not hold for this graph")
-    return _search_witness(g, r, alpha, mode)
+    return _search_witness(g, r, alpha)
 
 
-def _search_witness(g: Graph, r: int, alpha, mode: str) -> StabilityWitness | None:
-    """:func:`find_stability_witness` on a graph whose premise holds."""
-    if mode not in ("exhaustive", "heuristic"):
-        raise ValueError(f"unknown search mode {mode!r}")
+def _search_witness(g: Graph, r: int, alpha) -> StabilityWitness | None:
+    """:func:`find_stability_witness` on a graph whose premise holds.
+
+    Deletion sets are searched by size j = 0, 1, ..., up to the most the
+    order threshold allows, each kept set branching on an obstruction that
+    every witness inside it must leave out: a vertex below the degree
+    threshold (degrees only fall as vertices go), an odd cycle at r = 2
+    (Reed, Smith and Vetta's odd cycle transversal tree), or every vertex
+    when r >= 3 and the set has no proper r-coloring.  Every witness with j
+    deletions is reached at level j, so the first level with one holds all
+    the largest witnesses.
+    """
     n = g.n
     a = float(alpha)
     boundary = a == 0.0
     thr_o, thr_d = witness_thresholds(n, r, a)
-    if mode == "exhaustive":
-        if n > EXHAUSTIVE_MAX_N:
-            raise ValueError(f"exhaustive witness search limited to n <= {EXHAUSTIVE_MAX_N}")
-        min_size = n if boundary else max(1, min(n, math.floor(thr_o) + 1))
-        for size in range(n, min_size - 1, -1):
-            for combo in itertools.combinations(range(n), size):
-                mask = mask_from(combo)
-                dmin = min((g.adj[v] & mask).bit_count() for v in combo)
-                if not _degree_ok(dmin, thr_d, boundary, n, r):
-                    continue
-                classes = proper_coloring(g, r, mask)
-                if classes is not None:
-                    return StabilityWitness(mask, classes, size, dmin)
-        return None
-    return _heuristic_witness(g, r, thr_o, thr_d, boundary)
+    min_size = n if boundary else max(1, min(n, math.floor(thr_o) + 1))
+    need = next((d for d in range(n + 1) if _degree_ok(d, thr_d, boundary, n, r)), n + 1)
+    most = n - min_size if n <= CERTIFY_MAX_N else 0  # deletions tried
+    level = {g.vertex_mask()}
+    for _ in range(most + 1):
+        found, below = {}, set()
+        for keep in level:
+            classes, branches = _classes_or_branches(g, r, keep, need)
+            if classes is None:
+                below.update(keep & ~(1 << v) for v in branches)
+            else:
+                found[keep] = classes
+        if found:
+            keep = min(found, key=mask_members)
+            dmin = min((g.adj[v] & keep).bit_count() for v in mask_members(keep))
+            return StabilityWitness(keep, found[keep], keep.bit_count(), dmin)
+        level = below
+    return None
 
 
-def _heuristic_partition(g: Graph, r: int) -> list[int]:
-    """Greedy descending-degree assignment, then single-vertex moves to a
-    local minimum of the intra-class edge count.  Ties break on the lower
-    class index / vertex index."""
-    n = g.n
-    part = [-1] * n
-    class_masks = [0] * r
-    for v in sorted(range(n), key=lambda v: (-g.degrees[v], v)):
-        best = min(range(r), key=lambda c: (g.adj[v] & class_masks[c]).bit_count())
-        part[v] = best
-        class_masks[best] |= 1 << v
-    improved = True
-    while improved:
-        improved = False
-        for v in range(n):
-            c = part[v]
-            here = (g.adj[v] & class_masks[c]).bit_count()
-            best_c, best_cost = c, here
-            for c2 in range(r):
-                if c2 == c:
-                    continue
-                cost = (g.adj[v] & class_masks[c2]).bit_count()
-                if cost < best_cost:
-                    best_c, best_cost = c2, cost
-            if best_c != c:
-                class_masks[c] &= ~(1 << v)
-                class_masks[best_c] |= 1 << v
-                part[v] = best_c
-                improved = True
-    return part
+def _classes_or_branches(g: Graph, r: int, keep: int, need: int):
+    """(classes, None) when the graph induced on ``keep`` has minimum
+    degree at least ``need`` and a proper r-coloring, with
+    :func:`proper_coloring`'s classes; otherwise (None, vertices of which
+    every witness inside ``keep`` leaves out at least one)."""
+    members = mask_members(keep)
+    low = next((v for v in members if (g.adj[v] & keep).bit_count() < need), None)
+    if low is not None:
+        return None, (low,)
+    if r == 2:
+        return _bipartition(g, members, keep)
+    classes = proper_coloring(g, r, keep)
+    return classes, (None if classes else members)
 
 
-def _heuristic_witness(g: Graph, r: int, thr_o: float, thr_d: float,
-                       boundary: bool) -> StabilityWitness | None:
-    n = g.n
-    part = _heuristic_partition(g, r)
-    class_masks = [0] * r
-    for v, c in enumerate(part):
-        class_masks[c] |= 1 << v
-    keep = 0
-    for v in range(n):
-        if g.adj[v] & class_masks[part[v]] == 0:
-            keep |= 1 << v
-    # peel anything under the degree threshold, lowest degree first
-    while keep:
-        members = mask_members(keep)
-        degs = {v: (g.adj[v] & keep).bit_count() for v in members}
-        failing = [v for v in members if not _degree_ok(degs[v], thr_d, boundary, n, r)]
-        if not failing:
-            break
-        drop = min(failing, key=lambda v: (degs[v], v))
-        keep &= ~(1 << drop)
-    if keep == 0:
-        return None
-    order = keep.bit_count()
-    if not _order_ok(order, thr_o, boundary, n):
-        return None
-    dmin = min((g.adj[v] & keep).bit_count() for v in mask_members(keep))
-    classes = tuple(mask_members(cm & keep) for cm in class_masks if cm & keep)
-    return StabilityWitness(keep, classes, order, dmin)
+def _bipartition(g: Graph, members: tuple[int, ...], keep: int):
+    """A BFS 2-coloring of the graph induced on ``keep`` that puts the least
+    vertex of each component on side 0, as the backtracking of
+    :func:`proper_coloring` does at r = 2: (classes, None), or (None, the
+    vertices of an odd cycle) at the first edge inside a side."""
+    side, parent = {}, {}
+    for root in members:
+        if root in side:
+            continue
+        side[root], parent[root] = 0, None
+        queue = [root]
+        for u in queue:
+            for v in mask_members(g.adj[u] & keep):
+                if v not in side:
+                    side[v], parent[v] = side[u] ^ 1, u
+                    queue.append(v)
+                elif side[v] == side[u]:
+                    up, vp = _tree_path(parent, u), _tree_path(parent, v)
+                    top = next(i for i, x in enumerate(up) if x in vp)
+                    return None, tuple(up[:top + 1]) + tuple(vp[:vp.index(up[top])])
+    classes = tuple(tuple(v for v in members if side[v] == s) for s in (0, 1))
+    return tuple(c for c in classes if c), None
+
+
+def _tree_path(parent: dict, v: int) -> list[int]:
+    """v and its ancestors in a BFS tree, up to the root."""
+    path = [v]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return path
 
 
 def verify_witness(g: Graph, r: int, alpha, w: StabilityWitness,
@@ -271,34 +265,25 @@ def verify_witness(g: Graph, r: int, alpha, w: StabilityWitness,
     return _order_ok(order, thr_o, boundary, n) and _degree_ok(dmin, thr_d, boundary, n, r)
 
 
-def _search_mode(n: int, mode: str | None) -> str:
-    """``mode``, or with none the order's: exhaustive up to
-    EXHAUSTIVE_MAX_N vertices, heuristic above."""
-    if mode is None:
-        return "exhaustive" if n <= EXHAUSTIVE_MAX_N else "heuristic"
-    return mode
-
-
-def stability_report(g: Graph, r: int, alpha, mode: str | None = None,
+def stability_report(g: Graph, r: int, alpha,
                      tols: Tolerances = DEFAULT_TOLS) -> StabilityReport:
-    """Premise check plus witness search, with the thresholds and the
-    search mode used.
+    """Premise check plus witness search, with the thresholds used.
 
-    The verdict is "witnessed", "exhaustive-miss", "heuristic-miss",
+    The verdict is "witnessed", "exhaustive-miss", "inconclusive" (a miss
+    above ``CERTIFY_MAX_N`` vertices, where only the whole graph is tried),
     "premise-failed", "premise-inconclusive" (the eigenvalue brackets
     cannot decide it), or "ood" when the eigensolver fails on the graph;
-    only a premise that holds runs a search.  With no mode, the search
-    follows the graph's order (:func:`_search_mode`).
+    only a premise that holds runs a search.
     """
-    mode = _search_mode(g.n, mode)
     try:
         premise = stability_premise(g, r, alpha, tols)
         verdict = {None: "premise-inconclusive", False: "premise-failed"}.get(premise)
     except EigensolverError:
         premise, verdict = False, "ood"
-    w = _search_witness(g, r, alpha, mode) if premise else None
+    w = _search_witness(g, r, alpha) if premise else None
     if premise:
-        verdict = "witnessed" if w is not None else f"{mode}-miss"
+        verdict = ("witnessed" if w is not None
+                   else "exhaustive-miss" if g.n <= CERTIFY_MAX_N else "inconclusive")
     a = float(alpha)
     thr_o, thr_d = witness_thresholds(g.n, r, a)
-    return StabilityReport(bool(premise), r, a, thr_o, thr_d, w, mode, verdict, a == 0.0)
+    return StabilityReport(bool(premise), r, a, thr_o, thr_d, w, verdict, a == 0.0)

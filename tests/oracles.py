@@ -1,16 +1,19 @@
 """Brute-force oracles, independent of the production counting paths."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from spectral_cliques.bounds import DEFAULT_TOLS
-from spectral_cliques.cliques import CliqueProfile
+from spectral_cliques.cliques import CliqueProfile, proper_coloring
 from spectral_cliques.graphs import (Graph, Graph6Error, emit_graph6, graph6_width,
                                      graph_from_edge_mask, mask_members, parse_graph6)
 from spectral_cliques.scan import (EXHAUSTIVE_LIMIT, EXHAUSTIVE_OVERRIDE_LIMIT,
                                    expand_param_grid, run_check)
 from spectral_cliques.spectral import WalkProfile
+from spectral_cliques.stability import StabilityWitness, _degree_ok, witness_thresholds
 
 
 def enumerate_labeled(n: int, allow_n8: bool = False):
@@ -44,6 +47,30 @@ def brute_force_cliques(g: Graph) -> CliqueProfile:
     return CliqueProfile(tuple(counts), omega)
 
 
+def exhaustive_witness(g: Graph, r: int, alpha) -> StabilityWitness | None:
+    """The stability witness search over vertex subsets: by decreasing
+    size down to the order threshold, lexicographic within a size, the
+    first subset whose induced subgraph meets the degree threshold and has
+    a proper r-coloring."""
+    if g.n > 16:
+        raise ValueError("subset witness search limited to n <= 16")
+    n = g.n
+    a = float(alpha)
+    boundary = a == 0.0
+    thr_o, thr_d = witness_thresholds(n, r, a)
+    min_size = n if boundary else max(1, min(n, math.floor(thr_o) + 1))
+    for size in range(n, min_size - 1, -1):
+        for combo in itertools.combinations(range(n), size):
+            mask = sum(1 << v for v in combo)
+            dmin = min((g.adj[v] & mask).bit_count() for v in combo)
+            if not _degree_ok(dmin, thr_d, boundary, n, r):
+                continue
+            classes = proper_coloring(g, r, mask)
+            if classes is not None:
+                return StabilityWitness(mask, classes, size, dmin)
+    return None
+
+
 def brute_force_walks(g: Graph, L: int) -> WalkProfile:
     """Walk counts by explicit enumeration of vertex sequences."""
     if L > 8 or g.n > 10:
@@ -64,7 +91,10 @@ def brute_force_walks(g: Graph, L: int) -> WalkProfile:
 
     for u in range(g.n):
         extend(u, u, 1)
-    return WalkProfile(tuple(totals), tuple(tuple(row) for row in per))
+    # rows past the first one the next length repeats are left out, as
+    # walk_counts leaves them
+    rows = next((l for l in range(1, L) if per[l] == per[l - 1]), L)
+    return WalkProfile(tuple(totals[:rows]), tuple(tuple(row) for row in per[:rows]), L)
 
 
 def read_graph6_lines(path: str) -> list[tuple[int, str]]:

@@ -213,7 +213,7 @@ def test_criterion_09_stability_sanity(corpus6):
             if not stability_premise(g, r, a):
                 problems.append(f"premise failed on balanced host r={r} n={n}")
                 continue
-            w = find_stability_witness(g, r, a, "exhaustive")
+            w = find_stability_witness(g, r, a)
             if w is None:
                 problems.append(f"exhaustive miss on balanced host r={r} n={n}")
             elif not verify_witness(g, r, a, w):
@@ -229,7 +229,7 @@ def test_criterion_09_stability_sanity(corpus6):
             if not stability_premise(g, r, a):
                 continue
             satisfying += 1
-            if find_stability_witness(g, r, a, "exhaustive") is None:
+            if find_stability_witness(g, r, a) is None:
                 problems.append(f"exhaustive miss, r={r}, {emit_graph6(g)}")
     report(9, "stability witness sanity", not problems,
            f"{satisfying} premise-satisfying corpus graphs, "

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from dataclasses import replace
@@ -11,8 +12,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spectral_cliques import (complete_graph, emit_graph6, graph_from_edge_mask, screen,
-                              turan_graph)
+from spectral_cliques import (build_graph, complete_graph, emit_graph6, graph_from_edge_mask,
+                              screen, stability, turan_graph)
 from spectral_cliques.bounds import DEFAULT_TOLS
 from spectral_cliques.cli import EXIT_INTERNAL, _build_parser, main
 from spectral_cliques.scan import (CHECKS, CheckOutcome, CorpusSpec, ScanConfig, ScanResult,
@@ -183,6 +184,20 @@ class TestOverflowIsOod:
         assert got == reference_scan(lines, {"maxmu": {"s": [2000]}}, 10, 1.0)
 
 
+def test_walk_counts_that_stop_changing_serve_any_length(tmp_path, capsys):
+    # a perfect matching: every walk count is 1 from length 1 on
+    path = tmp_path / "matching.g6"
+    path.write_text(emit_graph6(build_graph(6, [(0, 1), (2, 3), (4, 5)])) + "\n")
+    outs = []
+    for s in ("1000000", "1000000000"):
+        start = time.perf_counter()
+        assert main(["scan", "--file", str(path), "--check", "maxmu", "--s", s]) == 0
+        assert time.perf_counter() - start < 1.0
+        outs.append(capsys.readouterr().out.replace(s, "S"))
+    assert outs[0] == outs[1]
+    assert '"rhs":3.0' in outs[0]
+
+
 class TestScanCli:
     def test_exhaustive_n5(self):
         proc = run_cli("scan", "--exhaustive-n", "5", "--check", "theorem1",
@@ -268,8 +283,7 @@ class TestScanCli:
 class TestWitnessCli:
     def test_t36_witnessed(self):
         g6 = emit_graph6(turan_graph(3, 6))
-        proc = run_cli("witness", "--g6", g6, "--r", "3",
-                       "--alpha", "0.0000013", "--mode", "exhaustive")
+        proc = run_cli("witness", "--g6", g6, "--r", "3", "--alpha", "0.0000013")
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)
         assert payload["verdict"] == "witnessed"
@@ -293,31 +307,42 @@ class TestWitnessCli:
         assert payload["premise_ok"] is False
         assert payload["witness"] is None
 
-    def test_mode_follows_the_order_above_16(self):
+    def test_t218_prints_no_search_mode(self):
         g6 = emit_graph6(turan_graph(2, 18))
         assert g6 == "Q??????~~~^{~w~w^{F~?~wB~_?"
         proc = run_cli("witness", "--g6", g6, "--r", "2", "--alpha", "0")
         assert proc.returncode == 0, proc.stderr
         payload = json.loads(proc.stdout)
-        assert (payload["search_mode"], payload["verdict"]) == ("heuristic", "witnessed")
+        assert "search_mode" not in payload
+        assert (payload["verdict"], payload["witness"]["order"]) == ("witnessed", 18)
+
+    def test_mode_option_refused(self):
+        g6 = emit_graph6(turan_graph(2, 16))
         proc = run_cli("witness", "--g6", g6, "--r", "2", "--alpha", "0",
                        "--mode", "exhaustive")
         assert proc.returncode == 2
-        assert "limited to n <= 16" in proc.stderr
+        assert "--mode" in proc.stderr
 
-    def test_mode_follows_the_order_up_to_16(self, capsys):
-        g6 = emit_graph6(turan_graph(2, 16))
-        outs = []
-        for mode in ([], ["--mode", "exhaustive"]):
-            assert main(["witness", "--g6", g6, "--r", "2", "--alpha", "0", *mode]) == 0
-            outs.append(capsys.readouterr().out)
-        assert outs[0] == outs[1]
-        assert json.loads(outs[0])["search_mode"] == "exhaustive"
+    def test_miss_above_the_default_cap_is_inconclusive(self, monkeypatch, capsys):
+        # No host above the cap meets the premise without a witness, so the
+        # premise is forced; only the whole C5 blow-up is tried, and it is
+        # not bipartite.
+        monkeypatch.setenv("SCL_MAX_N", "80")
+        monkeypatch.setattr(stability, "stability_premise", lambda *args: True)
+        g6 = emit_graph6(build_graph(80, [(u, v) for i in range(5)
+                                          for u in range(16 * i, 16 * i + 16)
+                                          for v in range(16 * (i + 1) % 80,
+                                                         16 * (i + 1) % 80 + 16)]))
+        start = time.perf_counter()
+        assert main(["--tol", "1000000", "witness", "--g6", g6, "--r", "2",
+                     "--alpha", "0.00001"]) == 0
+        assert time.perf_counter() - start < 1.0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["verdict"], payload["witness"]) == ("inconclusive", None)
 
     def test_t28_alpha_zero_boundary(self):
         g6 = emit_graph6(turan_graph(2, 8))
-        proc = run_cli("witness", "--g6", g6, "--r", "2", "--alpha", "0",
-                       "--mode", "exhaustive")
+        proc = run_cli("witness", "--g6", g6, "--r", "2", "--alpha", "0")
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)
         assert payload["boundary"] is True

@@ -56,3 +56,11 @@ def test_readme_cli_examples_parse():
     parser = cli._build_parser()
     commands = {parser.parse_args(args).command for args in _readme_cli_examples()}
     assert commands == {"gen", "check", "scan", "witness"}
+
+
+def test_readme_names_the_stability_verdicts():
+    text = README.read_text(encoding="utf-8")
+    verdicts = ("witnessed", "exhaustive-miss", "inconclusive", "premise-failed",
+                "premise-inconclusive", "ood")
+    assert [v for v in verdicts if f"`{v}`" not in text] == []
+    assert [gone for gone in ("heuristic-miss", "search_mode", "--mode") if gone in text] == []

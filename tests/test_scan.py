@@ -67,7 +67,9 @@ class TestBruteForceOracles:
 
     def test_walks_empty(self):
         from spectral_cliques import empty_graph
-        assert brute_force_walks(empty_graph(4), 3).totals == (4, 0, 0)
+        prof = brute_force_walks(empty_graph(4), 3)
+        assert [prof.total(l) for l in (1, 2, 3)] == [4, 0, 0]
+        assert prof.totals == (4, 0)  # the rows stop where the counts do
 
     def test_walks_limits(self, k3):
         with pytest.raises(ValueError):
@@ -199,21 +201,19 @@ class TestScan:
         assert res.violations == []
         assert res.graphs_checked == 2
 
-    @pytest.mark.parametrize("r,n,mode", [(2, 16, "exhaustive"),
-                                          (2, 18, "heuristic"),
-                                          (3, 18, "heuristic")])
-    def test_stability_search_mode_follows_order(self, r, n, mode, monkeypatch):
-        modes = []
+    @pytest.mark.parametrize("r,n", [(2, 16), (2, 18), (3, 18)])
+    def test_stability_searches_once_per_evaluation(self, r, n, monkeypatch):
+        searched = []
         search = stability._search_witness
 
-        def spy(*args):  # (g, r, alpha, mode), as stability_report passes them
-            modes.append(args[3])
-            return search(*args)
+        def spy(g, *args):
+            searched.append(g.n)
+            return search(g, *args)
 
         monkeypatch.setattr(stability, "_search_witness", spy)
         [oc] = run_check("stability", turan_graph(r, n), {"r": r, "alpha": None})
         assert oc.status == "holds"
-        assert modes == [mode]
+        assert searched == [n]
 
     def test_bracketing_once_per_refined_graph(self, monkeypatch):
         counted = []

@@ -78,7 +78,7 @@ class TestWalkCounts:
     def test_per_vertex_recursion_and_totals(self, g):
         prof = walk_counts(g, 4)
         for l in range(1, 5):
-            assert sum(prof.per_vertex[l - 1]) == prof.total(l)
+            assert sum(prof.at(l, u) for u in range(g.n)) == prof.total(l)
         for l in range(2, 5):
             for u in range(g.n):
                 nbr_sum = sum(prof.at(l - 1, v) for v in range(g.n)
@@ -91,6 +91,16 @@ class TestWalkCounts:
         for seed in range(10):
             g = random_graph(7, 0.5, seed)
             assert walk_counts(g, 5) == brute_force_walks(g, 5)
+
+    def test_rows_stop_where_the_counts_do(self):
+        g = build_graph(6, [(0, 1), (2, 3), (4, 5)])
+        prof = walk_counts(g, 10 ** 9)
+        assert prof.per_vertex == ((1,) * 6,) and prof.length == 10 ** 9
+        assert prof.total(10 ** 9) == 6 and prof.at(10 ** 9, 5) == 1
+        assert walk_counts(g, 3) == brute_force_walks(g, 3)
+        g = build_graph(5, [(0, 1), (2, 3)])  # the counts stop at length 2
+        assert walk_counts(g, 7).totals == (5, 4)
+        assert walk_counts(g, 7) == brute_force_walks(g, 7)
 
     def test_overflow(self):
         with pytest.raises(WalkOverflowError):

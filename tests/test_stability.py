@@ -1,15 +1,22 @@
 import json
+import time
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spectral_cliques import (edge_corollary_check, emit_graph6,
+from spectral_cliques import (build_graph, edge_corollary_check, emit_graph6,
                               find_stability_witness, random_graph,
                               stability_premise, stability_report, turan_graph,
                               verify_witness, witness_thresholds)
 from spectral_cliques import stability
+from spectral_cliques.bounds import DEFAULT_TOLS
+from spectral_cliques.cliques import proper_coloring
 from spectral_cliques.cli import main
 from spectral_cliques.stability import StabilityWitness, alpha_limit
+
+from oracles import exhaustive_witness
 
 
 class TestPremise:
@@ -99,23 +106,24 @@ class TestThresholds:
 class TestWitnessSearch:
     def test_t36_whole_graph(self, t36):
         a = 2 ** -10 * 3 ** -6
-        w = find_stability_witness(t36, 3, a, "exhaustive")
+        w = find_stability_witness(t36, 3, a)
         assert w is not None
         assert w.order == 6 and w.min_degree == 4
         assert verify_witness(t36, 3, a, w)
 
-    def test_t36_heuristic(self, t36):
-        a = 2 ** -10 * 3 ** -6
-        w = find_stability_witness(t36, 3, a, "heuristic")
-        assert w is not None and w.order == 6
-        assert verify_witness(t36, 3, a, w)
-
     def test_premise_enforced(self, c5):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="does not hold"):
             find_stability_witness(c5, 2, 1e-5)
 
-    @pytest.mark.parametrize("mode", [None, "exhaustive", "heuristic"])
-    def test_premise_decided_once_per_verdict(self, mode, t36, c5, monkeypatch):
+    def test_undecided_premise_named(self):
+        # mu = 9 sits on the cut, which no bracket decides at tolerance 0
+        g = turan_graph(4, 12)
+        tols = DEFAULT_TOLS.scaled(0)
+        assert stability_premise(g, 4, 0, tols) is None
+        with pytest.raises(ValueError, match="undecided"):
+            find_stability_witness(g, 4, 0, tols)
+
+    def test_premise_decided_once_per_verdict(self, t36, c5, monkeypatch):
         decided = []
         premise = stability.stability_premise
 
@@ -126,17 +134,19 @@ class TestWitnessSearch:
         monkeypatch.setattr(stability, "stability_premise", spy)
         for g, r, verdict in ((t36, 3, "witnessed"), (c5, 2, "premise-failed")):
             decided.clear()
-            assert stability_report(g, r, 0, mode).verdict == verdict
+            assert stability_report(g, r, 0).verdict == verdict
             assert decided == [g]
 
     def test_exhaustive_budget(self):
+        # the search is exact above 16 vertices too
         g = turan_graph(2, 18)
-        with pytest.raises(ValueError):
-            find_stability_witness(g, 2, 0, "exhaustive")
+        w = find_stability_witness(g, 2, 0)
+        assert w is not None and w.order == 18 and w.partition == (tuple(range(9)),
+                                                                   tuple(range(9, 18)))
 
     def test_alpha_zero_boundary(self):
         g = turan_graph(2, 8)
-        w = find_stability_witness(g, 2, 0, "exhaustive")
+        w = find_stability_witness(g, 2, 0)
         assert w is not None and w.order == 8
         assert verify_witness(g, 2, 0, w)
         rep = stability_report(g, 2, 0)
@@ -148,24 +158,47 @@ class TestWitnessSearch:
         g = turan_graph(r, n)
         a = alpha_limit(r)
         assert stability_premise(g, r, a)
-        w = find_stability_witness(g, r, a, "exhaustive")
+        w = find_stability_witness(g, r, a)
         assert w is not None
         assert verify_witness(g, r, a, w)
 
-    def test_heuristic_never_beats_exhaustive(self):
-        for r, n in [(2, 6), (2, 8), (3, 6), (3, 9)]:
-            g = turan_graph(r, n)
-            a = alpha_limit(r)
-            we = find_stability_witness(g, r, a, "exhaustive")
-            wh = find_stability_witness(g, r, a, "heuristic")
-            if wh is not None:
-                assert wh.order <= we.order
+    def test_balanced_turan_hosts_witnessed_whole(self):
+        for r in range(2, 65):
+            for n in range(r, 65, r):
+                g = turan_graph(r, n)
+                for a in (0, alpha_limit(r)):
+                    w = stability._search_witness(g, r, a)
+                    assert w is not None and w.order == n, (r, n, a)
+                    assert w.partition == proper_coloring(g, r)
+
+    @given(st.integers(min_value=1, max_value=12), st.floats(min_value=0.0, max_value=1.0),
+           st.integers(min_value=0, max_value=2 ** 32), st.sampled_from([2, 3, 4]),
+           st.sampled_from([0.0, None, 0.003, 0.01, 0.03]))
+    @settings(max_examples=150, deadline=None)
+    def test_search_matches_the_subset_oracle(self, n, p, seed, r, alpha):
+        # alphas above the limit allow several deletions
+        g = random_graph(n, p, seed)
+        a = alpha_limit(r) if alpha is None else alpha
+        assert stability._search_witness(g, r, a) == exhaustive_witness(g, r, a)
+
+    @pytest.mark.parametrize("host", ["k32_32_plus_5", "c5_blowup_60"])
+    def test_order_64_misses_end_quickly(self, host):
+        if host == "k32_32_plus_5":
+            edges = [(u, v) for u in range(32) for v in range(32, 64)]
+            g = build_graph(64, edges + [(0, 1), (2, 3), (4, 5), (32, 33), (34, 35)])
+        else:
+            edges = [(u, v) for i in range(5) for u in range(12 * i, 12 * i + 12)
+                     for v in range(12 * (i + 1) % 60, 12 * (i + 1) % 60 + 12)]
+            g = build_graph(60, edges)
+        start = time.perf_counter()
+        assert stability._search_witness(g, 2, alpha_limit(2)) is None
+        assert time.perf_counter() - start < 1.0
 
 
 class TestVerifyWitness:
     def _witness(self, t36):
         a = 2 ** -10 * 3 ** -6
-        return a, find_stability_witness(t36, 3, a, "exhaustive")
+        return a, find_stability_witness(t36, 3, a)
 
     def test_tampered_partition_fails(self, t36):
         a, w = self._witness(t36)
@@ -218,4 +251,4 @@ class TestReport:
             for r in (2, 3):
                 a = alpha_limit(r)
                 if stability_premise(g, r, a):
-                    assert find_stability_witness(g, r, a, "exhaustive") is not None
+                    assert find_stability_witness(g, r, a) is not None
