@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectral_cliques import (build_graph, edge_corollary_check, emit_graph6,
-                              find_stability_witness, random_graph,
+from spectral_cliques import (build_graph, cycle_graph, edge_corollary_check,
+                              emit_graph6, find_stability_witness, random_graph,
                               stability_premise, stability_report, turan_graph,
                               verify_witness, witness_thresholds)
 from spectral_cliques import stability
@@ -123,7 +123,16 @@ class TestWitnessSearch:
         with pytest.raises(ValueError, match="undecided"):
             find_stability_witness(g, 4, 0, tols)
 
-    def test_premise_decided_once_per_verdict(self, t36, c5, monkeypatch):
+    # the ids name the order ranges the search was once split by: the
+    # fixtures, orders up to 16 (the former subset search) and above 16 (the
+    # former heuristic); one search now serves all three
+    @pytest.mark.parametrize("orders", [None, "exhaustive", "heuristic"])
+    def test_premise_decided_once_per_verdict(self, orders, t36, c5, monkeypatch):
+        hosts = {None: ((t36, 3, "witnessed"), (c5, 2, "premise-failed")),
+                 "exhaustive": ((turan_graph(2, 16), 2, "witnessed"),
+                                (cycle_graph(15), 2, "premise-failed")),
+                 "heuristic": ((turan_graph(3, 18), 3, "witnessed"),
+                               (cycle_graph(17), 2, "premise-failed"))}[orders]
         decided = []
         premise = stability.stability_premise
 
@@ -132,7 +141,7 @@ class TestWitnessSearch:
             return premise(g, *args)
 
         monkeypatch.setattr(stability, "stability_premise", spy)
-        for g, r, verdict in ((t36, 3, "witnessed"), (c5, 2, "premise-failed")):
+        for g, r, verdict in hosts:
             decided.clear()
             assert stability_report(g, r, 0).verdict == verdict
             assert decided == [g]
