@@ -43,7 +43,7 @@ import numpy as np
 
 from . import bounds, screen
 from .bounds import DEFAULT_TOLS, Tolerances
-from .cliques import is_kfree, moon_moser_check
+from .cliques import moon_moser_check
 from .graphs import (Graph, Graph6Error, emit_graph6, graph6_width, is_bipartite,
                      is_connected, mix64, parse_graph6, random_edge_mask, random_graph,
                      vertex_cap)
@@ -221,13 +221,21 @@ def _nonbipartite_rows(b: screen.Block) -> np.ndarray:
     return ~screen.bipartite(b)
 
 
+def _rows(b: screen.Block, on_masks: Callable[[screen.Block], np.ndarray],
+          on_graph: Callable[[Graph], bool]) -> np.ndarray:
+    """Which graphs of ``b`` pass: ``on_masks`` reads a block of edge
+    masks, ``on_graph`` each ``Graph`` of a block of them."""
+    if b.graphs is None:
+        return on_masks(b)
+    return np.array([on_graph(g) for g in b.graphs], dtype=bool)
+
+
 def _kfree_rows(b: screen.Block, r: int) -> np.ndarray:
     return b.omega <= r
 
 
-#: a corpus filter: whether a graph passes, and which graphs of a block
-#: built from edge bits pass
-Filter = tuple[Callable[[Graph], bool], Callable[[screen.Block], np.ndarray]]
+#: a corpus filter: which graphs of a block pass
+Filter = Callable[[screen.Block], np.ndarray]
 
 
 def _filter_predicates(filters: tuple[str, ...]) -> tuple[Filter, ...]:
@@ -237,9 +245,11 @@ def _filter_predicates(filters: tuple[str, ...]) -> tuple[Filter, ...]:
     preds = []
     for f in filters:
         if f == "connected":
-            preds.append((is_connected, screen.connected))
+            preds.append(functools.partial(_rows, on_masks=screen.connected,
+                                           on_graph=is_connected))
         elif f == "nonbipartite":
-            preds.append((_nonbipartite, _nonbipartite_rows))
+            preds.append(functools.partial(_rows, on_masks=_nonbipartite_rows,
+                                           on_graph=_nonbipartite))
         elif f.startswith("kfree:"):
             try:
                 r = int(f[len("kfree:"):])
@@ -247,8 +257,7 @@ def _filter_predicates(filters: tuple[str, ...]) -> tuple[Filter, ...]:
                 r = 0  # refused just below, like any R < 1
             if r < 1:
                 raise ValueError(f"malformed corpus filter {f!r}; kfree:R needs R >= 1")
-            preds.append((functools.partial(is_kfree, k=r + 1),
-                          functools.partial(_kfree_rows, r=r)))
+            preds.append(functools.partial(_kfree_rows, r=r))
         else:
             raise ValueError(f"unknown corpus filter {f!r}")
     return tuple(preds)
@@ -482,27 +491,28 @@ def _chunk_graphs(chunk: tuple) -> tuple[int, dict[int, tuple], list[tuple[int, 
 
 def _chunk_blocks(chunk: tuple) -> tuple[list[screen.Block], int]:
     """The graphs of a chunk that pass the corpus filters, as one block per
-    vertex order and way in, and the chunk's size."""
+    vertex order and way in, and the chunk's size.  The filters read the
+    blocks, so a block of ``Graph``s that a kfree filter reads counts its
+    cliques once, for the filter and the screens alike."""
     size, bits, built = _chunk_graphs(chunk)
-    filters = _WORKER["filters"]
-    blocks = []
-    for n, (pos, masks) in bits.items():
-        b = screen.Block.from_bits(n, masks, pos)
-        if filters:
-            keep = np.logical_and.reduce([rows(b) for _, rows in filters])
-            if not keep.any():
-                continue
-            if not keep.all():
-                b = screen.Block.from_bits(n, masks[keep], b.pos[keep])
-        blocks.append(b)
+    blocks = [screen.Block.from_bits(n, masks, pos) for n, (pos, masks) in bits.items()]
     by_order: dict[int, list[tuple[int, Graph]]] = {}
     for i, g in built:
-        if all(keep(g) for keep, _ in filters):
-            by_order.setdefault(g.n, []).append((i, g))
+        by_order.setdefault(g.n, []).append((i, g))
     for items in by_order.values():
         pos, graphs = zip(*items)
         blocks.append(screen.Block(graphs, pos, _WORKER["vertex"]))
-    return blocks, size
+    filters = _WORKER["filters"]
+    if not filters:
+        return blocks, size
+    kept = []
+    for b in blocks:
+        keep = np.logical_and.reduce([rows(b) for rows in filters])
+        if keep.all():
+            kept.append(b)
+        elif keep.any():
+            kept.append(b.take(keep))
+    return kept, size
 
 
 def _rank_key(rec: dict) -> tuple:

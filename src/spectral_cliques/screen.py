@@ -19,12 +19,13 @@ Graphs of order up to ``MASK_MAX_N`` are screened from their edge masks
 alone (graph6 lines are decoded to masks from uint8 rows,
 :func:`graph6_masks`): the adjacency stack, m, k_s, omega and k_s(u) all
 come from the masks, by vertex-subset tests.  A ``Graph`` is built only
-for a graph with a reported evaluation, its memo primed with what the
+for a graph with a reported evaluation.  Larger graphs arrive as
+``Graph``s, and a block counts all of their cliques in one walk of their
+pivot trees.  Either way a reported graph's memo is primed with what the
 block computed: its ``eigh`` spectrum (the solve every printed figure is
 pinned to, run in one stack for the reported graphs alone) where the
-block solved its eigenvalues, and the block's clique profiles, so the
-reporting path recomputes neither.  Larger graphs arrive as ``Graph``s
-and are counted on their pivot trees.
+block solved its eigenvalues, and the block's exact clique profiles, so
+the reporting path recomputes neither.
 
 Every check but momo is a ``bounds.Formula``, screened by running its
 slots, gate, premise and sides on the block's arrays (:func:`formula_screen`).
@@ -41,6 +42,7 @@ evaluates every graph.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -50,38 +52,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bounds import SCREEN_MARGIN, Formula, Tolerances
-from .cliques import (CliqueProfile, VertexCliqueProfile, clique_counts,
-                      vertex_clique_counts)
+from .cliques import (MASK_MAX_N, edge_pairs, pivot_counts, prime_profiles, subset_counts,
+                      subset_hits, subset_vertex_counts)
 from .graphs import Graph, graph6_width, graph_from_edge_mask
 from .spectral import STACK_ENTRIES, adjacency_stack, prime_rows, stacked_eigenvalues
 
 #: :func:`_signs` clamps a rational side to within this bound of 0, which
 #: every int64 side (below 2^61, see ``Block``) lies well inside
 _INT64_SAFE = 1 << 62
-
-#: blocks of this order or less can be built from edge bits: the 2^n
-#: vertex subsets stay few and the n(n-1)/2 bits (48 with graph6 padding)
-#: fit an int64
-MASK_MAX_N = 10
-
-@functools.lru_cache(maxsize=None)
-def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs (i, j), i < j, of order n in edge-mask order."""
-    return np.triu_indices(n, 1)
-
-
-@functools.lru_cache(maxsize=None)
-def _subsets(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For the 2^n vertex subsets S of order n: the edge mask of the
-    complete graph on S, and the 0/1 float matrices that sum a row of
-    subset hits by size s (column s) and by vertex and size (column
-    u (n + 1) + s)."""
-    member = np.arange(1 << n)[:, None] >> np.arange(n) & 1
-    i, j = _pairs(n)
-    edges = ((member[:, i] & member[:, j]) << np.arange(len(i))).sum(axis=1)
-    by_size = (member.sum(axis=1)[:, None] == np.arange(n + 1)).astype(float)
-    by_vertex = (member[:, :, None] * by_size[:, None, :]).reshape(1 << n, n * (n + 1))
-    return edges, by_size, by_vertex
 
 
 def graph6_masks(lines: np.ndarray, n: int) -> np.ndarray:
@@ -92,16 +70,9 @@ def graph6_masks(lines: np.ndarray, n: int) -> np.ndarray:
     width = graph6_width(n)
     chars = lines[:, 1:].astype(np.int64) - 63
     payloads = (chars << 6 * np.arange(width - 1, -1, -1)).sum(axis=1)
-    i, j = _pairs(n)
+    i, j = edge_pairs(n)
     shifts = 6 * width - 1 - (j * (j - 1) // 2 + i)
     return ((payloads[:, None] >> shifts & 1) << np.arange(len(i))).sum(axis=1)
-
-
-def _clip(rows: Sequence[Sequence[int]], cap: int) -> Sequence[Sequence[int]]:
-    """Rows of exact counts with each count above ``cap`` lowered to it."""
-    if max(map(max, rows)) < cap:
-        return rows
-    return [[min(c, cap) for c in row] for row in rows]
 
 
 class Block:
@@ -114,14 +85,16 @@ class Block:
     clique counts and walk counts.  It solves per row, on first read: the
     eigenvalues (:meth:`eigenvalues`) of the rows a screen asks for and
     no earlier read solved, in one stacked ``eigvalsh``.  From ``Graph``s,
-    clique counts come from one pivot-tree walk per graph (per-vertex
-    first with ``vertex``, so that one walk fills both memo entries); from
-    masks, k_s is the number of s-subsets whose complete graph's edge mask
-    the graph's mask covers, and k_s(u) the number of those that hold u.
-    :meth:`reported` hands out the ``Graph``s of the rows that take the
-    reporting path, with what the block computed primed into their memos;
-    the pinned ``eigh`` is solved there, for the reported graphs the block
-    solved alone.
+    clique counts come from one walk of the pivot trees of all the block's
+    graphs at once (:func:`cliques.pivot_counts`), which counts k_s(u) too
+    when the block is built with ``vertex``; from masks, k_s is the number
+    of s-subsets whose complete graph's edge mask the graph's mask covers,
+    and k_s(u) the number of those that hold u.  :meth:`reported` hands
+    out the ``Graph``s of the rows that take the reporting path, with what
+    the block computed primed into their memos: the exact clique profiles
+    it counted, and the pinned ``eigh`` spectrum, solved there for the
+    reported graphs the block solved alone.  :meth:`take` keeps some of a
+    block's graphs, and what it has counted of them.
     The adjacency matrices are kept as bytes (n^2 per graph) and widened
     to floats or int64 at most STACK_ENTRIES entries at a time.
 
@@ -129,8 +102,8 @@ class Block:
     (through :meth:`k`, :meth:`kw` and :meth:`w`), is below ``cap`` =
     isqrt(2^61) // (n + 1), or the read raises OverflowError.  n + 1 times
     a product of two counts then stays below 2^61, so no exact side or
-    comparison of two wraps int64.  Clique counts of ``Graph``s are clipped
-    to ``cap`` as they enter int64; walks are counted only while their
+    comparison of two wraps int64.  Clique counts are clipped to ``cap``
+    as they enter the screen's arrays; walks are counted only while their
     totals stay below it (:meth:`walks`).
     """
 
@@ -149,7 +122,7 @@ class Block:
         """The block of the graphs of order n <= MASK_MAX_N whose edge
         masks (int64, as :func:`graph_from_edge_mask` reads them) are
         ``masks``."""
-        i, j = _pairs(n)
+        i, j = edge_pairs(n)
         edges = (masks[:, None] >> np.arange(len(i)) & 1).astype(np.uint8)
         b = cls.__new__(cls)
         b.graphs = None
@@ -164,36 +137,43 @@ class Block:
         b._kw = {}
         return b
 
+    def take(self, keep: np.ndarray) -> "Block":
+        """The block of the graphs ``keep`` marks, with every array this
+        block holds of them (each holds one entry per graph); walks are
+        counted afresh."""
+        b = copy.copy(self)
+        for name, value in vars(self).items():
+            if isinstance(value, np.ndarray):
+                setattr(b, name, value[keep])
+        if "_tree" in vars(self):
+            b._tree = tuple(None if a is None else a[keep] for a in self._tree)
+        if self.graphs is not None:
+            b.graphs = [g for g, kept in zip(self.graphs, keep.tolist()) if kept]
+        b.__dict__.pop("_walks", None)
+        b._kw = {}
+        return b
+
     def reported(self, rows: np.ndarray) -> list[tuple[int, Graph]]:
         """(position, Graph) of each graph that ``rows`` marks.  Where the
         block solved a graph's eigenvalues, its memo holds its ``eigh``
-        spectrum, solved here in one stack for those marked graphs alone;
-        where the block was built from masks, it holds the clique profiles
-        the block counted."""
+        spectrum, solved here in one stack for those marked graphs alone,
+        and where the block counted cliques, their exact profiles."""
         picked = np.flatnonzero(rows)
         if self.graphs is None:
             graphs = [graph_from_edge_mask(self.n, mask)
                       for mask in self.masks[picked].tolist()]
-            self._prime_cliques(graphs, picked)
         else:
             graphs = [self.graphs[i] for i in picked]
+        if "_counts" in vars(self):
+            counted = "_vertex_counts" in vars(self) or "_tree" in vars(self)
+            vertex_counts = self._vertex_counts if counted else None
+            prime_profiles(graphs, self._counts[picked],
+                           None if vertex_counts is None else vertex_counts[picked])
         if self._solved is not None:
             solved = self._solved[picked]
             prime_rows([g for g, s in zip(graphs, solved.tolist()) if s],
                        stacked_eigenvalues(self.adj[picked[solved]]))
         return list(zip(self.pos[picked].tolist(), graphs))
-
-    def _prime_cliques(self, graphs: list[Graph], picked: np.ndarray) -> None:
-        n = self.n
-        counts = self.cliques[picked, 1:n + 1].tolist()
-        omegas = self.omega[picked].tolist()
-        for g, row, om in zip(graphs, counts, omegas):
-            clique_counts.prime(g, CliqueProfile(tuple(row), om))
-        if "vertex_cliques" in self.__dict__:
-            per = self.vertex_cliques[picked].tolist()
-            for g, rows, om in zip(graphs, per, omegas):
-                vertex_clique_counts.prime(g, VertexCliqueProfile(
-                    tuple(tuple(row[1:om + 1]) for row in rows), om))
 
     def eigenvalues(self, rows: np.ndarray) -> np.ndarray:
         """Every graph's eigenvalues, each row descending, solved by one
@@ -218,35 +198,37 @@ class Block:
         return adjacency_stack(self.graphs)
 
     @functools.cached_property
-    def _profiles(self) -> list:
-        if self.vertex:
-            for g in self.graphs:
-                vertex_clique_counts(g)
-        return [clique_counts(g) for g in self.graphs]
+    def _hits(self) -> np.ndarray:
+        return subset_hits(self.masks, self.n)
 
     @functools.cached_property
-    def _hits(self) -> np.ndarray:
-        """[g, S]: 1.0 where vertex subset S is a clique of graph g."""
-        edges = _subsets(self.n)[0]
-        return ((self.masks[:, None] & edges) == edges).astype(float)
+    def _tree(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """k_s, and k_s(u) when the block was built with ``vertex``, from
+        one walk of the pivot trees of the block's ``Graph``s."""
+        return pivot_counts(self.graphs, self.vertex)
+
+    @functools.cached_property
+    def _counts(self) -> np.ndarray:
+        """Exact k_s at [g, s] for 0 <= s <= n."""
+        return subset_counts(self._hits, self.n) if self.graphs is None else self._tree[0]
+
+    @functools.cached_property
+    def _vertex_counts(self) -> np.ndarray:
+        """Exact k_s(u) at [g, u, s] for 0 <= s <= n; from ``Graph``s only
+        when the block was built with ``vertex``."""
+        return (subset_vertex_counts(self._hits, self.n) if self.graphs is None
+                else self._tree[1])
 
     @functools.cached_property
     def omega(self) -> np.ndarray:
-        if self.graphs is None:
-            return np.count_nonzero(self.cliques[:, 1:], axis=1).astype(np.int64)
-        return np.array([prof.omega for prof in self._profiles], dtype=np.int64)
+        return np.count_nonzero(self.cliques[:, 1:], axis=1).astype(np.int64)
 
     @functools.cached_property
     def cliques(self) -> np.ndarray:
         """k_s in column s for 0 <= s <= n + 1 (k_0 = 1, k_{n+1} = 0), each
         clipped to :attr:`cap`."""
         out = np.zeros((len(self.m), self.n + 2), dtype=np.int64)
-        if self.graphs is None:
-            # sums of at most 2^MASK_MAX_N ones: exact in floats
-            out[:, :self.n + 1] = self._hits @ _subsets(self.n)[1]
-            return out
-        out[:, 0] = 1
-        out[:, 1:self.n + 1] = _clip([prof.counts for prof in self._profiles], self.cap)
+        out[:, :self.n + 1] = np.minimum(self._counts, self.cap)
         return out
 
     @functools.cached_property
@@ -255,14 +237,8 @@ class Block:
         slots past a graph's omega are 0), each clipped to :attr:`cap`."""
         n = self.n
         out = np.zeros((len(self.m), n, int(self.omega.max()) + 2), dtype=np.int64)
-        if self.graphs is None:
-            per = (self._hits @ _subsets(n)[2]).reshape(len(self.m), n, n + 1)
-            width = min(out.shape[2], n + 1)
-            out[:, :, :width] = per[:, :, :width]
-            return out
-        for i, g in enumerate(self.graphs):
-            prof = vertex_clique_counts(g)
-            out[i, :, 1:prof.omega + 1] = _clip(prof.rows, self.cap)
+        width = min(out.shape[2], n + 1)
+        out[:, :, :width] = np.minimum(self._vertex_counts[:, :, :width], self.cap)
         return out
 
     def _below_cap(self, counts: np.ndarray) -> np.ndarray:

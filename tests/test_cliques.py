@@ -1,12 +1,14 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb, prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectral_cliques import (build_graph, clique_counts, complete_graph,
+from spectral_cliques import (build_graph, cliques, clique_counts, complete_graph,
                               complete_multipartite, empty_graph,
                               graph_from_edge_mask,
                               is_complete_multipartite_plus_isolated, is_kfree,
@@ -14,13 +16,19 @@ from spectral_cliques import (build_graph, clique_counts, complete_graph,
                               random_graph, star_graph, turan_graph,
                               vertex_clique_counts)
 
-from oracles import brute_force_cliques, enumerate_labeled
+from oracles import brute_force_cliques, brute_force_vertex_cliques, enumerate_labeled
 
 graphs_strategy = st.builds(
     lambda n_mask: graph_from_edge_mask(*n_mask),
     st.integers(min_value=1, max_value=9).flatmap(
         lambda n: st.tuples(st.just(n), st.integers(
             min_value=0, max_value=(1 << (n * (n - 1) // 2)) - 1))))
+
+# batches of one order, each graph of its own density
+batch_strategy = st.integers(min_value=1, max_value=12).flatmap(lambda n: st.lists(
+    st.builds(random_graph, st.just(n), st.floats(min_value=0.0, max_value=1.0),
+              st.integers(min_value=0, max_value=2**32)),
+    min_size=1, max_size=6))
 
 # dense enough that pivot-tree leaves hold several pivot vertices
 dense_graphs_strategy = st.builds(
@@ -195,6 +203,131 @@ class TestVertexCliqueCounts:
         per = vertex_clique_counts(g)
         for s in range(1, prof.omega + 1):
             assert sum(per.count(u, s) for u in range(g.n)) == s * prof.count(s)
+
+
+def multipartite_rows(parts, isolated):
+    """k_s at [s] and k_s(u) at [u][s], 0 <= s <= n, of the complete
+    multipartite graph with ``parts`` and ``isolated`` extra vertices."""
+    n = sum(parts) + isolated
+    k = [1, n] + [elementary_symmetric(parts, s) for s in range(2, n + 1)]
+    rows = []
+    for i, size in enumerate(parts):
+        others = parts[:i] + parts[i + 1:]
+        rows += [[0] + [elementary_symmetric(others, s - 1) for s in range(1, n + 1)]] * size
+    rows += [[0, 1] + [0] * (n - 1)] * isolated
+    return k, rows
+
+
+class TestPivotCounts:
+    """``pivot_counts`` walks the trees of a whole batch at once."""
+
+    @given(batch_strategy)
+    @settings(max_examples=60, deadline=None)
+    def test_batches_against_subset_oracles(self, graphs):
+        k, kv = cliques.pivot_counts(graphs, True)
+        assert k.dtype == kv.dtype == np.int64
+        for g, row, rows in zip(graphs, k.tolist(), kv.tolist()):
+            assert row == [1, *brute_force_cliques(g).counts]
+            assert rows == [r[:g.n + 1] for r in brute_force_vertex_cliques(g)]
+
+    @given(batch_strategy)
+    @settings(max_examples=40, deadline=None)
+    def test_batch_equals_its_graphs_one_at_a_time(self, graphs):
+        k, kv = cliques.pivot_counts(graphs, True)
+        assert np.array_equal(cliques.pivot_counts(graphs, False)[0], k)
+        for i, g in enumerate(graphs):
+            one, per = cliques.pivot_counts([g], True)
+            assert np.array_equal(one[0], k[i]) and np.array_equal(per[0], kv[i])
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 80])
+    def test_complete_graphs_across_word_boundaries(self, n, monkeypatch):
+        """K_n is one root-to-leaf path; k_{40}(K_80) is about 10^23, past
+        int64, and is counted in Python ints from order 65 on."""
+        monkeypatch.setenv("SCL_MAX_N", "80")
+        g = complete_graph(n)
+        k, kv = cliques.pivot_counts([g, g], True)
+        assert k.dtype == (np.int64 if n <= 64 else object)
+        assert k.tolist() == [[comb(n, s) for s in range(n + 1)]] * 2
+        assert kv[1].tolist() == [[0] + [comb(n - 1, s - 1) for s in range(1, n + 1)]] * n
+        prof = clique_counts(complete_graph(n))
+        assert prof.counts == tuple(comb(n, s) for s in range(1, n + 1)) and prof.omega == n
+
+    @pytest.mark.parametrize("n", [1, 2, 11, 64, 65])
+    def test_edgeless_graphs(self, n, monkeypatch):
+        monkeypatch.setenv("SCL_MAX_N", "65")
+        k, kv = cliques.pivot_counts([empty_graph(n)], True)
+        assert k.tolist() == [[1, n] + [0] * (n - 1)]
+        assert kv[0].tolist() == [[0, 1] + [0] * (n - 1)] * n
+
+    def test_block_wider_than_the_row_cap(self, monkeypatch):
+        """1,100 roots are more than one step expands, and leaf batches
+        hold leaves of several graphs; each graph still counts as alone."""
+        widths = []
+        leaves = cliques._leaves
+
+        def spy(graphs):
+            for batch in leaves(graphs):
+                widths.append(len(np.unique(batch[0])))
+                yield batch
+
+        monkeypatch.setattr(cliques, "_leaves", spy)
+        graphs = [random_graph(12, (0.3, 0.6, 0.9)[i % 3], i) for i in range(1100)]
+        k, kv = cliques.pivot_counts(graphs, True)
+        assert max(widths) > 1
+        for i, g in enumerate(graphs):
+            one, per = cliques.pivot_counts([g], True)
+            assert np.array_equal(one[0], k[i]) and np.array_equal(per[0], kv[i])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_scattered_components_across_word_boundaries(self, seed, monkeypatch):
+        """Six G(12, 0.6) and one G(8, 0.6), their 80 vertices shuffled:
+        a pivot's non-neighbours span both words and every component, and
+        the counts are the components' brute-force counts."""
+        monkeypatch.setenv("SCL_MAX_N", "80")
+        rng = random.Random(seed)
+        label = rng.sample(range(80), 80)
+        parts = [random_graph(size, 0.6, 10 * seed + i)
+                 for i, size in enumerate([12] * 6 + [8])]
+        edges, want, rows, at = [], [1] + [0] * 80, [None] * 80, 0
+        for part in parts:
+            edges += [(label[at + u], label[at + v]) for u, v in part.edges()]
+            for s, c in enumerate(brute_force_cliques(part).counts, 1):
+                want[s] += c
+            for u, row in enumerate(brute_force_vertex_cliques(part)):
+                rows[label[at + u]] = row[:part.n + 1] + [0] * (80 - part.n)
+            at += part.n
+        k, kv = cliques.pivot_counts([build_graph(80, edges)], True)
+        assert k[0].tolist() == want and kv[0].tolist() == rows
+
+    @pytest.mark.parametrize("parts,isolated", [
+        ((1,), 0), ((3, 3, 3, 2), 0), ((6, 6, 6, 6, 6, 6), 0), ((5, 4, 2, 1), 3),
+        ((1, 1, 1, 1), 2), ((6, 1), 5), ((32, 32), 0), ((33, 33, 10), 4)])
+    def test_multipartite_graphs_with_isolated_vertices(self, parts, isolated, monkeypatch):
+        """(33, 33, 10) with 4 isolated vertices has order 80: its sets
+        span two words, and its held children cross the word boundary."""
+        monkeypatch.setenv("SCL_MAX_N", "80")
+        g = complete_multipartite(list(parts), isolated)
+        k, kv = cliques.pivot_counts([g, empty_graph(g.n), g], True)
+        want, rows = multipartite_rows(list(parts), isolated)
+        assert k[0].tolist() == k[2].tolist() == want
+        assert kv[0].tolist() == kv[2].tolist() == rows
+
+    def test_wide_tree_expands_at_most_the_row_cap(self, monkeypatch):
+        """T(6, 36) has 6^6 = 46,656 leaves; no step of its walk expands
+        more than ``TREE_ROWS`` rows, and its counts are exact."""
+        steps = []
+        expand = cliques._expand
+
+        def spy(adj, n, rows):
+            steps.append(len(rows[0]))
+            return expand(adj, n, rows)
+
+        monkeypatch.setattr(cliques, "_expand", spy)
+        g = turan_graph(6, 36)
+        k, kv = cliques.pivot_counts([g], True)
+        assert max(steps) == cliques.TREE_ROWS
+        want, rows = multipartite_rows([6] * 6, 0)
+        assert k[0].tolist() == want and kv[0].tolist() == rows
 
 
 class TestMoonMoser:

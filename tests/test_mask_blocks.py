@@ -61,19 +61,25 @@ def test_seeded_graphs_of_order_eight_to_ten(n):
 
 
 def test_reported_graphs_carry_the_pivot_tree_profiles(monkeypatch):
+    """The graphs a block of edge masks reports carry the clique profiles
+    the block counted on its vertex subsets, which are those of the pivot
+    tree; neither the block nor its reported graphs walk a tree."""
     n = 7
     masks = _masks(n)[5::4099]
+    rows = np.zeros(len(masks), dtype=bool)
+    rows[::2] = True
+    tree = [graph_from_edge_mask(n, mask) for mask in masks[rows].tolist()]
+    cliques.prime_profiles(tree, *cliques.pivot_counts(tree, True))
+    want = [(spectrum(g), clique_counts(g), vertex_clique_counts(g)) for g in tree]
+    monkeypatch.setattr(screen, "pivot_counts", None)  # no tree is walked from here on
+    monkeypatch.setattr(cliques, "pivot_counts", None)
     b = screen.Block.from_bits(n, masks, np.arange(len(masks)) * 3)
     # read, as a plan with wilf and oldin reads them
     b.eigenvalues(np.ones(len(masks), dtype=bool)), b.vertex_cliques
-    rows = np.zeros(len(masks), dtype=bool)
-    rows[::2] = True
     reported = b.reported(rows)
     assert [pos for pos, _ in reported] == (np.flatnonzero(rows) * 3).tolist()
-    fresh = [graph_from_edge_mask(n, mask) for mask in masks[rows].tolist()]
-    want = [(spectrum(g), clique_counts(g), vertex_clique_counts(g)) for g in fresh]
-    monkeypatch.setattr(cliques, "_pivot_tree", None)  # only the memos can answer
-    assert [g for _, g in reported] == fresh
+    monkeypatch.setattr(cliques, "subset_hits", None)  # only the memos can answer
+    assert [g for _, g in reported] == tree
     assert [(spectrum(g), clique_counts(g), vertex_clique_counts(g))
             for _, g in reported] == want
 

@@ -154,12 +154,13 @@ class TestScan:
                                          ("connected", "nonbipartite", "kfree:3")])
     def test_filters_on_built_random_graphs(self, filters, p, jobs, monkeypatch):
         """Random graphs of order 12, above ``screen.MASK_MAX_N``, are built
-        as ``Graph``s and filtered one by one: the scan reports what the
-        reference reports on the graphs that networkx's predicates keep."""
+        as ``Graph``s and filtered as a block, which keeps the per-vertex
+        counts oldin reads: the scan reports what the reference reports on
+        the graphs that networkx's predicates keep."""
         monkeypatch.setattr(scan_module, "_CHUNK_ITEMS", 16)  # three chunks
         graphs = [random_graph(12, p, mix64(3, i)) for i in range(40)]
         kept = [emit_graph6(g) for g in graphs if all(NX_FILTERS[f](_networkx(g)) for f in filters)]
-        checks = {"wilf": {}, "theorem1": {"r": [2, 3]}}
+        checks = {"wilf": {}, "theorem1": {"r": [2, 3]}, "oldin": {"l": [2]}}
         got = scan(CorpusSpec(kind="random", n=12, p=p, count=40, seed=3, filters=filters),
                    ScanConfig(checks=checks), jobs=jobs).to_json_dict(deterministic_timing=True)
         del got["timing_s"]

@@ -1,8 +1,9 @@
 """The scan's array screen: scans report exactly what the graph-by-graph
-reporting path reports, the margin is what keeps them equal, and the
-screen's arrays reuse one pivot-tree walk per graph."""
+reporting path reports, the margin is what keeps them equal, and a
+block's arrays reuse one walk of its graphs' pivot trees."""
 
 import importlib
+import math
 import os
 import tempfile
 from dataclasses import replace
@@ -347,6 +348,19 @@ def test_clique_counts_past_the_cap_step_aside():
     assert _scan_lines(lines, checks, 10, 1.0) == reference_scan(lines, checks, 10, 1.0)
 
 
+def test_blocks_past_order_64_count_in_python_ints(monkeypatch):
+    """k_40(K_80) = C(80, 40), about 10^23, is past int64: a block counts
+    it exactly, clips it to the cap in its arrays, and primes the reported
+    graph with the exact profiles."""
+    monkeypatch.setenv("SCL_MAX_N", "80")
+    b = screen.Block([complete_graph(80)], [0], True)
+    assert b.cliques[0, 40] == b.vertex_cliques[0, 7, 41] == b.cap and b.omega[0] == 80
+    [(_, g)] = b.reported(np.ones(1, dtype=bool))
+    monkeypatch.setattr(cliques, "pivot_counts", None)  # only the memos can answer
+    assert cliques.clique_counts(g).count(40) == math.comb(80, 40)
+    assert cliques.vertex_clique_counts(g).count(7, 41) == math.comb(79, 40)
+
+
 def _primed(counts: list[int]):
     """An edgeless graph of order counts[0] whose clique profile, which the
     block and the reporting path both read, is primed to ``counts``."""
@@ -359,8 +373,10 @@ def _primed(counts: list[int]):
 
 def _momo_verdicts(g):
     """Whether momo's screen reports ``g``, and its outcome on the
-    reporting path."""
+    reporting path.  The block counts nothing itself: it is handed the
+    primed profile as its exact counts."""
     b = screen.Block([g], [0], False)
+    b._counts = np.array([(1, *cliques.clique_counts(g).counts)], dtype=np.int64)
     [oc] = run_check("momo", g, {})
     return bool(screen.screen_momo(b, {}, scan_module.DEFAULT_TOLS).exact[0]), oc
 
@@ -391,24 +407,26 @@ def test_momo_screen_agrees_with_fractions(counts):
 
 
 def test_pivot_tree_runs_once_per_graph(monkeypatch):
-    """A block built from ``Graph``s (orders above ``MASK_MAX_N``) walks one
-    pivot tree per graph, for counts and per-vertex counts alike; a block
-    built from edge bits walks none, its reported graphs included."""
-    roots = []
-    tree = cliques._pivot_tree
+    """A block built from ``Graph``s (orders above ``MASK_MAX_N``) walks the
+    pivot trees of all its graphs at once, and that one walk yields k_s and
+    k_s(u) of every graph, its reported graphs included; a block built from
+    edge bits walks none."""
+    walks = []
+    counted = cliques.pivot_counts
 
-    def spy(adj, cand, pre, w, rows):
-        if pre == 1:  # a root call; every node below holds a vertex or pivot
-            roots.append(adj)
-        return tree(adj, cand, pre, w, rows)
+    def spy(graphs, vertex):
+        walks.append((len(graphs), vertex))
+        return counted(graphs, vertex)
 
-    monkeypatch.setattr(cliques, "_pivot_tree", spy)
+    monkeypatch.setattr(screen, "pivot_counts", spy)
+    monkeypatch.setattr(cliques, "pivot_counts", spy)  # a graph counted on its own
     checks = {"wilf": {}, "oldin": {"l": [2]}}
     lines = [emit_graph6(random_graph(11 + i % 3, 0.5, mix64(3, i))) for i in range(40)]
-    assert _scan_lines(lines, checks, 10, 1.0)["graphs_checked"] == len(roots) == 40
-    roots.clear()
+    assert _scan_lines(lines, checks, 10, 1.0)["graphs_checked"] == 40
+    assert walks == [(14, True), (13, True), (13, True)]  # orders 11, 12 and 13
+    walks.clear()
     res = scan(CorpusSpec(kind="exhaustive", n=5), ScanConfig(checks=checks))
-    assert res.graphs_checked == 1024 and roots == []
+    assert res.graphs_checked == 1024 and walks == []
 
 
 def test_theorem3_screen_changes_no_output(monkeypatch, capsys):
