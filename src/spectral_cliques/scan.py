@@ -3,8 +3,11 @@
 A scan walks a corpus (exhaustive labeled graphs, a graph6 file, or a
 seeded random family), evaluates a configured set of checks with parameter
 grids on every graph passing the filters, and aggregates violations,
-equality cases, and the tightest instances.  Work is split into fixed-size
-chunks.  With ``jobs`` > 1 the calling process and up to ``jobs - 1``
+equality cases, and the tightest instances.  Work is split into chunks by
+array size (:func:`_spans`): a chunk takes graphs in corpus order while
+its adjacency stack and its vertex-subset tables stay within bounds, so
+many small graphs make one chunk and a few large ones another.  With
+``jobs`` > 1 the calling process and up to ``jobs - 1``
 pool workers claim the chunks in index order from one shared counter, the
 caller starting at once.  On Linux, while the caller runs no other thread,
 the workers are forked from it and start with the package and the scan
@@ -43,17 +46,23 @@ import numpy as np
 
 from . import bounds, screen
 from .bounds import DEFAULT_TOLS, Tolerances
-from .cliques import moon_moser_check
-from .graphs import (Graph, Graph6Error, emit_graph6, graph6_width, is_bipartite,
+from .cliques import MASK_MAX_N, moon_moser_check
+from .graphs import (HARD_CAP, Graph, Graph6Error, emit_graph6, graph6_width, is_bipartite,
                      is_connected, mix64, parse_graph6, random_edge_mask, random_graph,
                      vertex_cap)
-from .spectral import EigensolverError
+from .spectral import STACK_ENTRIES, EigensolverError
 from .stability import STABILITY, stability_alpha, stability_report
 
 EXHAUSTIVE_LIMIT = 7
 EXHAUSTIVE_OVERRIDE_LIMIT = 8
-_CHUNK_MASKS = 4096
-_CHUNK_ITEMS = 512
+
+#: a chunk takes graphs in corpus order while its adjacency entries (the
+#: sum of n^2) stay within _CHUNK_ENTRIES, so each of its orders is one
+#: stacked solve, and its subset-table entries (the sum of 2^n over orders
+#: up to MASK_MAX_N) within _CHUNK_SUBSETS, 4 MiB of float hits, the table
+#: of 512 graphs of order 10; it holds at least one graph
+_CHUNK_ENTRIES = STACK_ENTRIES
+_CHUNK_SUBSETS = 1 << 19
 
 # outcome statuses
 OOD = "ood"
@@ -442,6 +451,17 @@ def _short_orders(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
     return np.where(short, n, 0)
 
 
+def _header_orders(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The order each line's graph6 header states, in its one-character
+    form or as '~' and three characters, clipped to 0..HARD_CAP; 0 for a
+    line too short for its '~' form.  Only chunk sizes read it: whether a
+    line holds a graph is for its decoding to say."""
+    n = buf[starts].astype(np.int64) - 63
+    tail = buf[np.minimum(starts[:, None] + np.arange(1, 4), len(buf) - 1)].astype(np.int64) - 63
+    wide = np.where(ends - starts >= 4, (tail[:, 0] << 12) + (tail[:, 1] << 6) + tail[:, 2], 0)
+    return np.minimum(np.maximum(np.where(n == 63, wide, n), 0), HARD_CAP)
+
+
 def _chunk_graphs(chunk: tuple) -> tuple[int, dict[int, tuple], list[tuple[int, Graph]]]:
     """A chunk's size and its graphs: those of order up to
     ``screen.MASK_MAX_N`` as edge masks, ``{n: (positions, masks)}``
@@ -655,22 +675,54 @@ def tightness_rank(records: list[dict], k: int) -> list[dict]:
                   key=_rank_key)[:k]
 
 
+def _spans(orders: np.ndarray) -> list[tuple[int, int]]:
+    """``(lo, hi)`` of each chunk of a corpus whose graphs, in corpus
+    order, have these orders: a chunk takes graphs while the sum of their
+    n^2 stays within ``_CHUNK_ENTRIES`` and the sum of 2^n over those of
+    order up to MASK_MAX_N within ``_CHUNK_SUBSETS``, and at least one."""
+    subsets = np.where(orders <= MASK_MAX_N, 1 << np.minimum(orders, MASK_MAX_N), 0)
+    sums = []
+    for w, bound in ((orders * orders, _CHUNK_ENTRIES), (subsets, _CHUNK_SUBSETS)):
+        total = np.zeros(len(orders) + 1, dtype=np.int64)
+        np.cumsum(w, out=total[1:])
+        sums.append((total, bound))
+    spans, lo = [], 0
+    while lo < len(orders):
+        hi = min(int(np.searchsorted(total, total[lo] + bound, side="right")) - 1
+                 for total, bound in sums)
+        spans.append((lo, max(hi, lo + 1)))
+        lo = spans[-1][1]
+    return spans
+
+
+def _fit(n: int) -> int:
+    """How many graphs of order n make a chunk, as :func:`_spans` takes
+    them from a corpus of that order alone."""
+    n = max(n, 0)  # an order the corpus refuses later; any size will do
+    per = _CHUNK_ENTRIES // max(n * n, 1)
+    if n <= MASK_MAX_N:
+        per = min(per, _CHUNK_SUBSETS >> n)
+    return max(per, 1)
+
+
 def _make_chunks(corpus: CorpusSpec) -> list[tuple]:
+    """The corpus in chunks, cut by :func:`_spans`; a chunk of graph6
+    lines reads each line's order from its header."""
     if corpus.kind == "exhaustive":
         n = corpus.n
         limit = EXHAUSTIVE_OVERRIDE_LIMIT if corpus.allow_n8 else EXHAUSTIVE_LIMIT
         if n is None or not 1 <= n <= limit:
             raise ValueError(f"exhaustive scans limited to 1..{limit} vertices")
-        total = 1 << (n * (n - 1) // 2)
-        return [("exhaustive", n, lo, min(lo + _CHUNK_MASKS, total))
-                for lo in range(0, total, _CHUNK_MASKS)]
+        total, per = 1 << (n * (n - 1) // 2), _fit(n)
+        return [("exhaustive", n, lo, min(lo + per, total)) for lo in range(0, total, per)]
     if corpus.kind == "file":
         text = read_graph6(corpus.path)
-        starts, ends = _line_spans(np.frombuffer(text, dtype=np.uint8))
+        buf = np.frombuffer(text, dtype=np.uint8)
+        starts, ends = _line_spans(buf)
         rows = np.flatnonzero(ends > starts)
         chunks = []
-        for lo in range(0, len(rows), _CHUNK_ITEMS):
-            head, tail = int(rows[lo]), int(rows[min(lo + _CHUNK_ITEMS, len(rows)) - 1])
+        for lo, hi in _spans(_header_orders(buf, starts[rows], ends[rows])):
+            head, tail = int(rows[lo]), int(rows[hi - 1])
             chunks.append(("lines", head + 1, text[starts[head]:ends[tail] + 1]))
         return chunks or [("lines", 1, b"")]
     if corpus.kind == "random":
@@ -678,8 +730,9 @@ def _make_chunks(corpus: CorpusSpec) -> list[tuple]:
             raise ValueError("random corpus needs n, p, count and seed")
         if corpus.count < 0:
             raise ValueError("random corpus count must be >= 0")
-        return [("random", lo, min(lo + _CHUNK_ITEMS, corpus.count))
-                for lo in range(0, corpus.count, _CHUNK_ITEMS)] or [("random", 0, 0)]
+        per = _fit(corpus.n)
+        return [("random", lo, min(lo + per, corpus.count))
+                for lo in range(0, corpus.count, per)] or [("random", 0, 0)]
     raise ValueError(f"unknown corpus kind {corpus.kind!r}")
 
 
@@ -688,9 +741,11 @@ def scan(corpus: CorpusSpec, config: ScanConfig, jobs: int = 1) -> ScanResult:
 
     ``jobs`` counts the processes that scan, this one included: with more
     than one chunk, this process and ``min(jobs, chunks) - 1`` pool workers
-    claim chunks in index order.  Results are identical for any ``jobs``:
-    chunk boundaries are fixed and partials merge by chunk index, with the
-    tightest-instance ranking recomputed after the merge.
+    claim chunks in index order.  Results are identical for any ``jobs``,
+    and do not depend on where chunks end (:func:`_spans` cuts them by
+    array size, whatever ``jobs`` is): violations and equalities merge in
+    corpus order, out-of-domain outcomes are a sum, and the
+    tightest-instance ranking is recomputed after the merge.
     """
     for name in config.checks:
         if name not in CHECKS:

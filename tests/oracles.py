@@ -7,8 +7,8 @@ from fractions import Fraction
 import numpy as np
 
 from spectral_cliques.bounds import DEFAULT_TOLS
-from spectral_cliques.cliques import CliqueProfile, proper_coloring
-from spectral_cliques.graphs import (Graph, Graph6Error, emit_graph6, graph6_width,
+from spectral_cliques.cliques import MASK_MAX_N, CliqueProfile, proper_coloring
+from spectral_cliques.graphs import (HARD_CAP, Graph, Graph6Error, emit_graph6, graph6_width,
                                      graph_from_edge_mask, mask_members, parse_graph6)
 from spectral_cliques.scan import (EXHAUSTIVE_LIMIT, EXHAUSTIVE_OVERRIDE_LIMIT,
                                    expand_param_grid, run_check)
@@ -122,23 +122,40 @@ def short_graph6_order(s: str, top: int) -> int:
     return 0
 
 
-def graph6_chunks(path: str, items: int, top: int) -> list[list[tuple[int, int, bool, Graph]]]:
-    """A graph6 file's graphs, ``items`` lines a chunk, as (position in the
-    chunk, line number, whether :func:`short_graph6_order` admits the line
-    at ``top``, Graph), decoded line by line; the first malformed line
-    raises its Graph6Error, naming the file and line.  A file with no
-    graph is one empty chunk."""
-    lines = read_graph6_lines(path)
-    chunks = []
-    for lo in range(0, len(lines), items):
-        chunk = []
-        for pos, (lineno, line) in enumerate(lines[lo:lo + items]):
-            try:
-                g = parse_graph6(line)
-            except Graph6Error as exc:
-                raise Graph6Error(f"{path}, line {lineno}: {exc}") from None
-            chunk.append((pos, lineno, bool(short_graph6_order(line, top)), g))
-        chunks.append(chunk)
+def graph6_header_order(s: str) -> int:
+    """The order a stripped graph6 line's header states, in its
+    one-character form or as '~' and three characters, clipped to
+    0..HARD_CAP; 0 for a line too short for its '~' form."""
+    n = ord(s[0]) - 63
+    if n == 63:
+        n = sum((ord(ch) - 63) << shift for ch, shift in zip(s[1:4], (12, 6, 0))) \
+            if len(s) >= 4 else 0
+    return min(max(n, 0), HARD_CAP)
+
+
+def graph6_chunks(path: str, top: int, entries: int,
+                  subsets: int) -> list[list[tuple[int, int, bool, Graph]]]:
+    """A graph6 file's graphs, in chunks, as (position in the chunk, line
+    number, whether :func:`short_graph6_order` admits the line at ``top``,
+    Graph), decoded line by line; the first malformed line raises its
+    Graph6Error, naming the file and line.  A chunk takes lines while the
+    sum of n^2 over their header orders n stays within ``entries`` and the
+    sum of 2^n over those up to MASK_MAX_N within ``subsets``, and at least
+    one.  A file with no graph is one empty chunk."""
+    chunks: list[list] = []
+    used = (0, 0)
+    for lineno, line in read_graph6_lines(path):
+        n = graph6_header_order(line)
+        cost = (n * n, 2 ** n if n <= MASK_MAX_N else 0)
+        used = (used[0] + cost[0], used[1] + cost[1])
+        if not chunks or used[0] > entries or used[1] > subsets:
+            chunks.append([])
+            used = cost
+        try:
+            g = parse_graph6(line)
+        except Graph6Error as exc:
+            raise Graph6Error(f"{path}, line {lineno}: {exc}") from None
+        chunks[-1].append((len(chunks[-1]), lineno, bool(short_graph6_order(line, top)), g))
     return chunks or [[]]
 
 

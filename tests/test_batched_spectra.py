@@ -241,22 +241,29 @@ class TestOneStackPerChunk:
     chunk and order, for the graphs with a reported evaluation alone."""
 
     def test_exhaustive_n6_one_call_per_chunk(self, capsys, lapack_calls, reported_rows):
+        # 7,281 graphs of order 6 fill a chunk's STACK_ENTRIES adjacency entries
         _scan_stdout(capsys, "--exhaustive-n", "6", "--check", "wilf")
-        assert lapack_calls["eigvalsh"] == [(4096, 6, 6)] * 8
-        assert len(reported_rows["blocks"]) == 8
+        assert lapack_calls["eigvalsh"] == [(7281, 6, 6)] * 4 + [(3644, 6, 6)]
+        assert len(reported_rows["blocks"]) == 5
         assert sorted(lapack_calls["eigh"]) == _pinned_shapes(reported_rows)
         assert 0 < len(reported_rows["checked"]) < 32768 // 4
 
     def test_file_one_call_per_chunk_and_order(self, tmp_path, capsys, lapack_calls,
-                                                reported_rows):
-        # 600 lines: chunks of 512 and 88 lines, each holding orders 3, 4, 5
+                                                reported_rows, monkeypatch):
+        # 600 lines of orders 3, 4, 5 cost 56 subset-table entries a triple:
+        # chunks of 439 and 161 lines under a bound of 2^13 (146 triples and
+        # one order 3 line), each holding all three orders
+        monkeypatch.setattr(scan_module, "_CHUNK_SUBSETS", 1 << 13)
         graphs = [random_graph(3 + i % 3, 0.5, mix64(5, i)) for i in range(600)]
         corpus = _write_corpus(tmp_path / "mixed.g6", graphs)
+        firsts = [first for _, first, _ in
+                  scan_module._make_chunks(CorpusSpec(kind="file", path=corpus))]
+        assert firsts == [1, 440]
         _scan_stdout(capsys, "--file", corpus, "--check", "conjecture", "--r", "2")
-        blocks = Counter((i // 512, g.n) for i, g in enumerate(graphs))
-        assert sorted(blocks.values()) == sorted([171, 171, 170, 29, 29, 30])
+        blocks = Counter((i >= 439, g.n) for i, g in enumerate(graphs))
+        assert sorted(blocks.values()) == sorted([147, 146, 146, 53, 54, 54])
         # of those, the triangle-free graphs, which the gate omega > 2 leaves
-        admitted = Counter((i // 512, g.n) for i, g in enumerate(graphs)
+        admitted = Counter((i >= 439, g.n) for i, g in enumerate(graphs)
                            if brute_force_cliques(g).omega <= 2)
         assert sorted(lapack_calls["eigvalsh"]) == sorted(
             (count, n, n) for (_, n), count in admitted.items())

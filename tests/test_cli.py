@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import json
 import os
 import re
@@ -31,12 +32,13 @@ def run_cli(*args, cwd=None, env_extra=None, timeout=None):
 
 
 def _corpus_with_bad_line(tmp_path):
-    """A graph6 file whose line 603 is truncated; it lies past the first
-    512-graph chunk, so a two-worker scan parses it in a worker."""
+    """A graph6 file whose line 103 is truncated; it lies past the first
+    chunk, of 64 lines of order 64, so a two-worker scan parses it in a
+    worker."""
     corpus = tmp_path / "c.g6"
-    good = emit_graph6(turan_graph(2, 4))
-    corpus.write_text("# corpus\n\n" + f"{good}\n" * 600 + "C\n" + f"{good}\n")
-    return corpus, f"{corpus}, line 603: truncated graph6 bit payload"
+    good = emit_graph6(turan_graph(2, 64))
+    corpus.write_text("# corpus\n\n" + f"{good}\n" * 100 + "C\n" + f"{good}\n")
+    return corpus, f"{corpus}, line 103: truncated graph6 bit payload"
 
 
 class TestGen:
@@ -252,17 +254,17 @@ class TestScanCli:
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_earliest_malformed_line_wins(self, tmp_path, jobs):
-        # lines 3 and 1,100 fall in chunks 0 and 2 of 512 lines each
+        # lines 3 and 150 fall in chunks 0 and 2 of 64 lines of order 64
         corpus = tmp_path / "c.g6"
-        good = emit_graph6(turan_graph(2, 4))
-        lines = [good] * 1200
-        lines[2] = lines[1099] = "C"
+        good = emit_graph6(turan_graph(2, 64))
+        lines = [good] * 200
+        lines[2] = lines[149] = "C"
         corpus.write_text("\n".join(lines) + "\n")
         proc = run_cli("--jobs", jobs, "scan", "--file", str(corpus),
                        "--check", "maxmu1", timeout=300)
         assert proc.returncode == 2
         assert f"{corpus}, line 3:" in proc.stderr
-        assert "line 1100" not in proc.stderr
+        assert "line 150" not in proc.stderr
 
     def test_missing_file_exit_3(self):
         proc = run_cli("scan", "--file", "/no/such/file.g6", "--check", "wilf")
@@ -391,9 +393,12 @@ class TestStabilityAlphaRefused:
         assert "error: alpha must be finite and >= 0" in captured.err
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_scan(self, jobs, tmp_path, capsys):
+    def test_scan(self, jobs, tmp_path, capsys, monkeypatch):
         corpus = tmp_path / "x.g6"
-        # past the first chunk, so two workers meet the refusal in a worker
+        # chunks of 512 lines of order 3: line 513 lies past the first chunk,
+        # so two workers meet the refusal in a worker
+        monkeypatch.setattr(importlib.import_module("spectral_cliques.scan"),
+                            "_CHUNK_ENTRIES", 9 * 512)
         corpus.write_text("Bw\n" * 513)
         assert main(["--jobs", jobs, "scan", "--file", str(corpus), "--check",
                      "stability", "--alpha", "-0.5"]) == 2

@@ -110,16 +110,19 @@ def _outcome(fn):
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
-@given(data=_file(), cap=st.sampled_from(["9", "64", "70"]))
-def test_reader_matches_line_by_line_oracle(tmp_path_factory, data, cap):
+@given(data=_file(), cap=st.sampled_from(["9", "64", "70"]),
+       bounds=st.sampled_from([(1, 1), (100, 1024), (5000, 600)]))
+def test_reader_matches_line_by_line_oracle(tmp_path_factory, data, cap, bounds):
     path = str(tmp_path_factory.mktemp("g6") / "corpus.g6")
     with open(path, "wb") as fh:
         fh.write(data)
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("SCL_MAX_N", cap)
-        mp.setattr(scan_module, "_CHUNK_ITEMS", 3)  # several chunks, so a pool starts
+        # chunk bounds of a few lines, or of one: several chunks, so a pool starts
+        mp.setattr(scan_module, "_CHUNK_ENTRIES", bounds[0])
+        mp.setattr(scan_module, "_CHUNK_SUBSETS", bounds[1])
         top = min(screen.MASK_MAX_N, vertex_cap())
-        want = _outcome(lambda: graph6_chunks(path, 3, top))
+        want = _outcome(lambda: graph6_chunks(path, top, *bounds))
         scan_module._init_scan_worker(CorpusSpec(kind="file", path=path),
                                       ScanConfig(checks={"wilf": {}}), ())
         assert _outcome(lambda: _new_chunks(path)) == want
@@ -162,12 +165,13 @@ def test_check_strips_what_follows_the_marker(tmp_path, capsys):
 
 def test_lines_chunk_is_compact(tmp_path):
     """A lines chunk is its first line number and one bytes object: the
-    chunk list of a 16,384-line file pickles to about the file's size."""
+    chunk list of a 16,384-line file of order 7 is four chunks of 4,096
+    lines, and pickles to about the file's size."""
     lines = [emit_graph6(random_graph(7, 0.5, mix64(1, i))) for i in range(1 << 14)]
     corpus = tmp_path / "c.g6"
     corpus.write_text("# sample\n" + "\n".join(lines) + "\n")
     chunks = scan_module._make_chunks(CorpusSpec(kind="file", path=str(corpus)))
-    assert len(chunks) == 32
+    assert len(chunks) == 4
     assert {type(text) for _, _, text in chunks} == {bytes}
-    assert [first for _, first, _ in chunks] == [2 + 512 * i for i in range(32)]
+    assert [first for _, first, _ in chunks] == [2 + 4096 * i for i in range(4)]
     assert len(pickle.dumps(chunks)) <= 1.01 * corpus.stat().st_size

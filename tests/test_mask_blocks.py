@@ -3,6 +3,8 @@
 agree with their graph predicates, and malformed lines of small order keep
 their errors."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -108,7 +110,9 @@ def _bad_lines():
 @pytest.mark.parametrize("bad,message,env", _bad_lines())
 def test_malformed_small_order_line_exits_2(tmp_path, monkeypatch, capsys, jobs, bad,
                                             message, env):
-    """The bad line is line 700, in the second chunk of 512 lines."""
+    """The bad line is line 700, in the second chunk of 512 lines of order 6."""
+    monkeypatch.setattr(importlib.import_module("spectral_cliques.scan"),
+                        "_CHUNK_ENTRIES", 36 * 512)
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     good = emit_graph6(random_graph(6, 0.5, 1))

@@ -7,10 +7,11 @@ import threading
 from fractions import Fraction
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from spectral_cliques import (clique_counts, complete_graph, emit_graph6,
-                              is_kfree, random_graph, run_check, spectral,
+                              is_kfree, random_graph, run_check, screen, spectral,
                               stability, turan_graph, walk_counts)
 from spectral_cliques.graphs import mix64
 from spectral_cliques.scan import (CorpusSpec, ScanConfig, expand_param_grid,
@@ -20,6 +21,15 @@ from oracles import brute_force_cliques, brute_force_walks, enumerate_labeled, r
 
 # the package re-exports the ``scan`` function under the module's name
 scan_module = importlib.import_module("spectral_cliques.scan")
+
+#: (adjacency entries, subset-table entries) a chunk may hold: one graph a
+#: chunk, a few graphs, and the defaults
+CHUNK_BOUNDS = [(1, 1), (300, 1100), (scan_module._CHUNK_ENTRIES, scan_module._CHUNK_SUBSETS)]
+
+
+def set_chunk_bounds(mp: pytest.MonkeyPatch, bounds: tuple[int, int]) -> None:
+    mp.setattr(scan_module, "_CHUNK_ENTRIES", bounds[0])
+    mp.setattr(scan_module, "_CHUNK_SUBSETS", bounds[1])
 
 
 class TestEnumerate:
@@ -157,7 +167,7 @@ class TestScan:
         as ``Graph``s and filtered as a block, which keeps the per-vertex
         counts oldin reads: the scan reports what the reference reports on
         the graphs that networkx's predicates keep."""
-        monkeypatch.setattr(scan_module, "_CHUNK_ITEMS", 16)  # three chunks
+        monkeypatch.setattr(scan_module, "_CHUNK_ENTRIES", 16 * 144)  # three chunks
         graphs = [random_graph(12, p, mix64(3, i)) for i in range(40)]
         kept = [emit_graph6(g) for g in graphs if all(NX_FILTERS[f](_networkx(g)) for f in filters)]
         checks = {"wilf": {}, "theorem1": {"r": [2, 3]}, "oldin": {"l": [2]}}
@@ -319,14 +329,15 @@ print(len(outs[0]))
 
 
 #: run with ``python -c FILE``: 600 scans at --jobs 2 of a file whose first
-#: line is malformed, in chunks of 3 lines, so that the caller fails on
-#: chunk 0 while its worker may still be replying for chunk 1
+#: line is malformed, in chunks of at most 3 lines (27 adjacency entries: the
+#: order 7 line alone, then order 3 lines three at a time), so that the
+#: caller fails on chunk 0 while its worker may still be replying for chunk 1
 _FAILING_SCANS = """
 import importlib, sys
 from spectral_cliques.graphs import Graph6Error
 from spectral_cliques.scan import CorpusSpec, ScanConfig, scan
 
-importlib.import_module("spectral_cliques.scan")._CHUNK_ITEMS = 3
+importlib.import_module("spectral_cliques.scan")._CHUNK_ENTRIES = 27
 for _ in range(600):
     try:
         scan(CorpusSpec(kind="file", path=sys.argv[1]), ScanConfig(checks={"maxmu1": {}}),
@@ -349,8 +360,9 @@ class TestScanProcesses:
         assert proc.returncode == 0, proc.stderr
 
     def test_no_more_workers_than_chunks(self, monkeypatch):
-        # 600 graphs are two chunks: the caller and one worker scan them
-        corpus = CorpusSpec(kind="random", n=6, p=0.5, count=600, seed=3)
+        # 600 graphs of order 10 are two chunks (512 fill the subset tables):
+        # the caller and one worker scan them
+        corpus = CorpusSpec(kind="random", n=10, p=0.5, count=600, seed=3)
         config = ScanConfig(checks={"momo": {}, "wilf": {}})
         expected = scan(corpus, config, jobs=1).to_json_dict(deterministic_timing=True)
         monkeypatch.setattr(_InProcessPool, "sizes", [])
@@ -362,12 +374,14 @@ class TestScanProcesses:
         assert _InProcessPool.sizes == [1]
         assert got == expected
 
-    def test_each_chunk_claimed_once(self):
+    def test_each_chunk_claimed_once(self, monkeypatch):
         # the caller and three workers, started as a scan starts them, race
-        # for 16 chunks; a lost update of the counter would claim an index
-        # twice
+        # for 16 chunks of 512 graphs; a lost update of the counter would
+        # claim an index twice
+        monkeypatch.setattr(scan_module, "_CHUNK_ENTRIES", 25 * 512)
         corpus = CorpusSpec(kind="random", n=5, p=0.5, count=16 * 512, seed=5)
         chunks = scan_module._make_chunks(corpus)
+        assert len(chunks) == 16
         ctx = scan_module._pool_context()
         init_args = (corpus, ScanConfig(checks={"momo": {}}), (), ctx.Value("q", 0))
         scan_module._init_scan_worker(*init_args)
@@ -409,6 +423,145 @@ class TestPoolContext:
         finally:
             stop.set()
             helper.join()
+
+
+def _mixed_file(path) -> str:
+    """120 graph6 lines of orders 3 to 14, on both sides of MASK_MAX_N, with
+    Turan hosts among them for equalities, and comment and blank lines."""
+    lines = ["# mixed orders", ""]
+    for i in range(120):
+        if i % 10 == 0:
+            g = turan_graph(2 + i % 3, 2 * (2 + i % 3))
+        else:
+            g = random_graph(3 + i % 12, 0.3 + 0.1 * (i % 5), mix64(11, i))
+        lines.append(emit_graph6(g))
+        if i % 17 == 0:
+            lines += ["", "# a comment"]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+class TestChunkBoundaries:
+    """stdout does not depend on where chunks end: at one graph a chunk, a
+    few, and the default bounds, at --jobs 1 and 2, every scan prints the
+    same JSON, and a malformed line raises the same first error."""
+
+    CHECKS = {"wilf": {}, "theorem1": {"r": [2, 3]}, "momo": {}, "oldin": {"l": [2]},
+              "conjecture": {"r": [2]}}
+
+    def _outputs(self, corpus: CorpusSpec, top_k: int) -> set[str]:
+        outs = set()
+        for bounds in CHUNK_BOUNDS:
+            with pytest.MonkeyPatch.context() as mp:
+                set_chunk_bounds(mp, bounds)
+                chunks = len(scan_module._make_chunks(corpus))
+                for jobs in (1, 2):
+                    res = scan(corpus, ScanConfig(checks=self.CHECKS, top_k=top_k), jobs=jobs)
+                    outs.add(json.dumps(res.to_json_dict(deterministic_timing=True)))
+            if bounds == CHUNK_BOUNDS[0]:
+                assert chunks == res.graphs_checked  # one graph a chunk
+        return outs
+
+    @pytest.mark.parametrize("top_k", [1, 10])
+    def test_mixed_order_file(self, tmp_path, top_k):
+        corpus = CorpusSpec(kind="file", path=_mixed_file(tmp_path / "mixed.g6"))
+        outs = self._outputs(corpus, top_k)
+        assert len(outs) == 1
+        assert json.loads(outs.pop())["equalities"]
+
+    @pytest.mark.parametrize("top_k", [1, 10])
+    def test_exhaustive(self, top_k):
+        assert len(self._outputs(CorpusSpec(kind="exhaustive", n=5), top_k)) == 1
+
+    @pytest.mark.parametrize("top_k", [1, 10])
+    def test_random(self, top_k):
+        corpus = CorpusSpec(kind="random", n=11, p=0.5, count=30, seed=4)
+        assert len(self._outputs(corpus, top_k)) == 1
+
+    def test_first_error(self, tmp_path):
+        path = _mixed_file(tmp_path / "bad.g6")
+        lines = open(path).read().split("\n")
+        rows = [i for i, line in enumerate(lines) if line and not line.startswith("#")]
+        first, second = rows[60], rows[100]  # the 61st and 101st graph
+        lines[first], lines[second] = lines[first][:-1], "C"
+        open(path, "w").write("\n".join(lines))
+        errors = set()
+        for bounds in CHUNK_BOUNDS:
+            with pytest.MonkeyPatch.context() as mp:
+                set_chunk_bounds(mp, bounds)
+                for jobs in (1, 2):
+                    with pytest.raises(scan_module.Graph6Error) as exc:
+                        scan(CorpusSpec(kind="file", path=path),
+                             ScanConfig(checks={"wilf": {}}), jobs=jobs)
+                    errors.add(str(exc.value))
+        assert errors == {f"{path}, line {first + 1}: truncated graph6 bit payload"}
+
+
+class TestChunkRule:
+    """A chunk takes graphs while its adjacency entries stay within
+    STACK_ENTRIES and its subset-table entries within 2^19."""
+
+    def _file(self, path, graphs) -> CorpusSpec:
+        path.write_text("".join(emit_graph6(g) + "\n" for g in graphs))
+        return CorpusSpec(kind="file", path=str(path))
+
+    def _sizes(self, corpus: CorpusSpec) -> list[int]:
+        return [len(text.splitlines()) for _, _, text in scan_module._make_chunks(corpus)]
+
+    def test_battery_shard_is_one_chunk(self, tmp_path):
+        graphs = [random_graph(6, 0.5, mix64(2, i)) for i in range(2048)]
+        assert self._sizes(self._file(tmp_path / "b.g6", graphs)) == [2048]
+
+    def test_sample_is_five_chunks(self, tmp_path):
+        # 16,384 graphs of order 7, then the Turan hosts T(r, q r), q r <= 16
+        graphs = [random_graph(7, 0.5, mix64(3, i)) for i in range(1 << 14)]
+        graphs += [turan_graph(r, q * r) for r in (2, 3) for q in range(1, 16 // r + 1)]
+        assert self._sizes(self._file(tmp_path / "s.g6", graphs)) == [4096] * 4 + [13]
+
+    def test_order_64_lines_go_64_to_a_chunk(self, tmp_path):
+        graphs = [random_graph(64, 0.5, mix64(4, i)) for i in range(600)]
+        assert self._sizes(self._file(tmp_path / "l.g6", graphs)) == [64] * 9 + [24]
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 6, 7, 8, 10, 11, 16, 40, 64, 80, 512])
+    def test_one_order_corpora(self, n):
+        """A corpus of one order is cut as the graph6 lines of that order are."""
+        per = scan_module._fit(n)
+        assert scan_module._spans(np.full(2 * per + 1, n)) == [
+            (0, per), (per, 2 * per), (2 * per, 2 * per + 1)]
+        assert per * n * n <= spectral.STACK_ENTRIES or per == 1
+        assert n > screen.MASK_MAX_N or per << n <= 1 << 19
+
+    def test_blocks_stay_within_bounds(self, tmp_path, monkeypatch):
+        """No chunk's blocks, over the benchmark's shapes and a file of
+        mixed orders, hold more than STACK_ENTRIES adjacency entries or
+        build subset tables of more than 2^19 entries."""
+        seen = []
+        chunk_blocks, subset_hits = scan_module._chunk_blocks, screen.subset_hits
+
+        def spy_blocks(chunk):
+            blocks, size = chunk_blocks(chunk)
+            seen.append([sum(b.adj.size for b in blocks), 0])
+            return blocks, size
+
+        def spy_hits(masks, n):
+            hits = subset_hits(masks, n)
+            seen[-1][1] += hits.size
+            return hits
+
+        monkeypatch.setattr(scan_module, "_chunk_blocks", spy_blocks)
+        monkeypatch.setattr(screen, "subset_hits", spy_hits)
+        sample = [random_graph(7, 0.5, mix64(3, i)) for i in range(1 << 14)]
+        sample += [turan_graph(r, q * r) for r in (2, 3) for q in range(1, 16 // r + 1)]
+        mixed = [random_graph(n, 0.5, mix64(n, i)) for i in range(3000)
+                 for n in [4 + i % 9]]
+        corpora = [self._file(tmp_path / "s.g6", sample), self._file(tmp_path / "m.g6", mixed),
+                   CorpusSpec(kind="exhaustive", n=6)]
+        for corpus in corpora:
+            scan(corpus, ScanConfig(checks={"oldin": {"l": [2]}, "conjecture": {"r": [2]}}))
+        assert len(seen) == 5 + len(scan_module._make_chunks(corpora[1])) + 5
+        assert max(entries for entries, _ in seen) <= spectral.STACK_ENTRIES
+        assert max(subsets for _, subsets in seen) <= 1 << 19
+        assert max(subsets for _, subsets in seen) == 1 << 19  # the sample's n = 7 chunks
 
 
 def _turan_file():

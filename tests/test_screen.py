@@ -27,6 +27,7 @@ from spectral_cliques.stability import alpha_limit
 
 from oracles import reference_scan
 from test_batched_spectra import _fail_lapack_on
+from test_scan import CHUNK_BOUNDS, set_chunk_bounds
 
 # the package re-exports the ``scan`` function under the module's name
 scan_module = importlib.import_module("spectral_cliques.scan")
@@ -121,17 +122,17 @@ class TestScreenEquivalence:
     # evaluations that hold clear of every threshold; with all of them,
     # equalities fill it
     @given(lines=corpora(), top_k=st.sampled_from([1, 10]),
-           tol_scale=st.sampled_from([0.0, 1.0]), chunk=st.sampled_from([3, 7, 512]),
+           tol_scale=st.sampled_from([0.0, 1.0]), bounds=st.sampled_from(CHUNK_BOUNDS),
            fail=st.one_of(st.none(), st.integers(0, 19)),
            names=st.one_of(st.just(list(CHECKS)),
                            st.lists(st.sampled_from(list(CHECKS)), min_size=1,
                                     max_size=3, unique=True)))
     @settings(max_examples=60, deadline=None)
     def test_scan_matches_graph_by_graph_reference(self, lines, top_k, tol_scale,
-                                                   chunk, fail, names):
+                                                   bounds, fail, names):
         checks = {name: CHECKS[name] for name in names}
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(scan_module, "_CHUNK_ITEMS", chunk)
+            set_chunk_bounds(mp, bounds)
             if fail is not None:
                 _fail_lapack_on(mp, parse_graph6(lines[fail % len(lines)]))
             got = _scan_lines(lines, checks, top_k, tol_scale)
@@ -139,12 +140,12 @@ class TestScreenEquivalence:
         assert got == want
 
     @given(lines=corpora(), top_k=st.sampled_from([1, 10]),
-           tol_scale=st.sampled_from([0.0, 1.0]), chunk=st.sampled_from([3, 7, 512]))
+           tol_scale=st.sampled_from([0.0, 1.0]), bounds=st.sampled_from(CHUNK_BOUNDS))
     @settings(max_examples=30, deadline=None)
     def test_explicit_s_matches_graph_by_graph_reference(self, lines, top_k, tol_scale,
-                                                         chunk):
+                                                         bounds):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(scan_module, "_CHUNK_ITEMS", chunk)
+            set_chunk_bounds(mp, bounds)
             got = _scan_lines(lines, EXPLICIT_S, top_k, tol_scale)
             want = reference_scan(lines, EXPLICIT_S, top_k, tol_scale)
         assert got == want
