@@ -220,13 +220,12 @@ def _exit_code(violations: list[dict]) -> int:
 
 
 def _cmd_check(args) -> int:
-    tols = DEFAULT_TOLS.scaled(args.tol)
     config = _config_from_args(args)
     entries = []
     for g6, g in _input_graphs(args):
         for name, grid in config.checks.items():
             for params in expand_param_grid(name, grid):
-                for oc in run_check(name, g, params, tols):
+                for oc in run_check(name, g, params, args.tols):
                     entry = oc.record(g6)
                     entry["status"] = oc.status
                     if oc.report is not None and hasattr(oc.report, "to_dict"):
@@ -295,8 +294,6 @@ def _persist_artifacts(args, result: ScanResult) -> list[str]:
 
 
 def _cmd_scan(args) -> int:
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     corpus = _corpus_from_args(args)
     config = _config_from_args(args)
     result = scan(corpus, config, jobs=args.jobs)
@@ -317,11 +314,10 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    tols = DEFAULT_TOLS.scaled(args.tol)
     reports = []
     missed = False
     for _, g in _input_graphs(args):
-        rep = stability_report(g, args.r, args.alpha, tols)
+        rep = stability_report(g, args.r, args.alpha, args.tols)
         reports.append(rep.to_dict())
         if rep.verdict == "exhaustive-miss":
             missed = True
@@ -342,6 +338,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
+        # both options are refused on every command, before it runs
+        if args.jobs < 1:
+            raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+        args.tols = DEFAULT_TOLS.scaled(args.tol)
         if args.command == "gen":
             return _cmd_gen(args)
         if args.command == "check":

@@ -17,8 +17,10 @@ of a leaf with h + 1 held and q - 1 pivot vertices would.  A complete graph
 is one root-to-leaf path.
 
 :func:`pivot_counts` walks the trees of all the graphs of one order at
-once, on numpy arrays.  A frontier row is one node of one graph, its
-candidate, held and pivot sets each ceil(n / 64) uint64 words.  Every
+once, on numpy arrays.  It reads their adjacency stack, the uint8 (graphs,
+n, n) array a screen block holds, and packs each row into ceil(n / 64)
+uint64 words.  A frontier row is one node of one graph, its candidate,
+held and pivot sets each that many words.  Every
 step takes at most ``TREE_ROWS`` rows off the top of a stack, so a wide
 tree is walked depth-first in bounded memory.  Leaves are not enumerated
 but gathered, about ``TREE_ROWS`` at a time, and histogrammed: per graph
@@ -46,6 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import Graph, mask_members, per_graph
+from .spectral import adjacency_stack
 
 #: graphs of this order or less are counted on their vertex subsets: the
 #: 2^n subsets stay few and the n(n-1)/2 edge bits (48 with graph6
@@ -115,23 +118,19 @@ def _subsets(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return edges, by_size, by_vertex
 
 
-def subset_hits(masks: np.ndarray, n: int) -> np.ndarray:
-    """[g, S]: 1.0 where vertex subset S is a clique of the graph whose
-    edge mask (int64, as :func:`graphs.graph_from_edge_mask` reads it) is
-    ``masks[g]``."""
-    edges = _subsets(n)[0]
-    return ((masks[:, None] & edges) == edges).astype(float)
-
-
-def subset_counts(hits: np.ndarray, n: int) -> np.ndarray:
-    """k_s at [g, s] for 0 <= s <= n, from :func:`subset_hits`."""
+def subset_profile(masks: np.ndarray, n: int,
+                   vertex: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Exact k_s at [g, s] for 0 <= s <= n of the graphs of order n whose
+    edge masks (int64, as :func:`graphs.graph_from_edge_mask` reads them)
+    are ``masks`` and, with ``vertex``, k_s(u) at [g, u, s]: their vertex
+    subsets that are cliques, summed by size and by vertex and size."""
+    edges, by_size, by_vertex = _subsets(n)
+    hits = ((masks[:, None] & edges) == edges).astype(float)  # [g, S]: S is a clique
     # sums of at most 2^MASK_MAX_N ones: exact in floats
-    return (hits @ _subsets(n)[1]).astype(np.int64)
-
-
-def subset_vertex_counts(hits: np.ndarray, n: int) -> np.ndarray:
-    """k_s(u) at [g, u, s] for 0 <= s <= n, from :func:`subset_hits`."""
-    return (hits @ _subsets(n)[2]).astype(np.int64).reshape(len(hits), n, n + 1)
+    k = (hits @ by_size).astype(np.int64)
+    if not vertex:
+        return k, None
+    return k, (hits @ by_vertex).astype(np.int64).reshape(len(masks), n, n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -159,16 +158,6 @@ def _members(words: np.ndarray, n: int) -> np.ndarray:
     """[row, v]: whether vertex v is in the set that row ``words`` holds."""
     octets = words.astype("<u8", copy=False).view(np.uint8)
     return np.unpackbits(octets, axis=1, count=n, bitorder="little").view(bool)
-
-
-def _adjacency_words(graphs: Sequence[Graph]) -> np.ndarray:
-    """[g n + v, word]: the neighbourhood of v in graph g as uint64 words."""
-    n = graphs[0].n
-    if n <= 64:
-        return np.array([row for g in graphs for row in g.adj], dtype=np.uint64)[:, None]
-    low = (1 << 64) - 1
-    return np.array([[row >> 64 * w & low for w in range((n + 63) // 64)]
-                     for g in graphs for row in g.adj], dtype=np.uint64)
 
 
 def _split(rows: tuple) -> tuple[tuple, tuple]:
@@ -213,16 +202,20 @@ def _expand(adj: np.ndarray, n: int, rows: tuple) -> tuple:
     return children
 
 
-def _leaves(graphs: Sequence[Graph]):
-    """The leaves of the pivot trees of ``graphs``, of one order, in
-    batches (graph, held, pivots) of at least ``TREE_ROWS`` rows but the
-    last, at most ``TREE_ROWS`` rows expanded at a time, the deepest
-    first."""
-    n = graphs[0].n
-    adj = _adjacency_words(graphs)
-    full = np.repeat(np.bitwise_or.reduce(_bit_words(n)[0], axis=0)[None], len(graphs), axis=0)
+def _leaves(adj: np.ndarray):
+    """The leaves of the pivot trees of the graphs whose adjacency stack
+    is ``adj``, in batches (graph, held, pivots) of at least ``TREE_ROWS``
+    rows but the last, at most ``TREE_ROWS`` rows expanded at a time, the
+    deepest first."""
+    count, n = adj.shape[:2]
+    # [g n + v, word]: the neighbourhood of v in graph g, little-endian bits
+    # in ceil(n / 64) uint64 words
+    octets = np.zeros((count * n, (n + 63) // 64 * 8), dtype=np.uint8)
+    octets[:, :(n + 7) // 8] = np.packbits(adj.reshape(count * n, n), axis=1, bitorder="little")
+    words = octets.view("<u8").astype(np.uint64, copy=False)
+    full = np.repeat(np.bitwise_or.reduce(_bit_words(n)[0], axis=0)[None], count, axis=0)
     empty = np.zeros_like(full)
-    leaves, rows = _split((np.arange(len(graphs)), full, empty, empty))
+    leaves, rows = _split((np.arange(count), full, empty, empty))
     found, size = [leaves], len(leaves[0])
     stack = [rows]
     while stack:
@@ -231,7 +224,7 @@ def _leaves(graphs: Sequence[Graph]):
             stack.append(tuple(a[:-TREE_ROWS] for a in rows))
             rows = tuple(a[-TREE_ROWS:] for a in rows)
         if len(rows[0]):
-            leaves, rows = _split(_expand(adj, n, rows))
+            leaves, rows = _split(_expand(words, n, rows))
             found.append(leaves)
             size += len(leaves[0])
             stack.append(rows)
@@ -242,17 +235,18 @@ def _leaves(graphs: Sequence[Graph]):
         yield tuple(map(np.concatenate, zip(*found)))
 
 
-def pivot_counts(graphs: Sequence[Graph],
-                 vertex: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Exact k_s at [g, s] for 0 <= s <= n of graphs of one order n and,
-    with ``vertex``, k_s(u) at [g, u, s], from one walk of their pivot
-    trees; int64 arrays up to order 64, arrays of Python ints above."""
-    n, count = graphs[0].n, len(graphs)
+def pivot_counts(adj: np.ndarray, vertex: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Exact k_s at [g, s] for 0 <= s <= n of the graphs of one order n
+    whose 0/1 adjacency matrices are ``adj`` (uint8, (graphs, n, n), as
+    :func:`spectral.adjacency_stack` gives them) and, with ``vertex``,
+    k_s(u) at [g, u, s], from one walk of their pivot trees; int64 arrays
+    up to order 64, arrays of Python ints above."""
+    count, n = adj.shape[:2]
     binomials = _binomials(n)
     k = np.zeros((count, n + 1), dtype=binomials.dtype)
     kv = np.zeros((count, n, n + 1), dtype=binomials.dtype) if vertex else None
     side = n + 2  # a leaf's (h, q) is coded h side + q
-    for g, held, piv in _leaves(graphs):
+    for g, held, piv in _leaves(adj):
         # the histograms span only the graphs this batch holds leaves of
         seen = np.bincount(g, minlength=count) > 0
         present = np.flatnonzero(seen)
@@ -315,16 +309,13 @@ def prime_profiles(graphs: Sequence[Graph], counts: np.ndarray,
 def _count(g: Graph, vertex: bool) -> tuple[CliqueProfile, VertexCliqueProfile | None]:
     """One graph's profiles, per-vertex too with ``vertex``: on its vertex
     subsets up to ``MASK_MAX_N``, else on its own pivot tree."""
+    adj = adjacency_stack([g])
     if g.n <= MASK_MAX_N:
-        mask = at = 0
-        for u, row in enumerate(g.adj):  # the pairs (u, v > u) are consecutive
-            mask |= row >> u + 1 << at
-            at += g.n - 1 - u
-        hits = subset_hits(np.array([mask]), g.n)
-        k = subset_counts(hits, g.n)
-        kv = subset_vertex_counts(hits, g.n) if vertex else None
+        i, j = edge_pairs(g.n)
+        k, kv = subset_profile((adj[:, i, j].astype(np.int64) << np.arange(len(i))).sum(axis=1),
+                               g.n, vertex)
     else:
-        k, kv = pivot_counts([g], vertex)
+        k, kv = pivot_counts(adj, vertex)
     return _profiles(k[0].tolist(), None if kv is None else kv[0].tolist())
 
 

@@ -112,7 +112,9 @@ def _from_rows(n: int, rows: list[int]) -> Graph:
     return Graph(n, tuple(rows), sum(degrees) // 2, degrees)
 
 
-def _check_order(n: int, cap: int | None = None) -> int:
+def check_order(n: int, cap: int | None = None) -> int:
+    """``n``, refused (ValueError) outside 1..``cap``, the vertex cap in
+    force when None."""
     cap = vertex_cap() if cap is None else cap
     if not 1 <= n <= cap:
         raise ValueError(f"vertex count {n} outside 1..{cap}")
@@ -125,7 +127,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]], cap: int | None = None
     Duplicate edges are ignored; loops and endpoints outside 0..n-1 are
     rejected.
     """
-    _check_order(n, cap)
+    check_order(n, cap)
     rows = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -172,7 +174,7 @@ def turan_graph(r: int, n: int, cap: int | None = None) -> Graph:
     The first n mod r classes get the larger size; vertices are assigned to
     classes consecutively, so the layout is deterministic.
     """
-    _check_order(n, cap)
+    check_order(n, cap)
     if not 1 <= r <= n:
         raise ValueError(f"part count {r} outside 1..{n}")
     q, rem = divmod(n, r)
@@ -192,7 +194,7 @@ def complete_multipartite(parts: Iterable[int], isolated: int = 0,
     if not sizes and isolated == 0:
         raise ValueError("need at least one class or one isolated vertex")
     n = sum(sizes) + isolated
-    _check_order(n, cap)
+    check_order(n, cap)
     class_masks = []
     start = 0
     for s in sizes:
@@ -404,6 +406,14 @@ def mix64(seed: int, index: int) -> int:
     return _mix(_mix(seed & _U64) ^ _mix((index + 0x632BE59BD9B4E019) & _U64))
 
 
+def check_random(n: int, p: float, cap: int | None = None) -> None:
+    """Refuse (ValueError) an order outside 1..``cap`` (as
+    :func:`check_order`) or an edge probability outside [0, 1]."""
+    check_order(n, cap)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"edge probability {p} outside [0, 1]")
+
+
 def random_edge_mask(n: int, p: float, seed: int, cap: int | None = None) -> int:
     """Edge mask (as :func:`graph_from_edge_mask` reads it) in which each
     pair is an edge independently with probability ``p``.
@@ -411,9 +421,7 @@ def random_edge_mask(n: int, p: float, seed: int, cap: int | None = None) -> int
     One SplitMix64 draw per pair, in the mask's pair order, so identical
     (n, p, seed) give an identical mask on every platform.
     """
-    _check_order(n, cap)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"edge probability {p} outside [0, 1]")
+    check_random(n, p, cap)
     rng = SplitMix64(seed)
     mask = 0
     for b in range(n * (n - 1) // 2):

@@ -47,8 +47,8 @@ import numpy as np
 from . import bounds, screen
 from .bounds import DEFAULT_TOLS, Tolerances
 from .cliques import MASK_MAX_N, moon_moser_check
-from .graphs import (HARD_CAP, Graph, Graph6Error, emit_graph6, graph6_width, is_bipartite,
-                     is_connected, mix64, parse_graph6, random_edge_mask, random_graph,
+from .graphs import (HARD_CAP, Graph, Graph6Error, check_order, check_random, emit_graph6,
+                     graph6_width, mix64, parse_graph6, random_edge_mask, random_graph,
                      vertex_cap)
 from .spectral import STACK_ENTRIES, EigensolverError
 from .stability import STABILITY, stability_alpha, stability_report
@@ -222,29 +222,13 @@ def parse_graph6_line(path: str, lineno: int, text: str, cap: int | None = None)
         raise Graph6Error(f"{path}, line {lineno}: {exc}") from None
 
 
-def _nonbipartite(g: Graph) -> bool:
-    return not is_bipartite(g)
-
-
-def _nonbipartite_rows(b: screen.Block) -> np.ndarray:
-    return ~screen.bipartite(b)
-
-
-def _rows(b: screen.Block, on_masks: Callable[[screen.Block], np.ndarray],
-          on_graph: Callable[[Graph], bool]) -> np.ndarray:
-    """Which graphs of ``b`` pass: ``on_masks`` reads a block of edge
-    masks, ``on_graph`` each ``Graph`` of a block of them."""
-    if b.graphs is None:
-        return on_masks(b)
-    return np.array([on_graph(g) for g in b.graphs], dtype=bool)
-
-
 def _kfree_rows(b: screen.Block, r: int) -> np.ndarray:
     return b.omega <= r
 
 
-#: a corpus filter: which graphs of a block pass
-Filter = Callable[[screen.Block], np.ndarray]
+#: a corpus filter: a predicate on the graphs of a block, and the value it
+#: takes on those that pass
+Filter = tuple[Callable[[screen.Block], np.ndarray], bool]
 
 
 def _filter_predicates(filters: tuple[str, ...]) -> tuple[Filter, ...]:
@@ -254,11 +238,9 @@ def _filter_predicates(filters: tuple[str, ...]) -> tuple[Filter, ...]:
     preds = []
     for f in filters:
         if f == "connected":
-            preds.append(functools.partial(_rows, on_masks=screen.connected,
-                                           on_graph=is_connected))
+            preds.append((screen.connected, True))
         elif f == "nonbipartite":
-            preds.append(functools.partial(_rows, on_masks=_nonbipartite_rows,
-                                           on_graph=_nonbipartite))
+            preds.append((screen.bipartite, False))
         elif f.startswith("kfree:"):
             try:
                 r = int(f[len("kfree:"):])
@@ -266,7 +248,7 @@ def _filter_predicates(filters: tuple[str, ...]) -> tuple[Filter, ...]:
                 r = 0  # refused just below, like any R < 1
             if r < 1:
                 raise ValueError(f"malformed corpus filter {f!r}; kfree:R needs R >= 1")
-            preds.append(functools.partial(_kfree_rows, r=r))
+            preds.append((functools.partial(_kfree_rows, r=r), True))
         else:
             raise ValueError(f"unknown corpus filter {f!r}")
     return tuple(preds)
@@ -511,27 +493,30 @@ def _chunk_graphs(chunk: tuple) -> tuple[int, dict[int, tuple], list[tuple[int, 
 
 def _chunk_blocks(chunk: tuple) -> tuple[list[screen.Block], int]:
     """The graphs of a chunk that pass the corpus filters, as one block per
-    vertex order and way in, and the chunk's size.  The filters read the
-    blocks, so a block of ``Graph``s that a kfree filter reads counts its
-    cliques once, for the filter and the screens alike."""
+    vertex order and way in, and the chunk's size.  Every filter reads a
+    block as arrays, whichever way its graphs came in: connected and
+    nonbipartite its adjacency stack, kfree its clique numbers.  A block
+    of ``Graph``s that a kfree filter reads counts its cliques once, for
+    the filter and the screens alike; a filtered block of masks counts
+    k_s(u) only on the graphs it keeps, its subset tables being cheap to
+    count again where a pivot walk is not."""
     size, bits, built = _chunk_graphs(chunk)
-    blocks = [screen.Block.from_bits(n, masks, pos) for n, (pos, masks) in bits.items()]
+    vertex, filters = _WORKER["vertex"], _WORKER["filters"]
+    blocks = [screen.Block.from_bits(n, masks, pos, vertex and not filters)
+              for n, (pos, masks) in bits.items()]
     by_order: dict[int, list[tuple[int, Graph]]] = {}
     for i, g in built:
         by_order.setdefault(g.n, []).append((i, g))
     for items in by_order.values():
         pos, graphs = zip(*items)
-        blocks.append(screen.Block(graphs, pos, _WORKER["vertex"]))
-    filters = _WORKER["filters"]
+        blocks.append(screen.Block(graphs, pos, vertex))
     if not filters:
         return blocks, size
     kept = []
     for b in blocks:
-        keep = np.logical_and.reduce([rows(b) for rows in filters])
-        if keep.all():
-            kept.append(b)
-        elif keep.any():
-            kept.append(b.take(keep))
+        keep = np.logical_and.reduce([rows(b) == passing for rows, passing in filters])
+        if keep.any():
+            kept.append(b.take(keep, vertex))
     return kept, size
 
 
@@ -713,6 +698,7 @@ def _make_chunks(corpus: CorpusSpec) -> list[tuple]:
         limit = EXHAUSTIVE_OVERRIDE_LIMIT if corpus.allow_n8 else EXHAUSTIVE_LIMIT
         if n is None or not 1 <= n <= limit:
             raise ValueError(f"exhaustive scans limited to 1..{limit} vertices")
+        check_order(n)
         total, per = 1 << (n * (n - 1) // 2), _fit(n)
         return [("exhaustive", n, lo, min(lo + per, total)) for lo in range(0, total, per)]
     if corpus.kind == "file":
@@ -730,6 +716,7 @@ def _make_chunks(corpus: CorpusSpec) -> list[tuple]:
             raise ValueError("random corpus needs n, p, count and seed")
         if corpus.count < 0:
             raise ValueError("random corpus count must be >= 0")
+        check_random(corpus.n, corpus.p)
         per = _fit(corpus.n)
         return [("random", lo, min(lo + per, corpus.count))
                 for lo in range(0, corpus.count, per)] or [("random", 0, 0)]

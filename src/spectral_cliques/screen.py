@@ -15,17 +15,19 @@ lie near a verdict threshold, when it may be among the chunk's tightest
 instances, or when its graph's eigensolver failed; every other one is a
 ``holds`` or an out-of-domain outcome that builds no object.
 
-Graphs of order up to ``MASK_MAX_N`` are screened from their edge masks
-alone (graph6 lines are decoded to masks from uint8 rows,
-:func:`graph6_masks`): the adjacency stack, m, k_s, omega and k_s(u) all
-come from the masks, by vertex-subset tests.  A ``Graph`` is built only
-for a graph with a reported evaluation.  Larger graphs arrive as
-``Graph``s, and a block counts all of their cliques in one walk of their
-pivot trees.  Either way a reported graph's memo is primed with what the
-block computed: its ``eigh`` spectrum (the solve every printed figure is
-pinned to, run in one stack for the reported graphs alone) where the
-block solved its eigenvalues, and the block's exact clique profiles, so
-the reporting path recomputes neither.
+A block holds its graphs as edge masks up to order ``MASK_MAX_N`` (graph6
+lines are decoded to masks from uint8 rows, :func:`graph6_masks`), and
+as ``Graph``s above; only ``Block`` knows which.  A ``Graph`` is built
+only for a graph with a reported evaluation.  Every block-wide
+computation reads the block's uint8 adjacency stack: the eigenvalues,
+walk counts, the corpus filters :func:`connected` and :func:`bipartite`,
+and the pivot tree (:func:`cliques.pivot_counts`), but for the clique
+profile of a block of masks, counted on its vertex-subset tables.  A
+reported graph's memo is primed with what the block computed: its
+``eigh`` spectrum (the solve every printed figure is pinned to, run in
+one stack for the reported graphs alone) where the block solved its
+eigenvalues, and its exact clique profile, so the reporting path
+recomputes neither.
 
 Every check but momo is a ``bounds.Formula``, screened by running its
 slots, gate, premise and sides on the block's arrays (:func:`formula_screen`).
@@ -52,8 +54,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bounds import SCREEN_MARGIN, Formula, Tolerances
-from .cliques import (MASK_MAX_N, edge_pairs, pivot_counts, prime_profiles, subset_counts,
-                      subset_hits, subset_vertex_counts)
+from .cliques import MASK_MAX_N, edge_pairs, pivot_counts, prime_profiles, subset_profile
 from .graphs import Graph, graph6_width, graph_from_edge_mask
 from .spectral import STACK_ENTRIES, adjacency_stack, prime_rows, stacked_eigenvalues
 
@@ -81,15 +82,16 @@ class Block:
     A block is built from ``Graph``s or, for an order up to MASK_MAX_N,
     from edge masks (:meth:`from_bits`), with no ``Graph`` at all.  ``pos``
     holds the graphs' positions in the chunk.  A block counts what a
-    screen reads, the first time it is read: clique counts, per-vertex
-    clique counts and walk counts.  It solves per row, on first read: the
-    eigenvalues (:meth:`eigenvalues`) of the rows a screen asks for and
-    no earlier read solved, in one stacked ``eigvalsh``.  From ``Graph``s,
-    clique counts come from one walk of the pivot trees of all the block's
-    graphs at once (:func:`cliques.pivot_counts`), which counts k_s(u) too
-    when the block is built with ``vertex``; from masks, k_s is the number
-    of s-subsets whose complete graph's edge mask the graph's mask covers,
-    and k_s(u) the number of those that hold u.  :meth:`reported` hands
+    screen reads, the first time it is read: its exact clique profile
+    (k_s, and k_s(u) when the block is built with ``vertex``) and walk
+    counts.  It solves per row, on first read: the eigenvalues
+    (:meth:`eigenvalues`) of the rows a screen asks for and no earlier
+    read solved, in one stacked ``eigvalsh``.  The profile of a block of
+    ``Graph``s comes from one walk of the pivot trees of all its graphs
+    at once (:func:`cliques.pivot_counts` on :attr:`adj`); from masks, k_s
+    is the number of s-subsets whose complete graph's edge mask the
+    graph's mask covers, and k_s(u) the number of those that hold u.
+    :meth:`reported` hands
     out the ``Graph``s of the rows that take the reporting path, with what
     the block computed primed into their memos: the exact clique profiles
     it counted, and the pinned ``eigh`` spectrum, solved there for the
@@ -108,7 +110,8 @@ class Block:
     """
 
     def __init__(self, graphs: Sequence[Graph], pos: Sequence[int], vertex: bool) -> None:
-        self.graphs = graphs
+        self.graphs = np.fromiter(graphs, dtype=object, count=len(graphs))
+        self.masks = None
         self.n = graphs[0].n
         self.m = np.array([g.m for g in graphs], dtype=np.int64)
         self.pos = np.asarray(pos, dtype=np.intp)
@@ -118,7 +121,7 @@ class Block:
         self._kw: dict[int, np.ndarray] = {}
 
     @classmethod
-    def from_bits(cls, n: int, masks: np.ndarray, pos: Sequence[int]) -> "Block":
+    def from_bits(cls, n: int, masks: np.ndarray, pos: Sequence[int], vertex: bool) -> "Block":
         """The block of the graphs of order n <= MASK_MAX_N whose edge
         masks (int64, as :func:`graph_from_edge_mask` reads them) are
         ``masks``."""
@@ -133,22 +136,26 @@ class Block:
         b.adj[:, i, j] = edges
         b.adj[:, j, i] = edges
         b.pos = np.asarray(pos, dtype=np.intp)
+        b.vertex = vertex
         b._vals = b._solved = None
         b._kw = {}
         return b
 
-    def take(self, keep: np.ndarray) -> "Block":
-        """The block of the graphs ``keep`` marks, with every array this
-        block holds of them (each holds one entry per graph); walks are
-        counted afresh."""
+    def take(self, keep: np.ndarray, vertex: bool) -> "Block":
+        """The block of the graphs ``keep`` marks, built with ``vertex``.
+        It holds every array this block holds of them (each holds one
+        entry per graph), and the clique profile where this block counted
+        one with what ``vertex`` asks for; walks, and a profile short of
+        k_s(u), are counted afresh."""
         b = copy.copy(self)
+        b.vertex = vertex
         for name, value in vars(self).items():
             if isinstance(value, np.ndarray):
                 setattr(b, name, value[keep])
-        if "_tree" in vars(self):
-            b._tree = tuple(None if a is None else a[keep] for a in self._tree)
-        if self.graphs is not None:
-            b.graphs = [g for g, kept in zip(self.graphs, keep.tolist()) if kept]
+        if "_exact" in vars(self) and not (vertex and self._exact[1] is None):
+            b._exact = tuple(None if a is None else a[keep] for a in self._exact)
+        else:
+            b.__dict__.pop("_exact", None)
         b.__dict__.pop("_walks", None)
         b._kw = {}
         return b
@@ -159,15 +166,14 @@ class Block:
         spectrum, solved here in one stack for those marked graphs alone,
         and where the block counted cliques, their exact profiles."""
         picked = np.flatnonzero(rows)
-        if self.graphs is None:
+        if self.masks is None:
+            graphs = self.graphs[picked].tolist()
+        else:
             graphs = [graph_from_edge_mask(self.n, mask)
                       for mask in self.masks[picked].tolist()]
-        else:
-            graphs = [self.graphs[i] for i in picked]
-        if "_counts" in vars(self):
-            counted = "_vertex_counts" in vars(self) or "_tree" in vars(self)
-            vertex_counts = self._vertex_counts if counted else None
-            prime_profiles(graphs, self._counts[picked],
+        if "_exact" in vars(self):
+            counts, vertex_counts = self._exact
+            prime_profiles(graphs, counts[picked],
                            None if vertex_counts is None else vertex_counts[picked])
         if self._solved is not None:
             solved = self._solved[picked]
@@ -198,26 +204,14 @@ class Block:
         return adjacency_stack(self.graphs)
 
     @functools.cached_property
-    def _hits(self) -> np.ndarray:
-        return subset_hits(self.masks, self.n)
-
-    @functools.cached_property
-    def _tree(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """k_s, and k_s(u) when the block was built with ``vertex``, from
-        one walk of the pivot trees of the block's ``Graph``s."""
-        return pivot_counts(self.graphs, self.vertex)
-
-    @functools.cached_property
-    def _counts(self) -> np.ndarray:
-        """Exact k_s at [g, s] for 0 <= s <= n."""
-        return subset_counts(self._hits, self.n) if self.graphs is None else self._tree[0]
-
-    @functools.cached_property
-    def _vertex_counts(self) -> np.ndarray:
-        """Exact k_s(u) at [g, u, s] for 0 <= s <= n; from ``Graph``s only
-        when the block was built with ``vertex``."""
-        return (subset_vertex_counts(self._hits, self.n) if self.graphs is None
-                else self._tree[1])
+    def _exact(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """Exact k_s at [g, s] for 0 <= s <= n and, when the block was built
+        with ``vertex``, k_s(u) at [g, u, s]: on the vertex subsets of
+        edge masks, else from one walk of the pivot trees of the block's
+        graphs."""
+        if self.masks is None:
+            return pivot_counts(self.adj, self.vertex)
+        return subset_profile(self.masks, self.n, self.vertex)
 
     @functools.cached_property
     def omega(self) -> np.ndarray:
@@ -228,7 +222,7 @@ class Block:
         """k_s in column s for 0 <= s <= n + 1 (k_0 = 1, k_{n+1} = 0), each
         clipped to :attr:`cap`."""
         out = np.zeros((len(self.m), self.n + 2), dtype=np.int64)
-        out[:, :self.n + 1] = np.minimum(self._counts, self.cap)
+        out[:, :self.n + 1] = np.minimum(self._exact[0], self.cap)
         return out
 
     @functools.cached_property
@@ -238,7 +232,7 @@ class Block:
         n = self.n
         out = np.zeros((len(self.m), n, int(self.omega.max()) + 2), dtype=np.int64)
         width = min(out.shape[2], n + 1)
-        out[:, :, :width] = np.minimum(self._vertex_counts[:, :, :width], self.cap)
+        out[:, :, :width] = np.minimum(self._exact[1][:, :, :width], self.cap)
         return out
 
     def _below_cap(self, counts: np.ndarray) -> np.ndarray:
@@ -294,25 +288,36 @@ class Block:
 
 def connected(b: Block) -> np.ndarray:
     """Whether each graph of a block is connected: the vertices reached
-    from vertex 0 by 0/1 reachability products, n - 1 steps, are all."""
+    from vertex 0, spread by one stacked matrix-vector product a round
+    until a round reaches no new vertex, are all."""
     a = b.adj.astype(float)
-    reach = np.zeros((len(a), 1, b.n))
-    reach[:, 0, 0] = 1.0
-    for _ in range(b.n - 1):
-        reach = np.minimum(reach + np.matmul(reach, a), 1.0)
-    return reach.all(axis=(1, 2))
+    reach = np.zeros((len(a), b.n, 1))
+    reach[:, 0] = 1.0
+    while True:
+        grown = np.minimum(reach + np.matmul(a, reach), 1.0)
+        if np.array_equal(grown, reach):
+            return reach.all(axis=(1, 2))
+        reach = grown
 
 
 def bipartite(b: Block) -> np.ndarray:
-    """Whether each graph of a block is bipartite: no closed walk of odd
-    length l <= n, i.e. tr(A^l) = 0, read on A^l reduced to 0/1."""
+    """Whether each graph of a block is bipartite: no edge joins two
+    vertices of one colour, +1 or -1, once each graph is 2-coloured a round
+    at a time.  An uncoloured vertex with coloured neighbours takes the
+    colour their sum does not have; a graph with none colours its least
+    uncoloured vertex +1.  A round, one stacked matrix-vector product,
+    colours a vertex of every graph not yet done, so there are at most n."""
     a = b.adj.astype(float)
-    walk = a
-    odd = np.zeros(len(a), dtype=bool)
-    for l in range(1, b.n + 1, 2):
-        odd |= np.trace(walk, axis1=1, axis2=2) > 0
-        walk = np.minimum(np.matmul(np.minimum(np.matmul(walk, a), 1.0), a), 1.0)
-    return ~odd
+    colour = np.zeros((len(a), b.n))
+    graphs = np.arange(len(a))
+    while (blank := colour == 0).any():
+        sums = np.matmul(a, np.stack([colour, np.abs(colour)], axis=2))
+        new = blank & (sums[..., 1] > 0)
+        colour[new] = np.where(sums[..., 0][new] > 0, -1.0, 1.0)
+        seed = blank.any(axis=1) & ~new.any(axis=1)
+        colour[graphs[seed], blank[seed].argmax(axis=1)] = 1.0
+    # an edge adds -2 to colour . A colour if its ends' colours differ, else 2
+    return (colour * np.matmul(a, colour[..., None])[..., 0]).sum(axis=1) == -a.sum(axis=(1, 2))
 
 
 @dataclass

@@ -158,14 +158,14 @@ class TestBitIdentity:
 
     def test_block_with_no_reported_rows_solves_no_eigh(self, lapack_calls):
         masks = np.arange(0, 1024, 37, dtype=np.int64)
-        b = screen.Block.from_bits(5, masks, range(len(masks)))
+        b = screen.Block.from_bits(5, masks, range(len(masks)), False)
         b.eigenvalues(np.ones(len(masks), dtype=bool))  # read, as a spectral screen reads it
         assert b.reported(np.zeros(len(masks), dtype=bool)) == []
         assert lapack_calls == {"eigh": [], "eigvalsh": [(len(masks), 5, 5)]}
 
     def test_block_solves_when_a_screen_first_reads_mu(self, lapack_calls):
         masks = np.arange(0, 1024, 37, dtype=np.int64)
-        b = screen.Block.from_bits(5, masks, range(len(masks)))
+        b = screen.Block.from_bits(5, masks, range(len(masks)), True)
         tols = scan_module.DEFAULT_TOLS
         for name, params in (("maxmu1", {}), ("theorem3", {"r": 2, "alpha": 0}),
                              ("oldin", {"s": None, "l": 2}), ("momo", {})):
@@ -326,9 +326,9 @@ class TestAdmittedRows:
     def test_block_with_every_row_gated_solves_nothing(self, solved):
         # every graph of order 5 with a K4: out of the domain of r = 2 and 3
         masks = np.arange(1024, dtype=np.int64)
-        b = screen.Block.from_bits(5, masks, range(len(masks)))
+        b = screen.Block.from_bits(5, masks, range(len(masks)), False)
         keep = b.omega >= 4
-        b = screen.Block.from_bits(5, masks[keep], range(int(keep.sum())))
+        b = screen.Block.from_bits(5, masks[keep], range(int(keep.sum())), False)
         tols = scan_module.DEFAULT_TOLS
         for name in ("conjecture", "stability", "edge_corollary"):
             for params in expand_param_grid(name, {"r": [2, 3]}):

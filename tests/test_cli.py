@@ -358,6 +358,39 @@ def test_negative_random_count_exit_2(jobs, capsys):
     assert "error: random corpus count must be >= 0" in capsys.readouterr().err
 
 
+class TestCorpusRefused:
+    """An exhaustive order above the vertex cap, and a random order or
+    edge probability out of range, are refused before any graph is
+    scanned, whatever the random count; the library raises ValueError."""
+
+    CASES = {
+        "exhaustive-over-cap": (["--exhaustive-n", "6"], "5", "vertex count 6 outside 1..5"),
+        "random-n": (["--random-n", "99"], "64", "vertex count 99 outside 1..64"),
+        "random-p": (["--random-n", "11", "--random-p", "5"], "64",
+                     "edge probability 5.0 outside [0, 1]"),
+    }
+
+    @pytest.mark.parametrize("count", ["0", "1"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_cli_exits_2(self, case, count, monkeypatch, capsys):
+        corpus, cap, message = self.CASES[case]
+        monkeypatch.setenv("SCL_MAX_N", cap)
+        assert main(["scan", *corpus, "--random-count", count, "--check", "wilf"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {message}" in captured.err
+
+    @pytest.mark.parametrize("corpus", [
+        CorpusSpec(kind="exhaustive", n=6),
+        CorpusSpec(kind="random", n=99, p=0.5, count=0, seed=0),
+        CorpusSpec(kind="random", n=11, p=5.0, count=0, seed=0),
+        CorpusSpec(kind="random", n=6, p=float("nan"), count=0, seed=0)])
+    def test_library_raises(self, corpus, monkeypatch):
+        monkeypatch.setenv("SCL_MAX_N", "5" if corpus.kind == "exhaustive" else "64")
+        with pytest.raises(ValueError, match="outside"):
+            scan(corpus, ScanConfig(checks={"wilf": {}}))
+
+
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_jobs_below_one_exit_2(jobs, capsys):
     assert main(["--jobs", jobs, "scan", "--exhaustive-n", "4", "--check", "wilf"]) == 2
@@ -433,35 +466,48 @@ class TestTheorem3RBelowOne:
 
 
 class TestTolRefused:
-    """A negative or non-finite --tol is a usage error (exit 2) on every
-    command, raised before any graph is evaluated; --tol 0 is accepted."""
+    """A negative or non-finite --tol, or a --jobs below 1, is a usage
+    error (exit 2) on every command, raised before the command runs:
+    nothing is evaluated or written.  --tol 0 is accepted."""
 
     COMMANDS = {
         "check": ["check", "--g6", "Bw", "--check", "polyn"],
+        "gen": ["gen", "named", "--name", "k3", "--out"],
         "scan": ["scan", "--exhaustive-n", "4", "--check", "polyn"],
         "witness": ["witness", "--g6", "Bw", "--r", "2", "--alpha", "0"],
     }
+
+    def _argv(self, command, tmp_path):
+        """The command's arguments, what it writes going to ``tmp_path``."""
+        argv = list(self.COMMANDS[command])
+        if command == "gen":
+            argv.append(str(tmp_path / "k3.g6"))
+        if command == "scan":
+            argv += ["--artifact-dir", str(tmp_path)]
+        return argv
 
     # -inf and -1e3 start with "-" and are no plain number: argparse would
     # read them as options, were --tol not joined to its value first
     @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "-inf", "-1e3"])
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_refused(self, command, tol, tmp_path, capsys):
-        argv = ["--tol", tol, *self.COMMANDS[command]]
-        if command == "scan":
-            argv += ["--artifact-dir", str(tmp_path)]
-        assert main(argv) == 2
+        assert main(["--tol", tol, *self._argv(command, tmp_path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: tolerance scale must be finite and >= 0" in captured.err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_jobs_refused(self, command, tmp_path, capsys):
+        assert main(["--jobs", "0", *self._argv(command, tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: --jobs must be >= 1, got 0" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_zero_accepted(self, command, tmp_path, capsys):
-        argv = ["--tol", "0", *self.COMMANDS[command]]
-        if command == "scan":
-            argv += ["--artifact-dir", str(tmp_path)]
-        assert main(argv) == 0
+        assert main(["--tol", "0", *self._argv(command, tmp_path)]) == 0
 
     @pytest.mark.parametrize("factor", [-1.0, float("nan"), float("inf")])
     def test_library_scan_refuses(self, factor):

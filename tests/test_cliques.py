@@ -15,6 +15,7 @@ from spectral_cliques import (build_graph, cliques, clique_counts, complete_grap
                               moon_moser_check, path_graph, proper_coloring,
                               random_graph, star_graph, turan_graph,
                               vertex_clique_counts)
+from spectral_cliques.spectral import adjacency_stack
 
 from oracles import brute_force_cliques, brute_force_vertex_cliques, enumerate_labeled
 
@@ -224,7 +225,7 @@ class TestPivotCounts:
     @given(batch_strategy)
     @settings(max_examples=60, deadline=None)
     def test_batches_against_subset_oracles(self, graphs):
-        k, kv = cliques.pivot_counts(graphs, True)
+        k, kv = cliques.pivot_counts(adjacency_stack(graphs), True)
         assert k.dtype == kv.dtype == np.int64
         for g, row, rows in zip(graphs, k.tolist(), kv.tolist()):
             assert row == [1, *brute_force_cliques(g).counts]
@@ -233,10 +234,10 @@ class TestPivotCounts:
     @given(batch_strategy)
     @settings(max_examples=40, deadline=None)
     def test_batch_equals_its_graphs_one_at_a_time(self, graphs):
-        k, kv = cliques.pivot_counts(graphs, True)
-        assert np.array_equal(cliques.pivot_counts(graphs, False)[0], k)
+        k, kv = cliques.pivot_counts(adjacency_stack(graphs), True)
+        assert np.array_equal(cliques.pivot_counts(adjacency_stack(graphs), False)[0], k)
         for i, g in enumerate(graphs):
-            one, per = cliques.pivot_counts([g], True)
+            one, per = cliques.pivot_counts(adjacency_stack([g]), True)
             assert np.array_equal(one[0], k[i]) and np.array_equal(per[0], kv[i])
 
     @pytest.mark.parametrize("n", [63, 64, 65, 80])
@@ -245,7 +246,7 @@ class TestPivotCounts:
         int64, and is counted in Python ints from order 65 on."""
         monkeypatch.setenv("SCL_MAX_N", "80")
         g = complete_graph(n)
-        k, kv = cliques.pivot_counts([g, g], True)
+        k, kv = cliques.pivot_counts(adjacency_stack([g, g]), True)
         assert k.dtype == (np.int64 if n <= 64 else object)
         assert k.tolist() == [[comb(n, s) for s in range(n + 1)]] * 2
         assert kv[1].tolist() == [[0] + [comb(n - 1, s - 1) for s in range(1, n + 1)]] * n
@@ -255,7 +256,7 @@ class TestPivotCounts:
     @pytest.mark.parametrize("n", [1, 2, 11, 64, 65])
     def test_edgeless_graphs(self, n, monkeypatch):
         monkeypatch.setenv("SCL_MAX_N", "65")
-        k, kv = cliques.pivot_counts([empty_graph(n)], True)
+        k, kv = cliques.pivot_counts(adjacency_stack([empty_graph(n)]), True)
         assert k.tolist() == [[1, n] + [0] * (n - 1)]
         assert kv[0].tolist() == [[0, 1] + [0] * (n - 1)] * n
 
@@ -265,17 +266,17 @@ class TestPivotCounts:
         widths = []
         leaves = cliques._leaves
 
-        def spy(graphs):
-            for batch in leaves(graphs):
+        def spy(adj):
+            for batch in leaves(adj):
                 widths.append(len(np.unique(batch[0])))
                 yield batch
 
         monkeypatch.setattr(cliques, "_leaves", spy)
         graphs = [random_graph(12, (0.3, 0.6, 0.9)[i % 3], i) for i in range(1100)]
-        k, kv = cliques.pivot_counts(graphs, True)
+        k, kv = cliques.pivot_counts(adjacency_stack(graphs), True)
         assert max(widths) > 1
         for i, g in enumerate(graphs):
-            one, per = cliques.pivot_counts([g], True)
+            one, per = cliques.pivot_counts(adjacency_stack([g]), True)
             assert np.array_equal(one[0], k[i]) and np.array_equal(per[0], kv[i])
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -296,7 +297,7 @@ class TestPivotCounts:
             for u, row in enumerate(brute_force_vertex_cliques(part)):
                 rows[label[at + u]] = row[:part.n + 1] + [0] * (80 - part.n)
             at += part.n
-        k, kv = cliques.pivot_counts([build_graph(80, edges)], True)
+        k, kv = cliques.pivot_counts(adjacency_stack([build_graph(80, edges)]), True)
         assert k[0].tolist() == want and kv[0].tolist() == rows
 
     @pytest.mark.parametrize("parts,isolated", [
@@ -307,7 +308,7 @@ class TestPivotCounts:
         span two words, and its held children cross the word boundary."""
         monkeypatch.setenv("SCL_MAX_N", "80")
         g = complete_multipartite(list(parts), isolated)
-        k, kv = cliques.pivot_counts([g, empty_graph(g.n), g], True)
+        k, kv = cliques.pivot_counts(adjacency_stack([g, empty_graph(g.n), g]), True)
         want, rows = multipartite_rows(list(parts), isolated)
         assert k[0].tolist() == k[2].tolist() == want
         assert kv[0].tolist() == kv[2].tolist() == rows
@@ -324,7 +325,7 @@ class TestPivotCounts:
 
         monkeypatch.setattr(cliques, "_expand", spy)
         g = turan_graph(6, 36)
-        k, kv = cliques.pivot_counts([g], True)
+        k, kv = cliques.pivot_counts(adjacency_stack([g]), True)
         assert max(steps) == cliques.TREE_ROWS
         want, rows = multipartite_rows([6] * 6, 0)
         assert k[0].tolist() == want and kv[0].tolist() == rows

@@ -64,3 +64,13 @@ def test_readme_names_the_stability_verdicts():
                 "premise-inconclusive", "ood")
     assert [v for v in verdicts if f"`{v}`" not in text] == []
     assert [gone for gone in ("heuristic-miss", "search_mode", "--mode") if gone in text] == []
+
+
+def test_layout_has_a_row_for_every_module():
+    """The Layout table names every module of the package but
+    ``__main__``, each in a row of its own, and no other."""
+    text = README.read_text(encoding="utf-8")
+    layout = text[text.index("## Layout"):]
+    layout = layout[:layout.index("\n## ", 1)]
+    rows = re.findall(r"^\| `spectral_cliques\.(\w+)` \|", layout, flags=re.M)
+    assert sorted(rows) == sorted(MODULES - {"__main__"})

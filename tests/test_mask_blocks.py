@@ -8,13 +8,13 @@ import importlib
 import numpy as np
 import pytest
 
-from spectral_cliques import (cliques, clique_counts, complete_graph, emit_graph6,
-                              empty_graph, graph_from_edge_mask, is_bipartite,
-                              is_connected, is_kfree, random_graph, screen,
-                              vertex_clique_counts)
+from spectral_cliques import (build_graph, cliques, clique_counts, complete_graph, complete_multipartite,
+                              cycle_graph, emit_graph6, empty_graph, graph_from_edge_mask,
+                              is_bipartite, is_connected, is_kfree, path_graph, random_graph,
+                              screen, vertex_clique_counts)
 from spectral_cliques.cli import main
 from spectral_cliques.graphs import mix64
-from spectral_cliques.spectral import spectrum
+from spectral_cliques.spectral import adjacency_stack, spectrum
 
 
 def _masks(n):
@@ -33,8 +33,8 @@ def _assert_blocks_agree(n, masks):
     lines = np.frombuffer("".join(emit_graph6(g) for g in graphs).encode("ascii"),
                           dtype=np.uint8).reshape(len(graphs), -1)
     every = np.ones(len(graphs), dtype=bool)
-    for got in (screen.Block.from_bits(n, masks, range(len(masks))),
-                screen.Block.from_bits(n, screen.graph6_masks(lines, n), range(len(masks)))):
+    for got in (screen.Block.from_bits(n, masks, range(len(masks)), True),
+                screen.Block.from_bits(n, screen.graph6_masks(lines, n), range(len(masks)), True)):
         np.testing.assert_array_equal(got.masks, masks)
         np.testing.assert_array_equal(got.m, want.m)
         assert got.adj.dtype == want.adj.dtype == np.uint8
@@ -71,29 +71,57 @@ def test_reported_graphs_carry_the_pivot_tree_profiles(monkeypatch):
     rows = np.zeros(len(masks), dtype=bool)
     rows[::2] = True
     tree = [graph_from_edge_mask(n, mask) for mask in masks[rows].tolist()]
-    cliques.prime_profiles(tree, *cliques.pivot_counts(tree, True))
+    cliques.prime_profiles(tree, *cliques.pivot_counts(adjacency_stack(tree), True))
     want = [(spectrum(g), clique_counts(g), vertex_clique_counts(g)) for g in tree]
     monkeypatch.setattr(screen, "pivot_counts", None)  # no tree is walked from here on
     monkeypatch.setattr(cliques, "pivot_counts", None)
-    b = screen.Block.from_bits(n, masks, np.arange(len(masks)) * 3)
+    b = screen.Block.from_bits(n, masks, np.arange(len(masks)) * 3, True)
     # read, as a plan with wilf and oldin reads them
     b.eigenvalues(np.ones(len(masks), dtype=bool)), b.vertex_cliques
     reported = b.reported(rows)
     assert [pos for pos, _ in reported] == (np.flatnonzero(rows) * 3).tolist()
-    monkeypatch.setattr(cliques, "subset_hits", None)  # only the memos can answer
+    monkeypatch.setattr(cliques, "subset_profile", None)  # only the memos can answer
     assert [g for _, g in reported] == tree
     assert [(spectrum(g), clique_counts(g), vertex_clique_counts(g))
             for _, g in reported] == want
 
 
-@pytest.mark.parametrize("n", range(1, 7))
-def test_filters_agree_with_graph_predicates(n):
-    masks = _masks(n)
-    graphs = [graph_from_edge_mask(n, mask) for mask in masks.tolist()]
-    b = screen.Block.from_bits(n, masks, range(len(masks)))
-    np.testing.assert_array_equal(screen.connected(b), [is_connected(g) for g in graphs])
-    np.testing.assert_array_equal(screen.bipartite(b), [is_bipartite(g) for g in graphs])
-    for r in range(1, n + 1):
+def _filter_graphs(n):
+    """``Graph``s of order n for the filters: sparse and dense random
+    graphs, a path, cycles of n and of n - 1 vertices (one odd, one even)
+    and K_{a,b} with and without isolated vertices."""
+    graphs = [random_graph(n, p, mix64(n, i)) for i, p in
+              enumerate((0.02, 0.05, 0.1, 0.2, 0.5, 0.8 if n <= 16 else 0.5) * 3)]
+    graphs += [path_graph(n), cycle_graph(n), build_graph(n, [(u, (u + 1) % (n - 1))
+                                                            for u in range(n - 1)]),
+               complete_multipartite([n // 2, n - n // 2]), complete_multipartite([1, n - 1]),
+               complete_multipartite([n // 3, n - 2 - n // 3], 2)]
+    return graphs
+
+
+@pytest.mark.parametrize("n,built", [
+    *(pytest.param(n, False, id=str(n)) for n in range(1, 7)),
+    *(pytest.param(n, True, id=f"graphs-{n}") for n in (11, 16, 40, 64, 80))])
+def test_filters_agree_with_graph_predicates(n, built, monkeypatch):
+    """On a block of edge masks (every labeled graph of order n) and on a
+    block of ``Graph``s (:func:`_filter_graphs`, order 80 under
+    SCL_MAX_N=80) the filters agree with the graph predicates."""
+    if n > 64:
+        monkeypatch.setenv("SCL_MAX_N", str(n))
+    if built:
+        graphs = _filter_graphs(n)
+        b = screen.Block(graphs, range(len(graphs)), False)
+    else:
+        masks = _masks(n)
+        graphs = [graph_from_edge_mask(n, mask) for mask in masks.tolist()]
+        b = screen.Block.from_bits(n, masks, range(len(masks)), False)
+    want = np.array([is_connected(g) for g in graphs])
+    np.testing.assert_array_equal(screen.connected(b), want)
+    bipartite = np.array([is_bipartite(g) for g in graphs])
+    np.testing.assert_array_equal(screen.bipartite(b), bipartite)
+    if n > 2:  # both outcomes of both filters are met
+        assert want.any() and not want.all() and bipartite.any() and not bipartite.all()
+    for r in range(1, min(n, 12) + 1):
         np.testing.assert_array_equal(b.omega <= r, [is_kfree(g, r + 1) for g in graphs])
 
 

@@ -164,17 +164,36 @@ class TestScan:
                                          ("connected", "nonbipartite", "kfree:3")])
     def test_filters_on_built_random_graphs(self, filters, p, jobs, monkeypatch):
         """Random graphs of order 12, above ``screen.MASK_MAX_N``, are built
-        as ``Graph``s and filtered as a block, which keeps the per-vertex
-        counts oldin reads: the scan reports what the reference reports on
-        the graphs that networkx's predicates keep."""
-        monkeypatch.setattr(scan_module, "_CHUNK_ENTRIES", 16 * 144)  # three chunks
-        graphs = [random_graph(12, p, mix64(3, i)) for i in range(40)]
-        kept = [emit_graph6(g) for g in graphs if all(NX_FILTERS[f](_networkx(g)) for f in filters)]
+        as ``Graph``s, and those of order 8 arrive as edge masks; either
+        way they are filtered as a block, which keeps the per-vertex counts
+        oldin reads: the scan reports what the reference reports on the
+        graphs that networkx's predicates keep."""
+        monkeypatch.setattr(scan_module, "_CHUNK_ENTRIES", 16 * 144)  # three chunks of order 12
         checks = {"wilf": {}, "theorem1": {"r": [2, 3]}, "oldin": {"l": [2]}}
-        got = scan(CorpusSpec(kind="random", n=12, p=p, count=40, seed=3, filters=filters),
-                   ScanConfig(checks=checks), jobs=jobs).to_json_dict(deterministic_timing=True)
-        del got["timing_s"]
-        assert got == reference_scan(kept, checks, 10, 1.0)
+        for n in (8, 12):
+            graphs = [random_graph(n, p, mix64(3, i)) for i in range(40)]
+            kept = [emit_graph6(g) for g in graphs
+                    if all(NX_FILTERS[f](_networkx(g)) for f in filters)]
+            got = scan(CorpusSpec(kind="random", n=n, p=p, count=40, seed=3, filters=filters),
+                       ScanConfig(checks=checks), jobs=jobs).to_json_dict(deterministic_timing=True)
+            del got["timing_s"]
+            assert got == reference_scan(kept, checks, 10, 1.0)
+
+    def test_filtered_mask_blocks_count_vertex_cliques_on_kept_graphs(self, monkeypatch):
+        """A kfree filter reads the k_s of a block of masks alone; the
+        k_s(u) that oldin reads are counted on the graphs it keeps."""
+        calls = []
+        profile = screen.subset_profile
+
+        def spy(masks, n, vertex):
+            calls.append((len(masks), vertex))
+            return profile(masks, n, vertex)
+
+        monkeypatch.setattr(screen, "subset_profile", spy)
+        res = scan(CorpusSpec(kind="exhaustive", n=5, filters=("kfree:2",)),
+                   ScanConfig(checks={"oldin": {"l": [2]}}))
+        assert 0 < res.graphs_checked < 1024
+        assert calls == [(1024, False), (res.graphs_checked, True)]
 
     def test_jobs_deterministic(self):
         corpus = CorpusSpec(kind="exhaustive", n=5)
@@ -536,20 +555,19 @@ class TestChunkRule:
         mixed orders, hold more than STACK_ENTRIES adjacency entries or
         build subset tables of more than 2^19 entries."""
         seen = []
-        chunk_blocks, subset_hits = scan_module._chunk_blocks, screen.subset_hits
+        chunk_blocks, subset_profile = scan_module._chunk_blocks, screen.subset_profile
 
         def spy_blocks(chunk):
             blocks, size = chunk_blocks(chunk)
             seen.append([sum(b.adj.size for b in blocks), 0])
             return blocks, size
 
-        def spy_hits(masks, n):
-            hits = subset_hits(masks, n)
-            seen[-1][1] += hits.size
-            return hits
+        def spy_tables(masks, n, vertex):
+            seen[-1][1] += len(masks) << n  # one entry per graph and vertex subset
+            return subset_profile(masks, n, vertex)
 
         monkeypatch.setattr(scan_module, "_chunk_blocks", spy_blocks)
-        monkeypatch.setattr(screen, "subset_hits", spy_hits)
+        monkeypatch.setattr(screen, "subset_profile", spy_tables)
         sample = [random_graph(7, 0.5, mix64(3, i)) for i in range(1 << 14)]
         sample += [turan_graph(r, q * r) for r in (2, 3) for q in range(1, 16 // r + 1)]
         mixed = [random_graph(n, 0.5, mix64(n, i)) for i in range(3000)

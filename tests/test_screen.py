@@ -306,7 +306,7 @@ def test_long_walks_stop_at_the_cap():
     a dozen or so steps in, so the screen steps aside at once rather than
     counting 10^6 lengths.  The scan reports what the graph-by-graph
     reference does, each mu^s overflowing to an ood outcome."""
-    b = screen.Block.from_bits(6, np.arange(4096, dtype=np.int64), range(4096))
+    b = screen.Block.from_bits(6, np.arange(4096, dtype=np.int64), range(4096), False)
     maxmu = scan_module.CHECKS["maxmu"].screen
     with np.errstate(over="ignore"):
         assert maxmu(b, {"s": 10 ** 6}, scan_module.DEFAULT_TOLS) is None
@@ -377,7 +377,7 @@ def _momo_verdicts(g):
     reporting path.  The block counts nothing itself: it is handed the
     primed profile as its exact counts."""
     b = screen.Block([g], [0], False)
-    b._counts = np.array([(1, *cliques.clique_counts(g).counts)], dtype=np.int64)
+    b._exact = (np.array([(1, *cliques.clique_counts(g).counts)], dtype=np.int64), None)
     [oc] = run_check("momo", g, {})
     return bool(screen.screen_momo(b, {}, scan_module.DEFAULT_TOLS).exact[0]), oc
 
