@@ -7,10 +7,11 @@ radius are floating point; premise products with rational alpha stay in
 exact rationals, so holds/equality verdicts of the exact checks carry no
 tolerance at all.
 
-Verdicts that land inside the tolerance band (or below it) are certified
-before being classified: each eigenvalue they read is bracketed between
-dyadic rationals by exact inertia counts, and the slack is evaluated
-exactly on the brackets, in ints (:class:`Ratio`).  Such reports carry
+Verdicts that land inside the tolerance band (or below it), or at its
+upper edge, are certified before being classified: each eigenvalue they
+read is bracketed between dyadic rationals by exact counts on the
+characteristic polynomial, and the slack is evaluated exactly on the
+brackets, in ints (:class:`Ratio`).  Such reports carry
 ``refined=True`` and keep the LAPACK figures; a verdict the brackets cannot
 decide is None (status ``inconclusive``).
 
@@ -37,9 +38,11 @@ from .graphs import DEFAULT_CAP, Graph, per_graph
 from .spectral import eigenvalue_bracket, spectrum, walk_counts
 
 #: near-threshold verdicts are certified up to this order and inconclusive
-#: above it: the cost of an exact count grows like n^4 (a first bracket
-#: takes 2 ms at n = 16 and 0.44 s at n = 64, where all CERTIFY_HALVINGS
-#: halvings take 8 s more)
+#: above it.  A graph's first bracket costs its characteristic polynomial,
+#: O(n^4) flops a prime (0.3 ms at n = 16 on 2 primes, 8 ms at n = 64 on
+#: 7, on one core of a 2-vCPU Xeon guest), and each count an O(n^2)
+#: big-int Taylor shift (0.4 ms at n = 64, where all CERTIFY_HALVINGS
+#: halvings of one eigenvalue take 10 ms more)
 CERTIFY_MAX_N = DEFAULT_CAP
 #: a slack interval that straddles a threshold is narrowed at most this
 #: many times, by halving its eigenvalue brackets
@@ -368,8 +371,9 @@ def evaluate(f: Formula, g: Graph, params: dict,
     """``f`` on one graph for one exact parameter combination: out of
     domain where its gate holds or its premise fails (:func:`premise_holds`),
     exact where it reads no eigenvalue, else on the LAPACK floats, and where
-    a spectral slack is at most hold * scale, decided on exact eigenvalue
-    brackets in ints (:func:`_certify`), keeping the LAPACK figures."""
+    a spectral slack is at most hold * scale or within SCREEN_MARGIN * scale
+    of equality * scale, decided on exact eigenvalue brackets in ints
+    (:func:`_certify`), keeping the LAPACK figures."""
     return _evaluate(f, GraphView(g), params, tols)
 
 
@@ -378,7 +382,8 @@ def premise_holds(f: Formula, g: Graph, params: dict,
     """Whether the premise ``f`` holds on one graph: False where its gate
     holds or its spectral slack lies below -(hold + SCREEN_MARGIN) * scale,
     as the screen decides it; certified on eigenvalue brackets between that
-    and hold * scale, None where they cannot decide it."""
+    and hold * scale (and as :func:`evaluate` does, near equality * scale),
+    None where they cannot decide it."""
     return _premise(f, GraphView(g), params, tols)
 
 
@@ -398,7 +403,9 @@ def _premise(f: Formula, x: GraphView, params: dict, tols: Tolerances) -> bool |
 def _evaluate(f: Formula, x: GraphView, params: dict, tols: Tolerances,
               doubt: float = math.inf) -> BoundReport:
     """A report of ``f``; a spectral slack is certified from hold * scale
-    down to -(hold + doubt) * scale."""
+    down to -(hold + doubt) * scale, and within SCREEN_MARGIN * scale of
+    the equality band's upper edge, equality * scale, where its float
+    cannot tell a tie from a near miss (at tolerance 0, just above 0)."""
     if f.gate(x, **params):
         return _skipped(f.name, _shown(params))
     premise = True
@@ -418,7 +425,9 @@ def _evaluate(f: Formula, x: GraphView, params: dict, tols: Tolerances,
         build = partial(f.sides, x, **params)
         lhs, rhs = build(*spectrum(x.g).eigenvalues[:f.ranks])
         rep = _report(f.name, shown, lhs, rhs, tols)
-        if premise and -(tols.hold + doubt) * rep.scale <= rep.slack <= tols.hold * rep.scale:
+        if premise and (-(tols.hold + doubt) * rep.scale <= rep.slack <= tols.hold * rep.scale
+                        or abs(rep.slack - tols.equality * rep.scale)
+                        <= SCREEN_MARGIN * rep.scale):
             rep.holds, rep.equality = _certify(x.g, build, f.ranks, tols, rep.scale)
             rep.refined = True
     if not premise:  # failed, so vacuous, or undecided: no slack is claimed

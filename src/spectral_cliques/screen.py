@@ -27,7 +27,10 @@ reported graph's memo is primed with what the block computed: its
 ``eigh`` spectrum (the solve every printed figure is pinned to, run in
 one stack for the reported graphs alone) where the block solved its
 eigenvalues, and its exact clique profile, so the reporting path
-recomputes neither.
+recomputes neither.  A reported graph of a block of masks whose
+eigenvalues the block solved also gets its characteristic polynomial,
+from one stack, which certification reads; any other graph computes its
+own at its first certified verdict.
 
 Every check but momo is a ``bounds.Formula``, screened by running its
 slots, gate, premise and sides on the block's arrays (:func:`formula_screen`).
@@ -56,7 +59,8 @@ import numpy as np
 from .bounds import SCREEN_MARGIN, Formula, Tolerances
 from .cliques import MASK_MAX_N, edge_pairs, pivot_counts, prime_profiles, subset_profile
 from .graphs import Graph, graph6_width, graph_from_edge_mask
-from .spectral import STACK_ENTRIES, adjacency_stack, prime_rows, stacked_eigenvalues
+from .spectral import (STACK_ENTRIES, adjacency_stack, char_poly, char_polys, prime_rows,
+                       stacked_eigenvalues)
 
 #: :func:`_signs` clamps a rational side to within this bound of 0, which
 #: every int64 side (below 2^61, see ``Block``) lies well inside
@@ -95,7 +99,8 @@ class Block:
     out the ``Graph``s of the rows that take the reporting path, with what
     the block computed primed into their memos: the exact clique profiles
     it counted, and the pinned ``eigh`` spectrum, solved there for the
-    reported graphs the block solved alone.  :meth:`take` keeps some of a
+    reported graphs the block solved alone (from masks, with their
+    characteristic polynomials).  :meth:`take` keeps some of a
     block's graphs, and what it has counted of them.
     The adjacency matrices are kept as bytes (n^2 per graph) and widened
     to floats or int64 at most STACK_ENTRIES entries at a time.
@@ -164,7 +169,9 @@ class Block:
         """(position, Graph) of each graph that ``rows`` marks.  Where the
         block solved a graph's eigenvalues, its memo holds its ``eigh``
         spectrum, solved here in one stack for those marked graphs alone,
-        and where the block counted cliques, their exact profiles."""
+        and on a block of masks its characteristic polynomial too, from
+        one stack again; where the block counted cliques, their exact
+        profiles."""
         picked = np.flatnonzero(rows)
         if self.masks is None:
             graphs = self.graphs[picked].tolist()
@@ -177,8 +184,12 @@ class Block:
                            None if vertex_counts is None else vertex_counts[picked])
         if self._solved is not None:
             solved = self._solved[picked]
-            prime_rows([g for g, s in zip(graphs, solved.tolist()) if s],
-                       stacked_eigenvalues(self.adj[picked[solved]]))
+            kept = [g for g, s in zip(graphs, solved.tolist()) if s]
+            adj = self.adj[picked[solved]]
+            prime_rows(kept, stacked_eigenvalues(adj))
+            if self.masks is not None:
+                for g, chi in zip(kept, char_polys(adj)):
+                    char_poly.prime(g, chi)
         return list(zip(self.pos[picked].tolist(), graphs))
 
     def eigenvalues(self, rows: np.ndarray) -> np.ndarray:
@@ -302,22 +313,33 @@ def connected(b: Block) -> np.ndarray:
 
 def bipartite(b: Block) -> np.ndarray:
     """Whether each graph of a block is bipartite: no edge joins two
-    vertices of one colour, +1 or -1, once each graph is 2-coloured a round
-    at a time.  An uncoloured vertex with coloured neighbours takes the
-    colour their sum does not have; a graph with none colours its least
-    uncoloured vertex +1.  A round, one stacked matrix-vector product,
-    colours a vertex of every graph not yet done, so there are at most n."""
-    a = b.adj.astype(float)
-    colour = np.zeros((len(a), b.n))
-    graphs = np.arange(len(a))
-    while (blank := colour == 0).any():
-        sums = np.matmul(a, np.stack([colour, np.abs(colour)], axis=2))
-        new = blank & (sums[..., 1] > 0)
-        colour[new] = np.where(sums[..., 0][new] > 0, -1.0, 1.0)
-        seed = blank.any(axis=1) & ~new.any(axis=1)
-        colour[graphs[seed], blank[seed].argmax(axis=1)] = 1.0
-    # an edge adds -2 to colour . A colour if its ends' colours differ, else 2
-    return (colour * np.matmul(a, colour[..., None])[..., 0]).sum(axis=1) == -a.sum(axis=(1, 2))
+    vertices of one parity once every vertex holds a key 2 l + p, a vertex
+    l of its component (its label) and the parity p of a walk from it to l.
+
+    Every vertex starts as its own label with parity 0, so an isolated
+    vertex is done at once and every component starts from all its
+    vertices in the same round.  A round lowers each key to the least of
+    its neighbours' keys with the parity flipped and of its label's key
+    with the parities added (a jump to the label's label), until no key
+    changes.  Then each component's vertices hold its least vertex as
+    their label, and on a bipartite graph every parity is that of a proper
+    2-colouring.  The rounds grow with the components' diameters, not with
+    their number; each reads the edge list once."""
+    k, n = len(b.adj), b.n
+    # each edge appears twice, as entry (i n + dst) n + src % n of graph i
+    flat = np.flatnonzero(b.adj.reshape(-1).view(bool))
+    dst = flat // n
+    src = dst - dst % n + flat % n
+    key = 2 * np.arange(k * n)
+    while True:
+        spread = key[key >> 1] ^ (key & 1)
+        np.minimum.at(spread, dst, key[src] ^ 1)
+        if np.array_equal(spread, key):
+            break
+        key = spread
+    odd = np.zeros(k, dtype=bool)
+    odd[dst[(key[src] ^ key[dst]) & 1 == 0] // n] = True
+    return ~odd
 
 
 @dataclass

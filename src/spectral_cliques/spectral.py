@@ -5,7 +5,11 @@ radius or the second eigenvalue alone.  They come from dense symmetric
 diagonalization (LAPACK ``eigh`` through numpy, its eigenvectors dropped;
 a scan's screen reads ``eigvalsh``, which skips them).
 When a verdict sits close to the tolerance band, an eigenvalue is bracketed
-between rationals by exact integer counts instead (``eigenvalue_bracket``).
+between rationals by exact integer counts instead (``eigenvalue_bracket``):
+the eigenvalues above a rational are counted by Descartes' rule of signs on
+the characteristic polynomial (``eigenvalues_above``), whose integer
+coefficients are computed once per graph, by Faddeev-LeVerrier modulo
+primes, for a whole stack of graphs at once (``char_polys``).
 Walk counts are exact integers throughout; floating point enters only at
 the final division of the ratio-limit check.
 """
@@ -30,6 +34,22 @@ BRACKET_BITS = 30
 #: a stacked LAPACK solve holds at most this many matrix entries (2 MiB of
 #: float64): 5,349 graphs of order 7, 40 of order 80, one of order 512
 STACK_ENTRIES = 1 << 18
+
+#: the 75 largest primes below 2^31, largest first: characteristic
+#: polynomials are computed modulo the first few (:func:`_moduli`), and an
+#: order up to the hard cap needs them all
+PRIMES = (
+    2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549, 2147483543,
+    2147483497, 2147483489, 2147483477, 2147483423, 2147483399, 2147483353, 2147483323,
+    2147483269, 2147483249, 2147483237, 2147483179, 2147483171, 2147483137, 2147483123,
+    2147483077, 2147483069, 2147483059, 2147483053, 2147483033, 2147483029, 2147482951,
+    2147482949, 2147482943, 2147482937, 2147482921, 2147482877, 2147482873, 2147482867,
+    2147482859, 2147482819, 2147482817, 2147482811, 2147482801, 2147482763, 2147482739,
+    2147482697, 2147482693, 2147482681, 2147482663, 2147482661, 2147482621, 2147482591,
+    2147482583, 2147482577, 2147482507, 2147482501, 2147482481, 2147482417, 2147482409,
+    2147482367, 2147482361, 2147482349, 2147482343, 2147482327, 2147482291, 2147482273,
+    2147482237, 2147482231, 2147482223, 2147482121, 2147482093, 2147482091, 2147482081,
+    2147482063, 2147482021, 2147481997, 2147481967, 2147481949)
 
 
 class WalkOverflowError(OverflowError):
@@ -123,43 +143,110 @@ def spectrum(g: Graph) -> Spectrum:
     return Spectrum(tuple(row))
 
 
+def _moduli(n: int) -> tuple[int, ...]:
+    """The fewest of PRIMES whose product exceeds twice every |c_k| of a
+    graph of order n.  c_k is (-1)^k times the sum of the C(n, k)
+    principal k-by-k minors of A, and such a minor, whose rows hold at
+    most k - 1 ones, is at most (k - 1)^(k/2) by Hadamard's inequality."""
+    bound_sq = max(math.comb(n, k) ** 2 * max(k - 1, 0) ** k for k in range(n + 1))
+    product = 1
+    for count, p in enumerate(PRIMES, 1):
+        product *= p
+        if product * product > 4 * bound_sq:
+            return PRIMES[:count]
+    raise ValueError(f"order {n} needs more than {len(PRIMES)} primes")
+
+
+def _leverrier(adj: np.ndarray, primes: tuple[int, ...], which: np.ndarray) -> np.ndarray:
+    """c_0, ..., c_n of each matrix of a (k, n, n) uint8 stack, matrix i
+    modulo primes[which[i]], as int64 residues at [i, :].
+
+    Faddeev-LeVerrier: M_1 = I, c_j = -tr(A M_j) / j and M_{j+1} =
+    A M_j + c_j I.  The M_j are kept in float64, where a product A M with
+    0/1 entries in A is exact while n max|M| stays below 2^53, and are
+    reduced (into (-p, p)) only before a product that could pass it."""
+    count, n = len(adj), adj.shape[-1]
+    a = adj.astype(float)
+    mods = np.array(primes, dtype=np.int64)[which]
+    p = mods.astype(float)[:, None, None]
+    inv = np.array([[pow(j, -1, q) for q in primes] for j in range(1, n + 1)],
+                   dtype=np.int64)[:, which]
+    diag = np.arange(n)
+    out = np.ones((count, n + 1), dtype=np.int64)
+    m = np.zeros_like(a)
+    top = 0  # no |entry| of m exceeds top
+    for j in range(1, n + 1):
+        if n * (top + PRIMES[0]) >= 1 << 53:
+            m -= np.floor(m / p) * p
+            top = PRIMES[0]
+        m[:, diag, diag] += out[:, j - 1, None]
+        m = np.matmul(a, m)
+        top = n * (top + PRIMES[0])
+        trace = (m[:, diag, diag].astype(np.int64) % mods[:, None]).sum(axis=1)
+        out[:, j] = -trace % mods * inv[j - 1] % mods
+    return out
+
+
+def char_polys(adj: np.ndarray) -> list[tuple[int, ...]]:
+    """The characteristic polynomial det(xI - A) of each matrix of a
+    (k, n, n) uint8 stack of adjacency matrices, as its integer
+    coefficients (1, c_1, ..., c_n), highest degree first.
+
+    Each is computed modulo as many primes below 2^31 as its size needs
+    (:func:`_moduli`) and joined by the Chinese remainder theorem; the
+    stack of (matrix, prime) pairs runs at most STACK_ENTRIES entries at a
+    time."""
+    count, n = len(adj), adj.shape[-1]
+    primes = _moduli(n)
+    rows = np.repeat(adj, len(primes), axis=0)
+    which = np.tile(np.arange(len(primes)), count)
+    step = max(1, STACK_ENTRIES // (n * n))
+    residues = np.concatenate([np.ones((0, n + 1), dtype=np.int64)] + [
+        _leverrier(rows[lo:lo + step], primes, which[lo:lo + step])
+        for lo in range(0, len(rows), step)])
+    modulus = math.prod(primes)
+    weights = np.array([modulus // p * pow(modulus // p, -1, p) for p in primes], dtype=object)
+    coeffs = residues.reshape(count, len(primes), n + 1).transpose(0, 2, 1).astype(object)
+    coeffs = coeffs.dot(weights) % modulus
+    return [tuple(c - modulus if 2 * c > modulus else c for c in row) for row in coeffs.tolist()]
+
+
+@per_graph
+def char_poly(g: Graph) -> tuple[int, ...]:
+    """The coefficients (1, c_1, ..., c_n) of det(xI - A), highest degree
+    first (:func:`char_polys` on a stack of one)."""
+    return char_polys(adjacency_stack([g]))[0]
+
+
 def eigenvalues_above(g: Graph, p: int, q: int) -> int:
     """Exact number of adjacency eigenvalues above p/q, a non-integer
-    rational with q > 0.
+    rational with q > 0, counted with multiplicity.
 
-    The eigenvalues of A below p/q are as many as the negative
-    eigenvalues of qA - pI (p/q in lowest terms), which by Sylvester's law
-    of inertia are as many as the sign changes in its leading principal
-    minors 1, D_1, ..., D_n.  Fraction-free (Bareiss) elimination yields
-    D_k as its k-th pivot, in exact integers.  D_k is, up to sign, q^k
-    times the monic integer characteristic polynomial of A's leading
-    k-by-k block at p/q, and a rational that is not an integer is never a
-    root of such a polynomial, so no pivot is zero and no row is exchanged.
+    They are as many as the positive roots t of q^n chi((p + t)/q), where
+    chi is the characteristic polynomial (:func:`char_poly`) and p/q is
+    in lowest terms.  That polynomial in t has integer coefficients and
+    only real roots, and 0 is none of them: a rational root of the monic
+    integer chi is an integer.  So by Descartes' rule of signs, exact on a
+    real-rooted polynomial, its positive roots are as many as the sign
+    changes in its coefficients.
     """
     d = math.gcd(p, q)
     p, q = p // d, q // d
     if q == 1:
         raise ValueError(f"shift {p} is an integer")
-    n = g.n
-    # only the upper triangle is read or written: every intermediate matrix
-    # of Bareiss elimination on a symmetric matrix is symmetric
-    rows = [[q if g.adj[i] >> j & 1 else 0 for j in range(n)] for i in range(n)]
-    for i in range(n):
-        rows[i][i] = -p
-    below = 0
-    prev = 1
-    for k in range(n):
-        pivot_row = rows[k]
-        pivot = pivot_row[k]
-        if (pivot < 0) != (prev < 0):
-            below += 1
-        for i in range(k + 1, n):
-            row = rows[i]
-            a = pivot_row[i]
-            for j in range(i, n):
-                row[j] = (row[j] * pivot - a * pivot_row[j]) // prev
-        prev = pivot
-    return n - below
+    # q^n chi(y/q) = sum_k c_k q^k y^(n-k), highest degree first; then
+    # y = p + t by n rounds of synthetic division by y - p
+    coeffs = list(char_poly(g))
+    power = 1
+    for k in range(1, len(coeffs)):
+        power *= q
+        coeffs[k] *= power
+    n = len(coeffs) - 1
+    for i in range(n, 0, -1):
+        for j in range(1, i + 1):
+            coeffs[j] += p * coeffs[j - 1]
+    signs = [c > 0 for c in coeffs if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 @per_graph

@@ -159,6 +159,36 @@ def graph6_chunks(path: str, top: int, entries: int,
     return chunks or [[]]
 
 
+def bareiss_count_above(g: Graph, p: int, q: int) -> int:
+    """Adjacency eigenvalues above the non-integer rational p/q (q > 0),
+    by Sylvester's law of inertia: the eigenvalues of A below p/q are as
+    many as the negative eigenvalues of qA - pI (p/q in lowest terms),
+    which are as many as the sign changes in its leading principal minors
+    1, D_1, ..., D_n.  Fraction-free (Bareiss) elimination yields D_k as
+    its k-th pivot, in exact integers; no pivot is zero, since D_k is, up
+    to sign, q^k times a monic integer polynomial at p/q."""
+    d = math.gcd(p, q)
+    p, q = p // d, q // d
+    n = g.n
+    rows = [[q if g.adj[i] >> j & 1 else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        rows[i][i] = -p
+    below = 0
+    prev = 1
+    for k in range(n):
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        if (pivot < 0) != (prev < 0):
+            below += 1
+        for i in range(k + 1, n):
+            row = rows[i]
+            a = pivot_row[i]
+            for j in range(i, n):
+                row[j] = (row[j] * pivot - a * pivot_row[j]) // prev
+        prev = pivot
+    return n - below
+
+
 def dense_adjacency(g: Graph) -> np.ndarray:
     """The 0/1 adjacency matrix in floats, built entry by entry."""
     return np.array([[float(g.has_edge(u, v)) for v in range(g.n)] for u in range(g.n)])

@@ -1,8 +1,11 @@
-"""Exact certification of near-threshold spectral verdicts: eigenvalue
-counts by inertia against independent oracles, brackets, and the verdicts
+"""Exact certification of near-threshold spectral verdicts: characteristic
+polynomials and the eigenvalue counts read on them against independent
+oracles, where the polynomials are computed, brackets, and the verdicts
 certified from them."""
 
+import importlib
 import json
+import math
 from fractions import Fraction
 from functools import partial
 
@@ -12,17 +15,20 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spectral_cliques import (bounds, complete_graph, conjecture_check, cycle_graph,
-                              emit_graph6, graph_from_edge_mask, random_graph, run_check,
-                              spectral, spectrum, turan_edge_bound, turan_graph,
-                              wilf_bound)
+from spectral_cliques import (bounds, clique_counts, complete_graph, complete_multipartite,
+                              conjecture_check, cycle_graph, emit_graph6, graph_from_edge_mask,
+                              path_graph, random_graph, run_check, screen, spectral, spectrum,
+                              turan_edge_bound, turan_graph, wilf_bound)
 from spectral_cliques.bounds import (CERTIFY_HALVINGS, CERTIFY_MAX_N, DEFAULT_TOLS,
-                                     GraphView, Ratio, Tolerances)
+                                     SCREEN_MARGIN, GraphView, Ratio, Tolerances)
 from spectral_cliques.cli import main
-from spectral_cliques.spectral import (BRACKET_BITS, Spectrum, eigenvalue_bracket,
+from spectral_cliques.graphs import HARD_CAP
+from spectral_cliques.scan import CorpusSpec, ScanConfig, scan
+from spectral_cliques.spectral import (BRACKET_BITS, PRIMES, Spectrum, adjacency_stack,
+                                      char_poly, char_polys, eigenvalue_bracket,
                                       eigenvalues_above)
 
-from oracles import dense_adjacency
+from oracles import bareiss_count_above, dense_adjacency
 
 
 def graphs_upto(n_max):
@@ -46,6 +52,50 @@ def bracket(g, rank, halvings):
     """eigenvalue_bracket's ends as Fractions, or None."""
     b = eigenvalue_bracket(g, rank, halvings)
     return None if b is None else (Fraction(b[0], b[2]), Fraction(b[1], b[2]))
+
+
+def sympy_char_poly(g):
+    x = sympy.symbols("x")
+    a = sympy.Matrix(g.n, g.n, lambda i, j: int(g.has_edge(i, j)))
+    return tuple(int(c) for c in a.charpoly(x).all_coeffs())
+
+
+class TestCharPoly:
+    @given(graphs_upto(12))
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_sympy(self, g):
+        assert char_poly(g) == sympy_char_poly(g)
+
+    @pytest.mark.parametrize("g", [turan_graph(2, 64), turan_graph(8, 64),
+                                   random_graph(64, 0.5, 7)],
+                             ids=["K32,32", "T(8,64)", "G(64,1/2)"])
+    def test_agrees_with_sympy_where_several_primes_are_joined(self, g):
+        assert len(spectral._moduli(g.n)) > 1
+        assert char_poly(g) == sympy_char_poly(g)
+
+    @given(graphs_upto(12))
+    @settings(max_examples=60, deadline=None)
+    def test_low_coefficients_count_edges_and_triangles(self, g):
+        c = char_poly(g) + (0, 0, 0)  # c_k = 0 past the order
+        assert c[:4] == (1, 0, -g.m, -2 * clique_counts(g).count(3))
+
+    def test_a_stack_is_its_graphs(self):
+        graphs = [random_graph(11, p, i) for i, p in enumerate((0.1, 0.5, 0.9) * 3)]
+        assert char_polys(adjacency_stack(graphs)) == [sympy_char_poly(g) for g in graphs]
+        assert char_polys(np.zeros((0, 5, 5), dtype=np.uint8)) == []
+
+    def test_known_polynomials(self):
+        # K4: (x - 3)(x + 1)^3; C5: x^5 - 5x^3 + 5x - 2
+        assert char_poly(complete_graph(4)) == (1, 0, -6, -8, -3)
+        assert char_poly(cycle_graph(5)) == (1, 0, -5, 0, 5, -2)
+
+    def test_primes(self):
+        assert len(PRIMES) == len(set(PRIMES))
+        assert all(sympy.isprime(p) and HARD_CAP < p < 1 << 31 for p in PRIMES)
+        assert list(PRIMES) == sorted(PRIMES, reverse=True)
+        assert len(spectral._moduli(HARD_CAP)) <= len(PRIMES)
+        with pytest.raises(ValueError):
+            spectral._moduli(HARD_CAP + 64)
 
 
 def sympy_count_above(g, shift):
@@ -73,6 +123,28 @@ class TestEigenvaluesAbove:
         vals = np.linalg.eigvalsh(dense_adjacency(g))
         assume(np.min(np.abs(vals - float(shift))) > 1e-6)
         assert count_above(g, shift) == int(np.sum(vals > float(shift)))
+
+    @given(st.integers(min_value=1, max_value=64), st.floats(min_value=0.0, max_value=1.0),
+           st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=40),
+           st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_bareiss_at_dyadic_shifts(self, n, p, seed, bits, data):
+        g = random_graph(n, p, seed)
+        q = 1 << bits
+        odd = data.draw(st.integers(min_value=-n * q // 2, max_value=n * q // 2)) * 2 + 1
+        assert eigenvalues_above(g, odd, q) == bareiss_count_above(g, odd, q)
+
+    @pytest.mark.parametrize("g", [turan_graph(4, 64), random_graph(64, 0.5, 7)],
+                             ids=["T(4,64)", "G(64,1/2)"])
+    def test_agrees_with_bareiss_next_to_eigenvalues_at_order_64(self, g):
+        """The ends of a first bracket, 2^-31 and 3 * 2^-31 off the LAPACK
+        value, of the largest, a middle and the least eigenvalue."""
+        q = 1 << (BRACKET_BITS + 1)
+        vals = spectrum(g).eigenvalues
+        for value in (vals[0], vals[g.n // 2], vals[-1]):
+            j = math.floor(value * (1 << BRACKET_BITS))
+            for p in (2 * j - 1, 2 * j + 3):
+                assert eigenvalues_above(g, p, q) == bareiss_count_above(g, p, q)
 
     def test_both_signs_on_k4(self):
         # K4: 3 once and -1 three times
@@ -171,6 +243,97 @@ class TestCertifiedVerdicts:
         assert rep.refined
         assert rep.lhs == mu ** 2 + mu2 ** 2
         assert rep.rhs == (3 - 1) / 3 * 2.0 * t36.m
+
+
+class TestEqualityEdge:
+    """A spectral slack within SCREEN_MARGIN * scale of the equality band's
+    upper edge is certified too: at tolerance 0 that edge is 0, where a
+    float cannot tell a tie from a near miss."""
+
+    def test_a_tie_a_few_ulps_above_zero_is_not_a_strict_holds(self, capsys):
+        # T(4, 12): mu = 9 = (1 - 1/4) 12 exactly; LAPACK's slack is +1.8e-15
+        assert main(["--tol", "0", "check", "--g6", "KFzf~z{~~~^{", "--check", "wilf"]) == 0
+        [entry] = json.loads(capsys.readouterr().out)
+        assert 0 < entry["slack"] <= SCREEN_MARGIN * entry["detail"]["scale"]
+        assert entry["status"] == "inconclusive"
+        assert entry["detail"]["refined"]
+
+    def test_no_float_decided_tie_on_the_order_six_plan(self, monkeypatch):
+        """The n = 6 plan at tolerance 0: no evaluation is a ``holds`` decided
+        on floats with |slack| <= 1e-9 * scale."""
+        scan_module = importlib.import_module("spectral_cliques.scan")
+        outcomes = []
+        run = scan_module.run_check
+
+        def spy(*args):
+            got = run(*args)
+            outcomes.extend(got)
+            return got
+
+        monkeypatch.setattr(scan_module, "run_check", spy)
+        checks = {"wilf": {}, "polyn": {}, "maxmu": {"s": [2]}, "theorem1": {"r": [2, 3]},
+                  "conjecture": {"r": [2, 3]}}
+        scan(CorpusSpec(kind="exhaustive", n=6), ScanConfig(checks=checks, tol_scale=0.0))
+        near = [oc for oc in outcomes if oc.report is not None and oc.slack is not None
+                and abs(oc.slack) <= 1e-9 * oc.report.scale]
+        assert near
+        assert not [oc for oc in near if oc.status == "holds" and not oc.report.refined]
+
+
+def _spy_char_polys(monkeypatch, module):
+    """The stack sizes of every char_polys call made through ``module``."""
+    calls = []
+    real = module.char_polys
+
+    def spy(adj):
+        calls.append(len(adj))
+        return real(adj)
+
+    monkeypatch.setattr(module, "char_polys", spy)
+    return calls
+
+
+class TestWhereCharPolysAreComputed:
+    def test_once_per_graph_across_ranks_and_halvings(self, monkeypatch):
+        calls = _spy_char_polys(monkeypatch, spectral)
+        g = turan_graph(4, 64)
+        zero = Tolerances(0.0, 0.0)
+        for rep in (wilf_bound(g, zero), conjecture_check(g, 4, zero)):
+            assert rep.refined and (rep.holds, rep.equality) == (None, None)
+        assert all(("eigenvalue_bracket", rank, CERTIFY_HALVINGS) in g.memo for rank in (1, 2))
+        assert calls == [1]
+
+    def test_a_block_of_masks_primes_its_solved_reported_graphs(self, monkeypatch):
+        n = 6
+        masks = np.arange(0, 1 << 15, 97, dtype=np.int64)
+        b = screen.Block.from_bits(n, masks, range(len(masks)), False)
+        solved = np.arange(len(masks)) % 3 != 0
+        b.eigenvalues(solved)
+        rows = np.arange(len(masks)) % 2 == 0
+        primed = _spy_char_polys(monkeypatch, screen)
+        reported = [g for _, g in b.reported(rows)]
+        assert primed == [int((rows & solved).sum())]
+        own = _spy_char_polys(monkeypatch, spectral)
+        for g, s in zip(reported, solved[rows].tolist()):
+            assert (("char_poly",) in g.memo) == s
+            if s:
+                assert char_poly(g) == sympy_char_poly(g)
+                eigenvalue_bracket(g, 1, 4)
+        assert own == []
+
+    def test_graphs_of_a_graph_block_get_one_only_when_certified(self, monkeypatch):
+        graphs = [turan_graph(2, 12), path_graph(12), complete_multipartite([3, 4, 5]),
+                  random_graph(12, 0.5, 3)]
+        b = screen.Block(graphs, range(len(graphs)), False)
+        every = np.ones(len(graphs), dtype=bool)
+        b.eigenvalues(every)
+        calls = _spy_char_polys(monkeypatch, spectral)
+        reported = [g for _, g in b.reported(every)]
+        assert not any(("char_poly",) in g.memo for g in reported)
+        refined = [wilf_bound(g).refined for g in reported]
+        assert any(refined) and not all(refined)
+        assert [("char_poly",) in g.memo for g in reported] == refined
+        assert calls == [1] * sum(refined)
 
 
 class TestPremiseBand:

@@ -88,14 +88,18 @@ def test_reported_graphs_carry_the_pivot_tree_profiles(monkeypatch):
 
 def _filter_graphs(n):
     """``Graph``s of order n for the filters: sparse and dense random
-    graphs, a path, cycles of n and of n - 1 vertices (one odd, one even)
-    and K_{a,b} with and without isolated vertices."""
+    graphs, a path, cycles of n and of n - 1 vertices (one odd, one even),
+    K_{a,b} with and without isolated vertices, and a matching of many
+    components with a path of three vertices, or a triangle, on the
+    last three."""
     graphs = [random_graph(n, p, mix64(n, i)) for i, p in
               enumerate((0.02, 0.05, 0.1, 0.2, 0.5, 0.8 if n <= 16 else 0.5) * 3)]
     graphs += [path_graph(n), cycle_graph(n), build_graph(n, [(u, (u + 1) % (n - 1))
                                                             for u in range(n - 1)]),
                complete_multipartite([n // 2, n - n // 2]), complete_multipartite([1, n - 1]),
                complete_multipartite([n // 3, n - 2 - n // 3], 2)]
+    matching = [(u, u + 1) for u in range(0, n - 4, 2)] + [(n - 3, n - 2), (n - 2, n - 1)]
+    graphs += [build_graph(n, matching), build_graph(n, matching + [(n - 3, n - 1)])]
     return graphs
 
 
@@ -123,6 +127,19 @@ def test_filters_agree_with_graph_predicates(n, built, monkeypatch):
         assert want.any() and not want.all() and bipartite.any() and not bipartite.all()
     for r in range(1, min(n, 12) + 1):
         np.testing.assert_array_equal(b.omega <= r, [is_kfree(g, r + 1) for g in graphs])
+
+
+def test_bipartite_rounds_follow_diameter_not_components(monkeypatch):
+    """A perfect matching on 64 vertices (32 components of diameter 1) and
+    64 isolated vertices are decided in one round and a last one that
+    changes nothing, however many components they have."""
+    graphs = [build_graph(64, [(u, u + 1) for u in range(0, 64, 2)]), build_graph(64, [])]
+    b = screen.Block(graphs, range(2), False)
+    rounds = []
+    real = np.array_equal
+    monkeypatch.setattr(np, "array_equal", lambda a, c: rounds.append(1) or real(a, c))
+    assert screen.bipartite(b).tolist() == [True, True]
+    assert len(rounds) == 2
 
 
 def _bad_lines():
