@@ -20,8 +20,9 @@ Every check but momo and stability's witness search is one
 prints, on the bracket ends (as :class:`Ratio`) that certify it, and on the
 arrays of the scan's screen (:mod:`screen`).  The implications (theorem3,
 edge_corollary, stability) carry a ``premise`` formula, decided by the
-same rules, except that a spectral premise failing by more than the
-screen's margin (``SCREEN_MARGIN``) is decided on its floats, unbracketed.
+same rules, except that a spectral premise is certified only where its
+slack lies within (hold + ``SCREEN_MARGIN``) * scale of 0, the screen's
+margin around its cut, and is decided on its floats, unbracketed, outside.
 """
 
 from __future__ import annotations
@@ -381,9 +382,9 @@ def premise_holds(f: Formula, g: Graph, params: dict,
                   tols: Tolerances = DEFAULT_TOLS) -> bool | None:
     """Whether the premise ``f`` holds on one graph: False where its gate
     holds or its spectral slack lies below -(hold + SCREEN_MARGIN) * scale,
-    as the screen decides it; certified on eigenvalue brackets between that
-    and hold * scale (and as :func:`evaluate` does, near equality * scale),
-    None where they cannot decide it."""
+    True above (hold + SCREEN_MARGIN) * scale, as the screen decides it;
+    certified on eigenvalue brackets between the two, None where they
+    cannot decide it."""
     return _premise(f, GraphView(g), params, tols)
 
 
@@ -400,12 +401,24 @@ def _premise(f: Formula, x: GraphView, params: dict, tols: Tolerances) -> bool |
     return pre.holds if pre.in_domain else False
 
 
+def _doubtful(slack: float, scale: float, tols: Tolerances, doubt: float) -> bool:
+    """Whether a spectral slack is certified.  A conclusion's (``doubt``
+    inf) is from hold * scale down, and within SCREEN_MARGIN * scale of the
+    equality band's upper edge, equality * scale, where its float cannot
+    tell a tie from a near miss (at tolerance 0, just above 0).  A
+    premise's (``doubt`` SCREEN_MARGIN) is within (hold + doubt) * scale of
+    0, the band the screen's premise test leaves to the reporting path,
+    which holds a tie at tolerance 0."""
+    if doubt < math.inf:
+        return abs(slack) <= (tols.hold + doubt) * scale
+    return (slack <= tols.hold * scale
+            or abs(slack - tols.equality * scale) <= SCREEN_MARGIN * scale)
+
+
 def _evaluate(f: Formula, x: GraphView, params: dict, tols: Tolerances,
               doubt: float = math.inf) -> BoundReport:
-    """A report of ``f``; a spectral slack is certified from hold * scale
-    down to -(hold + doubt) * scale, and within SCREEN_MARGIN * scale of
-    the equality band's upper edge, equality * scale, where its float
-    cannot tell a tie from a near miss (at tolerance 0, just above 0)."""
+    """A report of ``f``; a spectral slack is certified where
+    :func:`_doubtful`, a premise's (``doubt`` finite) nearer its cut."""
     if f.gate(x, **params):
         return _skipped(f.name, _shown(params))
     premise = True
@@ -425,9 +438,7 @@ def _evaluate(f: Formula, x: GraphView, params: dict, tols: Tolerances,
         build = partial(f.sides, x, **params)
         lhs, rhs = build(*spectrum(x.g).eigenvalues[:f.ranks])
         rep = _report(f.name, shown, lhs, rhs, tols)
-        if premise and (-(tols.hold + doubt) * rep.scale <= rep.slack <= tols.hold * rep.scale
-                        or abs(rep.slack - tols.equality * rep.scale)
-                        <= SCREEN_MARGIN * rep.scale):
+        if premise and _doubtful(rep.slack, rep.scale, tols, doubt):
             rep.holds, rep.equality = _certify(x.g, build, f.ranks, tols, rep.scale)
             rep.refined = True
     if not premise:  # failed, so vacuous, or undecided: no slack is claimed

@@ -22,7 +22,6 @@ from spectral_cliques import (bounds, clique_counts, complete_graph, complete_mu
 from spectral_cliques.bounds import (CERTIFY_HALVINGS, CERTIFY_MAX_N, DEFAULT_TOLS,
                                      SCREEN_MARGIN, GraphView, Ratio, Tolerances)
 from spectral_cliques.cli import main
-from spectral_cliques.graphs import HARD_CAP
 from spectral_cliques.scan import CorpusSpec, ScanConfig, scan
 from spectral_cliques.spectral import (BRACKET_BITS, PRIMES, Spectrum, adjacency_stack,
                                       char_poly, char_polys, eigenvalue_bracket,
@@ -91,11 +90,11 @@ class TestCharPoly:
 
     def test_primes(self):
         assert len(PRIMES) == len(set(PRIMES))
-        assert all(sympy.isprime(p) and HARD_CAP < p < 1 << 31 for p in PRIMES)
+        assert all(sympy.isprime(p) and CERTIFY_MAX_N < p < 1 << 31 for p in PRIMES)
         assert list(PRIMES) == sorted(PRIMES, reverse=True)
-        assert len(spectral._moduli(HARD_CAP)) <= len(PRIMES)
+        assert spectral._moduli(CERTIFY_MAX_N) == PRIMES
         with pytest.raises(ValueError):
-            spectral._moduli(HARD_CAP + 64)
+            spectral._moduli(2 * CERTIFY_MAX_N)
 
 
 def sympy_count_above(g, shift):
@@ -246,9 +245,9 @@ class TestCertifiedVerdicts:
 
 
 class TestEqualityEdge:
-    """A spectral slack within SCREEN_MARGIN * scale of the equality band's
-    upper edge is certified too: at tolerance 0 that edge is 0, where a
-    float cannot tell a tie from a near miss."""
+    """A conclusion's spectral slack within SCREEN_MARGIN * scale of the
+    equality band's upper edge is certified too: at tolerance 0 that edge
+    is 0, where a float cannot tell a tie from a near miss."""
 
     def test_a_tie_a_few_ulps_above_zero_is_not_a_strict_holds(self, capsys):
         # T(4, 12): mu = 9 = (1 - 1/4) 12 exactly; LAPACK's slack is +1.8e-15
@@ -362,6 +361,25 @@ class TestPremiseBand:
         assert (rep.in_domain, rep.holds) == (False, True)
         [oc] = run_check("edge_corollary", c80, {"r": 2, "alpha": 0})
         assert oc.status == "ood"
+
+    def test_premise_near_the_equality_edge_is_decided_on_floats(self, monkeypatch):
+        """A slack within SCREEN_MARGIN * scale of equality * scale is
+        certified in a conclusion, but a premise's holds clear of the
+        screen's band at default tolerances, and the reporting path decides
+        it on its floats, as the screen does."""
+        # rhs - lhs = mu / 10^6, equality * scale to 1e-12 of scale
+        near = bounds.Formula("near", lambda x, mu: (mu, mu + bounds._ratio(1, 10 ** 6, mu) * mu))
+        g = turan_graph(4, 12)
+        rep = bounds.evaluate(near, g, {})
+        assert abs(rep.slack - DEFAULT_TOLS.equality * rep.scale) <= SCREEN_MARGIN * rep.scale
+        assert rep.refined
+        b = screen.Block([g], [0], False)
+        holds, fails = screen._premise_clear(near, b, {}, DEFAULT_TOLS, np.ones(1, dtype=bool))
+        assert (holds.tolist(), fails.tolist()) == ([True], [False])
+        calls = []
+        monkeypatch.setattr(bounds, "eigenvalue_bracket", lambda *args: calls.append(args))
+        assert bounds.premise_holds(near, g, {}) is True
+        assert calls == []
 
     def test_premise_on_the_cut_still_inconclusive_at_tolerance_zero(self, capsys):
         assert main(["--tol", "0", "witness", "--g6", "KFzf~z{~~~^{", "--r", "4",
