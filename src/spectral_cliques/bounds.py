@@ -13,7 +13,10 @@ read is bracketed between dyadic rationals by exact counts on the
 characteristic polynomial, and the slack is evaluated exactly on the
 brackets, in ints (:class:`Ratio`).  Such reports carry
 ``refined=True`` and keep the LAPACK figures; a verdict the brackets cannot
-decide is None (status ``inconclusive``).
+decide is None (status ``inconclusive``).  The brackets are the one thing
+shared between graphs: they are cached per process on the characteristic
+polynomial and dyadic ints only, so a verdict is still a function of its
+graph alone.
 
 Every check but momo and stability's witness search is one
 :class:`Formula`: the same ``sides`` run on the LAPACK floats that a report

@@ -4,7 +4,10 @@ Vertices are 0..n-1.  Row ``adj[u]`` is an int whose bit ``v`` is set iff
 ``uv`` is an edge; vertex sets are plain int bit-masks throughout.  Graphs
 are immutable once built, so they can be shared freely across workers.
 Invariants computed from a graph (spectrum, clique and walk counts) are
-memoized on the graph object itself by :func:`per_graph`.
+memoized on the graph object itself by :func:`per_graph`.  The one thing
+shared between graphs is an eigenvalue bracket and the counts that prove
+it (``spectral.eigenvalue_bracket``), cached per process on the
+characteristic polynomial and dyadic ints only.
 """
 
 from __future__ import annotations
@@ -88,7 +91,9 @@ def per_graph(fn):
     """Memoize ``fn(g, *args)`` in ``g.memo`` under ``(fn.__name__, *args)``.
 
     Each invariant is computed at most once per graph object and freed with
-    it; nothing is shared between graphs or kept after them.  A call that
+    it; nothing is shared between graphs or kept after them, but for
+    eigenvalue brackets and their counts, which ``spectral`` caches on the
+    characteristic polynomial and dyadic ints alone.  A call that
     raises stores nothing.  ``memoized.prime(g, value, *args)`` stores a
     value computed elsewhere (say, in a batch) under the same key.
     """

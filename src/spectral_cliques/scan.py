@@ -7,11 +7,12 @@ equality cases, and the tightest instances.  Work is split into chunks by
 array size (:func:`_spans`): a chunk takes graphs in corpus order while
 its adjacency stack and its vertex-subset tables stay within bounds, so
 many small graphs make one chunk and a few large ones another.  With
-``jobs`` > 1 the calling process and up to ``jobs - 1``
-pool workers claim the chunks in index order from one shared counter, the
-caller starting at once.  On Linux, while the caller runs no other thread,
-the workers are forked from it and start with the package and the scan
-plan in memory; elsewhere they start by the default method.  Partial
+``jobs`` > 1 the calling process and up to ``jobs - 1`` worker processes
+claim the chunks in index order from one shared counter, the caller
+starting at once, and each worker replies on a pipe of its own.  On
+Linux, while the caller runs no other thread, the workers are forked from
+it and start with the package and the scan plan in memory; elsewhere they
+start by the default method.  Partial
 results merge by chunk index, so the outcome is byte-identical no matter
 how many processes scan or how they start.
 
@@ -577,75 +578,92 @@ def _scan_chunk(chunk: tuple) -> dict:
 
 def _claim_chunks(chunks: list[tuple]) -> list[tuple[int, dict | Exception]]:
     """Scan the chunks claimed, in index order, from the shared counter
-    until none is left, as ``(index, partial)``.  A chunk that raises
-    ends the claims, its own and everyone's, as ``(index, exception)``.
-    A process that stops claiming adds one to the counter, past the last
-    index, so that the counter less the chunk count is the number of
-    processes that have stopped."""
+    until none is left, as ``(index, partial)``.  A chunk that raises ends
+    the claims, its own and everyone's, as ``(index, exception)``."""
     counter = _WORKER["counter"]
     done: list[tuple[int, dict | Exception]] = []
     while True:
         with counter.get_lock():
             i = counter.value
             counter.value = i + 1
-            if i >= len(chunks):
-                return done
+        if i >= len(chunks):
+            return done
         try:
             done.append((i, _scan_chunk(chunks[i])))
         except Exception as exc:  # the scan raises the lowest-indexed one
-            with counter.get_lock():
-                counter.value = max(counter.value, len(chunks)) + 1
+            counter.value = len(chunks)
             done.append((i, exc))
             return done
 
 
+def _scan_worker(conn, chunks: list[tuple], init_args: tuple) -> None:
+    """A worker process: the partials of the chunks it claims, sent as one
+    list over its end of a one-way pipe."""
+    _init_scan_worker(*init_args)
+    conn.send(_claim_chunks(chunks))
+
+
 def _pool_context() -> multiprocessing.context.BaseContext:
-    """Where a scan's pool and counter come from: fork on Linux while this
-    process runs no other thread (a thread may hold a lock that a forked
-    child would find taken), else the default start method."""
+    """Where a scan's workers and counter come from: fork on Linux while
+    this process runs no other thread (a thread may hold a lock that a
+    forked child would find taken), else the default start method."""
     if sys.platform == "linux" and threading.active_count() == 1:
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()
 
 
+def _start_worker(ctx: multiprocessing.context.BaseContext, chunks: list[tuple],
+                  init_args: tuple):
+    """A started worker process and the end of its pipe to read from.  The
+    writing end is closed here at once, so the reader sees the end of the
+    pipe as soon as the worker exits, whether or not it replied."""
+    reader, writer = ctx.Pipe(duplex=False)
+    proc = ctx.Process(target=_scan_worker, args=(writer, chunks, init_args), daemon=True)
+    proc.start()
+    writer.close()
+    return proc, reader
+
+
 def _scan_in_pool(chunks: list[tuple], workers: int, init_args: tuple) -> list[dict]:
     """Each chunk's partial, in chunk order, scanned by this process and
-    ``workers`` pool workers that claim chunks from one counter.
+    ``workers`` worker processes that claim chunks from one counter.
 
-    The workers start as :func:`_pool_context` says.  A forked worker
-    claims its first chunk a few tens of milliseconds after this process;
-    one started by spawn or forkserver first imports numpy and the
-    package, and may find every chunk claimed.  The chunk list goes to the
-    workers as their task, under every start method: a few bytes objects
-    and ints (a ``lines`` chunk is its first line number and its text).
-    The pool is left as soon as this process holds every partial it
-    needs, so a worker still booting then is terminated instead of waited
-    for.  A worker terminated while it sends its reply would leave the
-    pool's result lock taken, and terminating the pool would hang; so the
-    pool is terminated under the counter's lock, which stops every worker
-    before its reply, once the replies of the workers that had stopped
-    claiming are in.  Of several failing chunks the lowest-indexed one's
-    exception is raised; every lower chunk was claimed before it, so it is
-    the error a one-process scan raises."""
+    The workers start as :func:`_pool_context` says, each with a pipe of
+    its own to reply on; the chunk list goes to them as an argument (a few
+    bytes objects and ints).  Once this process holds every partial it
+    needs, a worker still running is terminated.  Of several failing
+    chunks the lowest-indexed one's exception is raised; every lower chunk
+    was claimed before it, so it is the error a one-process scan raises.
+    A worker that exits without replying raises RuntimeError."""
+    from multiprocessing.connection import wait  # only a scan of several processes needs it
+
     ctx = _pool_context()
     counter = ctx.Value("q", 0)
     _init_scan_worker(*init_args, counter)
-    with ctx.Pool(processes=workers, initializer=_init_scan_worker,
-                  initargs=(*init_args, counter)) as pool:
-        claimed = pool.imap_unordered(_claim_chunks, [chunks] * workers)
+    started = []
+    try:
+        for _ in range(workers):
+            started.append(_start_worker(ctx, chunks, (*init_args, counter)))
+        waiting = {reader: proc for proc, reader in started}
         held = dict(_claim_chunks(chunks))
-        replies = 0
         while True:
             end = min((i for i, part in held.items() if isinstance(part, Exception)),
                       default=len(chunks))
             if all(i in held for i in range(end)):
                 break
-            held.update(next(claimed))
-            replies += 1
-        with counter.get_lock():
-            for _ in range(counter.value - len(chunks) - 1 - replies):
-                next(claimed)
-            pool.terminate()
+            for reader in wait(list(waiting)):
+                proc = waiting.pop(reader)
+                try:
+                    held.update(reader.recv())
+                except EOFError:
+                    proc.join()
+                    raise RuntimeError(f"a scan worker exited with code {proc.exitcode} "
+                                       "without replying") from None
+    finally:
+        for proc, reader in started:
+            proc.terminate()
+            proc.join()
+            reader.close()
     if end < len(chunks):
         raise held[end]
     return [held[i] for i in range(len(chunks))]
@@ -727,11 +745,11 @@ def scan(corpus: CorpusSpec, config: ScanConfig, jobs: int = 1) -> ScanResult:
     """Run every configured check on every corpus graph passing the filters.
 
     ``jobs`` counts the processes that scan, this one included: with more
-    than one chunk, this process and ``min(jobs, chunks) - 1`` pool workers
-    claim chunks in index order.  Results are identical for any ``jobs``,
-    and do not depend on where chunks end (:func:`_spans` cuts them by
-    array size, whatever ``jobs`` is): violations and equalities merge in
-    corpus order, out-of-domain outcomes are a sum, and the
+    than one chunk, this process and ``min(jobs, chunks) - 1`` worker
+    processes claim chunks in index order.  Results are identical for any
+    ``jobs``, and do not depend on where chunks end (:func:`_spans` cuts
+    them by array size, whatever ``jobs`` is): violations and equalities
+    merge in corpus order, out-of-domain outcomes are a sum, and the
     tightest-instance ranking is recomputed after the merge.
     """
     for name in config.checks:

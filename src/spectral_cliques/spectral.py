@@ -7,15 +7,18 @@ a scan's screen reads ``eigvalsh``, which skips them).
 When a verdict sits close to the tolerance band, an eigenvalue is bracketed
 between rationals by exact integer counts instead (``eigenvalue_bracket``):
 the eigenvalues above a rational are counted by Descartes' rule of signs on
-the characteristic polynomial (``eigenvalues_above``), whose integer
+the characteristic polynomial (``roots_above``), whose integer
 coefficients are computed once per graph, by Faddeev-LeVerrier modulo
-primes, for a whole stack of graphs at once (``char_polys``).
+primes, for a whole stack of graphs at once (``char_polys``).  Brackets
+and counts read the graph through that polynomial and dyadic ints alone,
+so they are cached on those and shared by every graph of a process.
 Walk counts are exact integers throughout; floating point enters only at
 the final division of the ratio-limit check.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -30,6 +33,12 @@ INT128_MAX = (1 << 127) - 1
 #: at least 2^-(BRACKET_BITS+1) ~ 4.7e-10 from the LAPACK value, far above
 #: LAPACK's error on any order up to the hard cap
 BRACKET_BITS = 30
+
+#: eigenvalue brackets and the counts that prove them are shared by every
+#: graph of a process, keyed on its characteristic polynomial and dyadic
+#: ints alone; at most this many of each are kept, the least recently used
+#: dropped first
+SHARED_BRACKETS = 1 << 12
 
 #: a stacked LAPACK solve holds at most this many matrix entries (2 MiB of
 #: float64): 5,349 graphs of order 7, 40 of order 80, one of order 512
@@ -211,23 +220,31 @@ def char_poly(g: Graph) -> tuple[int, ...]:
 
 def eigenvalues_above(g: Graph, p: int, q: int) -> int:
     """Exact number of adjacency eigenvalues above p/q, a non-integer
-    rational with q > 0, counted with multiplicity.
-
-    They are as many as the positive roots t of q^n chi((p + t)/q), where
-    chi is the characteristic polynomial (:func:`char_poly`) and p/q is
-    in lowest terms.  That polynomial in t has integer coefficients and
-    only real roots, and 0 is none of them: a rational root of the monic
-    integer chi is an integer.  So by Descartes' rule of signs, exact on a
-    real-rooted polynomial, its positive roots are as many as the sign
-    changes in its coefficients.
-    """
+    rational with q > 0, counted with multiplicity: :func:`roots_above` on
+    the characteristic polynomial (:func:`char_poly`), through a cache
+    shared by every graph of this process, keyed on the polynomial and
+    p/q in lowest terms."""
     d = math.gcd(p, q)
     p, q = p // d, q // d
     if q == 1:
         raise ValueError(f"shift {p} is an integer")
+    return _count_above(char_poly(g), p, q)
+
+
+def roots_above(chi: tuple[int, ...], p: int, q: int) -> int:
+    """Number of roots above p/q, a non-integer rational in lowest terms
+    with q > 0, of a monic integer polynomial with only real roots, given
+    as its coefficients highest degree first, counted with multiplicity.
+
+    They are as many as the positive roots t of q^n chi((p + t)/q).  That
+    polynomial in t has integer coefficients and only real roots, and 0 is
+    none of them: a rational root of the monic integer chi is an integer.
+    So by Descartes' rule of signs, exact on a real-rooted polynomial, its
+    positive roots are as many as the sign changes in its coefficients.
+    """
     # q^n chi(y/q) = sum_k c_k q^k y^(n-k), highest degree first; then
     # y = p + t by n rounds of synthetic division by y - p
-    coeffs = list(char_poly(g))
+    coeffs = list(chi)
     power = 1
     for k in range(1, len(coeffs)):
         power *= q
@@ -240,11 +257,15 @@ def eigenvalues_above(g: Graph, p: int, q: int) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-@per_graph
+@functools.lru_cache(maxsize=SHARED_BRACKETS)
+def _count_above(chi: tuple[int, ...], p: int, q: int) -> int:
+    return roots_above(chi, p, q)
+
+
 def eigenvalue_bracket(g: Graph, rank: int, halvings: int) -> tuple[int, int, int] | None:
     """(lo, hi, q): non-integer dyadic rationals lo/q < hi/q with
     lo/q < mu_rank < hi/q, where mu_rank is the rank-th largest adjacency
-    eigenvalue, proven by exact counts (:func:`eigenvalues_above`).  The
+    eigenvalue, proven by exact counts (:func:`roots_above`).  The
     denominator q is 2^(BRACKET_BITS + 1 + 2 * halvings), one power of two
     for every rank, so brackets read together share it.
 
@@ -252,14 +273,26 @@ def eigenvalue_bracket(g: Graph, rank: int, halvings: int) -> tuple[int, int, in
     value; it is None if the counts refute that value.  Each halving splits
     the previous bracket at a non-integer dyadic point near its middle and
     keeps the half that holds the eigenvalue, at the cost of one count.
+
+    The graph is read through its characteristic polynomial and
+    j = floor(mu_rank * 2^BRACKET_BITS) of its LAPACK value alone, so a
+    bracket is a pure function of ints, cached on them for every graph of
+    this process: graphs of one polynomial (cospectral ones, copies of one
+    graph) share the brackets of equal j.
     """
+    j = math.floor(spectrum(g).eigenvalues[rank - 1] * (1 << BRACKET_BITS))
+    return _bracket(char_poly(g), rank, j, halvings)
+
+
+@functools.lru_cache(maxsize=SHARED_BRACKETS)
+def _bracket(chi: tuple[int, ...], rank: int, j: int,
+             halvings: int) -> tuple[int, int, int] | None:
     if halvings == 0:
-        j = math.floor(spectrum(g).eigenvalues[rank - 1] * (1 << BRACKET_BITS))
         lo, hi, q = 2 * j - 1, 2 * j + 3, 1 << (BRACKET_BITS + 1)
-        if eigenvalues_above(g, lo, q) >= rank > eigenvalues_above(g, hi, q):
+        if _count_above(chi, lo, q) >= rank > _count_above(chi, hi, q):
             return lo, hi, q
         return None
-    prev = eigenvalue_bracket(g, rank, halvings - 1)
+    prev = _bracket(chi, rank, j, halvings - 1)
     if prev is None:
         return None
     # two more bits: the midpoint, and a quarter step off it if it is an integer
@@ -267,7 +300,8 @@ def eigenvalue_bracket(g: Graph, rank: int, halvings: int) -> tuple[int, int, in
     mid = (lo + hi) // 2
     if mid % q == 0:
         mid += (hi - lo) // 4
-    return (mid, hi, q) if eigenvalues_above(g, mid, q) >= rank else (lo, mid, q)
+    d = math.gcd(mid, q)
+    return (mid, hi, q) if _count_above(chi, mid // d, q // d) >= rank else (lo, mid, q)
 
 
 def spectral_radius(g: Graph) -> float:

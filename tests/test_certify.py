@@ -3,22 +3,24 @@ polynomials and the eigenvalue counts read on them against independent
 oracles, where the polynomials are computed, brackets, and the verdicts
 certified from them."""
 
+import functools
 import importlib
 import json
 import math
 from fractions import Fraction
 from functools import partial
 
+import networkx as nx
 import numpy as np
 import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spectral_cliques import (bounds, clique_counts, complete_graph, complete_multipartite,
-                              conjecture_check, cycle_graph, emit_graph6, graph_from_edge_mask,
-                              path_graph, random_graph, run_check, screen, spectral, spectrum,
-                              turan_edge_bound, turan_graph, wilf_bound)
+from spectral_cliques import (bounds, build_graph, clique_counts, complete_graph,
+                              complete_multipartite, conjecture_check, cycle_graph, emit_graph6,
+                              graph_from_edge_mask, path_graph, random_graph, run_check, screen,
+                              spectral, spectrum, turan_edge_bound, turan_graph, wilf_bound)
 from spectral_cliques.bounds import (CERTIFY_HALVINGS, CERTIFY_MAX_N, DEFAULT_TOLS,
                                      SCREEN_MARGIN, GraphView, Ratio, Tolerances)
 from spectral_cliques.cli import main
@@ -45,6 +47,14 @@ def shifts(bound):
 
 def count_above(g, shift):
     return eigenvalues_above(g, shift.numerator, shift.denominator)
+
+
+def bracket_cached(g, rank, halvings):
+    """Whether eigenvalue_bracket(g, rank, halvings) is in the shared
+    cache: asking for it misses nothing."""
+    misses = spectral._bracket.cache_info().misses
+    eigenvalue_bracket(g, rank, halvings)
+    return spectral._bracket.cache_info().misses == misses
 
 
 def bracket(g, rank, halvings):
@@ -185,6 +195,73 @@ class TestBracket:
         assert rep.refined and rep.holds is None and rep.equality is None
 
 
+#: cospectral pairs that are not isomorphic: K_{1,4} and C_4 + K_1, and a
+#: Godsil-McKay switching pair of order 7 (switched on {0, 1, 2, 3}, which
+#: induces C_4; vertices 4, 5 and 6 each see two of it)
+COSPECTRAL = [
+    (complete_multipartite([1, 4]), build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 0)])),
+    (build_graph(7, [(0, 1), (0, 5), (1, 2), (1, 6), (2, 3), (2, 4), (3, 0), (3, 4), (3, 5),
+                     (3, 6), (4, 5), (4, 6)]),
+     build_graph(7, [(0, 1), (0, 4), (0, 6), (1, 2), (1, 4), (1, 5), (2, 3), (2, 5), (2, 6),
+                     (3, 0), (4, 5), (4, 6)])),
+]
+
+
+def relabeled(g):
+    """g with its vertex order reversed: the same isomorphism class."""
+    return build_graph(g.n, [(g.n - 1 - u, g.n - 1 - v)
+                             for u in range(g.n) for v in range(u) if g.has_edge(u, v)])
+
+
+def every_bracket(g):
+    return [eigenvalue_bracket(g, rank, halvings) for rank in range(1, g.n + 1)
+            for halvings in range(CERTIFY_HALVINGS + 1)]
+
+
+def clear_shared():
+    spectral._bracket.cache_clear()
+    spectral._count_above.cache_clear()
+
+
+class TestSharedBrackets:
+    """Brackets and counts are shared by every graph of a process, cached on
+    the characteristic polynomial and dyadic ints alone: what the cache
+    serves is what a cleared cache computes, at every halving."""
+
+    def test_cospectral_pairs(self):
+        for g, h in COSPECTRAL:
+            assert char_poly(g) == char_poly(h) == sympy_char_poly(g) == sympy_char_poly(h)
+            assert not nx.is_isomorphic(nx.from_numpy_array(dense_adjacency(g)),
+                                        nx.from_numpy_array(dense_adjacency(h)))
+
+    @pytest.mark.parametrize("bound", [7, spectral.SHARED_BRACKETS])
+    @given(st.lists(graphs_upto(9), min_size=1, max_size=3))
+    @settings(max_examples=25, deadline=None)
+    def test_shared_brackets_are_those_of_a_cleared_cache(self, bound, graphs):
+        graphs = graphs + [relabeled(graphs[0])] + [g for pair in COSPECTRAL for g in pair]
+        counts = spectral._count_above.cache_info
+        with pytest.MonkeyPatch.context() as mp:
+            if bound != spectral.SHARED_BRACKETS:  # evictions in the middle of a halving chain
+                for name in ("_bracket", "_count_above"):
+                    mp.setattr(spectral, name,
+                               functools.lru_cache(maxsize=bound)(getattr(spectral, name).__wrapped__))
+                counts = spectral._count_above.cache_info
+            clear_shared()
+            shared = [every_bracket(g) for g in graphs]
+            shared_counts = counts().misses
+            assert spectral._bracket.cache_info().currsize <= bound
+            assert counts().currsize <= bound
+            fresh, fresh_counts = [], 0
+            for g in graphs:
+                clear_shared()
+                fresh.append(every_bracket(g))
+                fresh_counts += counts().misses
+        assert shared == fresh
+        assert all(None not in row for row in shared)
+        if bound == spectral.SHARED_BRACKETS:  # the cospectral pairs share at least
+            assert shared_counts < fresh_counts
+
+
 class TestCertifiedVerdicts:
     def test_zero_tolerance_on_an_integer_radius_is_inconclusive(self, k3):
         # mu = 2 exactly, so every slack interval straddles 0
@@ -205,10 +282,11 @@ class TestCertifiedVerdicts:
     def test_halving_decides_a_tight_threshold(self):
         # hold * scale = 2e-10 lies inside the first bracket's slack interval
         k3 = complete_graph(3)
+        spectral._bracket.cache_clear()
         rep = wilf_bound(k3, Tolerances(1e-10, 1e-10))
         assert (rep.holds, rep.equality) == (True, True)
-        assert ("eigenvalue_bracket", 1, 1) in k3.memo
-        assert ("eigenvalue_bracket", 1, CERTIFY_HALVINGS) not in k3.memo
+        assert bracket_cached(k3, 1, 1)
+        assert not bracket_cached(k3, 1, CERTIFY_HALVINGS)
 
     def test_k33_equality_with_mu2_bracket_holding_zero(self):
         k33 = turan_graph(2, 6)
@@ -226,10 +304,10 @@ class TestCertifiedVerdicts:
     def test_above_the_order_cap_inconclusive_without_counting(self, monkeypatch):
         monkeypatch.setenv("SCL_MAX_N", str(CERTIFY_MAX_N + 1))
 
-        def refuse(g, p, q):
+        def refuse(chi, p, q):
             raise AssertionError("counted above the certification cap")
 
-        monkeypatch.setattr(spectral, "eigenvalues_above", refuse)
+        monkeypatch.setattr(spectral, "roots_above", refuse)
         host = complete_graph(CERTIFY_MAX_N + 1)
         rep = wilf_bound(host)
         assert rep.refined
@@ -299,8 +377,8 @@ class TestWhereCharPolysAreComputed:
         zero = Tolerances(0.0, 0.0)
         for rep in (wilf_bound(g, zero), conjecture_check(g, 4, zero)):
             assert rep.refined and (rep.holds, rep.equality) == (None, None)
-        assert all(("eigenvalue_bracket", rank, CERTIFY_HALVINGS) in g.memo for rank in (1, 2))
         assert calls == [1]
+        assert all(bracket_cached(g, rank, CERTIFY_HALVINGS) for rank in (1, 2))
 
     def test_a_block_of_masks_primes_its_solved_reported_graphs(self, monkeypatch):
         n = 6

@@ -246,14 +246,18 @@ class TestScan:
         assert searched == [n]
 
     def test_bracketing_once_per_refined_graph(self, monkeypatch):
+        # brackets are shared by characteristic polynomial, so each shift
+        # is counted once per polynomial in a process, whatever graph asks
+        spectral._bracket.cache_clear()
+        spectral._count_above.cache_clear()
         counted = []
-        count = spectral.eigenvalues_above
+        count = spectral.roots_above
 
-        def counting(g, p, q):  # one shift value is one count, however written
-            counted.append((g.adj, Fraction(p, q)))
-            return count(g, p, q)
+        def counting(chi, p, q):  # one shift value is one count, however written
+            counted.append((chi, Fraction(p, q)))
+            return count(chi, p, q)
 
-        monkeypatch.setattr(spectral, "eigenvalues_above", counting)
+        monkeypatch.setattr(spectral, "roots_above", counting)
         checks = {name: {} for name in ("wilf", "maxmu", "polyn", "theorem1", "theorem2")}
         scan(CorpusSpec(kind="exhaustive", n=5), ScanConfig(checks=checks))
         assert counted
@@ -277,34 +281,6 @@ class TestScan:
         # graphs with triangles (or at this order nothing else) are skipped
         in_domain = sum(1 for g in enumerate_labeled(4) if is_kfree(g, 3))
         assert res.out_of_domain == 64 - in_domain
-
-
-class _InProcessPool:
-    """Stand-in for a multiprocessing context's ``Pool`` that records its
-    size and runs every task in this process, before the caller claims a
-    chunk."""
-
-    sizes: list[int] = []
-
-    def __init__(self, processes, initializer, initargs):
-        self.sizes.append(processes)
-        initializer(*initargs)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def imap_unordered(self, fn, tasks):
-        return iter([fn(task) for task in tasks])
-
-    def terminate(self):
-        pass
-
-
-def _no_process_start(self):
-    raise AssertionError("a real process was started")
 
 
 #: run with ``python -c``: with spawn as the start method, three scans
@@ -368,6 +344,34 @@ for _ in range(600):
 """
 
 
+#: run with ``python -c``: an n = 6 scan at --jobs 2 (five chunks) whose
+#: worker exits with code 7 in the first chunk it scans; the caller takes
+#: half a second a chunk, so the worker claims one
+_DYING_WORKER = """
+import contextlib, importlib, io, multiprocessing, os, time
+from spectral_cliques.cli import main
+
+scan_module = importlib.import_module("spectral_cliques.scan")
+caller, scan_chunk = os.getpid(), scan_module._scan_chunk
+
+
+def dying(chunk):
+    if os.getpid() != caller:
+        os._exit(7)
+    time.sleep(0.5)
+    return scan_chunk(chunk)
+
+
+scan_module._scan_chunk = dying
+err = io.StringIO()
+with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+    code = main(["--jobs", "2", "scan", "--exhaustive-n", "6", "--check", "wilf"])
+assert code == 5, (code, err.getvalue())
+assert multiprocessing.active_children() == []
+print(err.getvalue().splitlines()[-1])
+"""
+
+
 class TestScanProcesses:
     def test_failing_scans_leave_the_pool(self, tmp_path):
         # a worker terminated while it sent its reply left the pool's result
@@ -384,14 +388,18 @@ class TestScanProcesses:
         corpus = CorpusSpec(kind="random", n=10, p=0.5, count=600, seed=3)
         config = ScanConfig(checks={"momo": {}, "wilf": {}})
         expected = scan(corpus, config, jobs=1).to_json_dict(deterministic_timing=True)
-        monkeypatch.setattr(_InProcessPool, "sizes", [])
-        monkeypatch.setattr(multiprocessing.context.BaseContext, "Pool",
-                            lambda ctx, **kwargs: _InProcessPool(**kwargs))
-        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
-                            _no_process_start)
+        started = []
+        start = multiprocessing.process.BaseProcess.start
+
+        def counting(proc):
+            started.append(proc)
+            start(proc)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting)
         got = scan(corpus, config, jobs=64).to_json_dict(deterministic_timing=True)
-        assert _InProcessPool.sizes == [1]
+        assert len(started) == 1
         assert got == expected
+        assert multiprocessing.active_children() == []
 
     def test_each_chunk_claimed_once(self, monkeypatch):
         # the caller and three workers, started as a scan starts them, race
@@ -404,12 +412,24 @@ class TestScanProcesses:
         ctx = scan_module._pool_context()
         init_args = (corpus, ScanConfig(checks={"momo": {}}), (), ctx.Value("q", 0))
         scan_module._init_scan_worker(*init_args)
-        with ctx.Pool(3, scan_module._init_scan_worker, init_args) as pool:
-            claimed = pool.imap_unordered(scan_module._claim_chunks, [chunks] * 3)
-            indices = [i for i, _ in scan_module._claim_chunks(chunks)]
-            for _ in range(3):
-                indices += [i for i, _ in claimed.next(timeout=120)]
+        workers = [scan_module._start_worker(ctx, chunks, init_args) for _ in range(3)]
+        indices = [i for i, _ in scan_module._claim_chunks(chunks)]
+        for proc, reader in workers:
+            assert reader.poll(120)
+            indices += [i for i, _ in reader.recv()]
+            reader.close()
+            proc.join(120)
+            assert proc.exitcode == 0
         assert sorted(indices) == list(range(16))
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="only a forked worker runs the patch")
+    def test_a_dead_worker_ends_the_scan(self):
+        # a worker that exits without replying makes the scan an internal
+        # error at once, naming its exit code, and leaves no child behind
+        proc = subprocess.run([sys.executable, "-c", _DYING_WORKER],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "a scan worker exited with code 7 without replying" in proc.stdout
 
     def test_spawn_identical_across_jobs(self):
         proc = subprocess.run([sys.executable, "-c", _SPAWN_SCRIPT],
