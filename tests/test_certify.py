@@ -3,12 +3,11 @@ polynomials and the eigenvalue counts read on them against independent
 oracles, where the polynomials are computed, brackets, and the verdicts
 certified from them."""
 
-import functools
 import importlib
 import json
 import math
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
 import networkx as nx
 import numpy as np
@@ -239,23 +238,21 @@ class TestSharedBrackets:
     @settings(max_examples=25, deadline=None)
     def test_shared_brackets_are_those_of_a_cleared_cache(self, bound, graphs):
         graphs = graphs + [relabeled(graphs[0])] + [g for pair in COSPECTRAL for g in pair]
-        counts = spectral._count_above.cache_info
         with pytest.MonkeyPatch.context() as mp:
             if bound != spectral.SHARED_BRACKETS:  # evictions in the middle of a halving chain
                 for name in ("_bracket", "_count_above"):
                     mp.setattr(spectral, name,
-                               functools.lru_cache(maxsize=bound)(getattr(spectral, name).__wrapped__))
-                counts = spectral._count_above.cache_info
+                               lru_cache(maxsize=bound)(getattr(spectral, name).__wrapped__))
             clear_shared()
             shared = [every_bracket(g) for g in graphs]
-            shared_counts = counts().misses
+            shared_counts = spectral._count_above.cache_info().misses
             assert spectral._bracket.cache_info().currsize <= bound
-            assert counts().currsize <= bound
+            assert spectral._count_above.cache_info().currsize <= bound
             fresh, fresh_counts = [], 0
             for g in graphs:
                 clear_shared()
                 fresh.append(every_bracket(g))
-                fresh_counts += counts().misses
+                fresh_counts += spectral._count_above.cache_info().misses
         assert shared == fresh
         assert all(None not in row for row in shared)
         if bound == spectral.SHARED_BRACKETS:  # the cospectral pairs share at least
