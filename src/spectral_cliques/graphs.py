@@ -5,8 +5,8 @@ Vertices are 0..n-1.  Row ``adj[u]`` is an int whose bit ``v`` is set iff
 are immutable once built, so they can be shared freely across workers.
 Invariants computed from a graph (spectrum, clique and walk counts) are
 memoized on the graph object itself by :func:`per_graph`.  The one thing
-shared between graphs is an eigenvalue bracket and the counts that prove
-it (``spectral.eigenvalue_bracket``), cached per process on the
+shared between graphs is an eigenvalue bracket
+(``spectral.eigenvalue_bracket``), cached per process on the
 characteristic polynomial and dyadic ints only.
 """
 
@@ -92,8 +92,8 @@ def per_graph(fn):
 
     Each invariant is computed at most once per graph object and freed with
     it; nothing is shared between graphs or kept after them, but for
-    eigenvalue brackets and their counts, which ``spectral`` caches on the
-    characteristic polynomial and dyadic ints alone.  A call that
+    eigenvalue brackets, which ``spectral`` caches on the characteristic
+    polynomial and dyadic ints alone.  A call that
     raises stores nothing.  ``memoized.prime(g, value, *args)`` stores a
     value computed elsewhere (say, in a batch) under the same key.
     """

@@ -9,9 +9,9 @@ between rationals by exact integer counts instead (``eigenvalue_bracket``):
 the eigenvalues above a rational are counted by Descartes' rule of signs on
 the characteristic polynomial (``roots_above``), whose integer
 coefficients are computed once per graph, by Faddeev-LeVerrier modulo
-primes, for a whole stack of graphs at once (``char_polys``).  Brackets
-and counts read the graph through that polynomial and dyadic ints alone,
-so they are cached on those and shared by every graph of a process.
+primes, for a whole stack of graphs at once (``char_polys``).  A bracket
+reads the graph through that polynomial and dyadic ints alone, so it is
+cached on those and shared by every graph of a process.
 Walk counts are exact integers throughout; floating point enters only at
 the final division of the ratio-limit check.
 """
@@ -34,10 +34,9 @@ INT128_MAX = (1 << 127) - 1
 #: LAPACK's error on any order up to the hard cap
 BRACKET_BITS = 30
 
-#: eigenvalue brackets and the counts that prove them are shared by every
-#: graph of a process, keyed on its characteristic polynomial and dyadic
-#: ints alone; at most this many of each are kept, the least recently used
-#: dropped first
+#: eigenvalue brackets are shared by every graph of a process, keyed on its
+#: characteristic polynomial and dyadic ints alone; at most this many are
+#: kept, the least recently used dropped first
 SHARED_BRACKETS = 1 << 12
 
 #: a stacked LAPACK solve holds at most this many matrix entries (2 MiB of
@@ -218,23 +217,11 @@ def char_poly(g: Graph) -> tuple[int, ...]:
     return char_polys(adjacency_stack([g]))[0]
 
 
-def eigenvalues_above(g: Graph, p: int, q: int) -> int:
-    """Exact number of adjacency eigenvalues above p/q, a non-integer
-    rational with q > 0, counted with multiplicity: :func:`roots_above` on
-    the characteristic polynomial (:func:`char_poly`), through a cache
-    shared by every graph of this process, keyed on the polynomial and
-    p/q in lowest terms."""
-    d = math.gcd(p, q)
-    p, q = p // d, q // d
-    if q == 1:
-        raise ValueError(f"shift {p} is an integer")
-    return _count_above(char_poly(g), p, q)
-
-
 def roots_above(chi: tuple[int, ...], p: int, q: int) -> int:
-    """Number of roots above p/q, a non-integer rational in lowest terms
-    with q > 0, of a monic integer polynomial with only real roots, given
-    as its coefficients highest degree first, counted with multiplicity.
+    """Number of roots above p/q, a non-integer rational with q > 0, of a
+    monic integer polynomial with only real roots, given as its
+    coefficients highest degree first, counted with multiplicity; the
+    adjacency eigenvalues above p/q when chi is :func:`char_poly`.
 
     They are as many as the positive roots t of q^n chi((p + t)/q).  That
     polynomial in t has integer coefficients and only real roots, and 0 is
@@ -242,6 +229,8 @@ def roots_above(chi: tuple[int, ...], p: int, q: int) -> int:
     So by Descartes' rule of signs, exact on a real-rooted polynomial, its
     positive roots are as many as the sign changes in its coefficients.
     """
+    if p % q == 0:
+        raise ValueError(f"shift {p}/{q} is an integer")
     # q^n chi(y/q) = sum_k c_k q^k y^(n-k), highest degree first; then
     # y = p + t by n rounds of synthetic division by y - p
     coeffs = list(chi)
@@ -255,11 +244,6 @@ def roots_above(chi: tuple[int, ...], p: int, q: int) -> int:
             coeffs[j] += p * coeffs[j - 1]
     signs = [c > 0 for c in coeffs if c]
     return sum(a != b for a, b in zip(signs, signs[1:]))
-
-
-@functools.lru_cache(maxsize=SHARED_BRACKETS)
-def _count_above(chi: tuple[int, ...], p: int, q: int) -> int:
-    return roots_above(chi, p, q)
 
 
 def eigenvalue_bracket(g: Graph, rank: int, halvings: int) -> tuple[int, int, int] | None:
@@ -289,7 +273,7 @@ def _bracket(chi: tuple[int, ...], rank: int, j: int,
              halvings: int) -> tuple[int, int, int] | None:
     if halvings == 0:
         lo, hi, q = 2 * j - 1, 2 * j + 3, 1 << (BRACKET_BITS + 1)
-        if _count_above(chi, lo, q) >= rank > _count_above(chi, hi, q):
+        if roots_above(chi, lo, q) >= rank > roots_above(chi, hi, q):
             return lo, hi, q
         return None
     prev = _bracket(chi, rank, j, halvings - 1)
@@ -301,7 +285,7 @@ def _bracket(chi: tuple[int, ...], rank: int, j: int,
     if mid % q == 0:
         mid += (hi - lo) // 4
     d = math.gcd(mid, q)
-    return (mid, hi, q) if _count_above(chi, mid // d, q // d) >= rank else (lo, mid, q)
+    return (mid, hi, q) if roots_above(chi, mid // d, q // d) >= rank else (lo, mid, q)
 
 
 def spectral_radius(g: Graph) -> float:

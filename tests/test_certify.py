@@ -26,7 +26,7 @@ from spectral_cliques.cli import main
 from spectral_cliques.scan import CorpusSpec, ScanConfig, scan
 from spectral_cliques.spectral import (BRACKET_BITS, PRIMES, Spectrum, adjacency_stack,
                                       char_poly, char_polys, eigenvalue_bracket,
-                                      eigenvalues_above)
+                                      roots_above)
 
 from oracles import bareiss_count_above, dense_adjacency
 
@@ -45,7 +45,7 @@ def shifts(bound):
 
 
 def count_above(g, shift):
-    return eigenvalues_above(g, shift.numerator, shift.denominator)
+    return roots_above(char_poly(g), shift.numerator, shift.denominator)
 
 
 def bracket_cached(g, rank, halvings):
@@ -140,7 +140,7 @@ class TestEigenvaluesAbove:
         g = random_graph(n, p, seed)
         q = 1 << bits
         odd = data.draw(st.integers(min_value=-n * q // 2, max_value=n * q // 2)) * 2 + 1
-        assert eigenvalues_above(g, odd, q) == bareiss_count_above(g, odd, q)
+        assert roots_above(char_poly(g), odd, q) == bareiss_count_above(g, odd, q)
 
     @pytest.mark.parametrize("g", [turan_graph(4, 64), random_graph(64, 0.5, 7)],
                              ids=["T(4,64)", "G(64,1/2)"])
@@ -152,7 +152,7 @@ class TestEigenvaluesAbove:
         for value in (vals[0], vals[g.n // 2], vals[-1]):
             j = math.floor(value * (1 << BRACKET_BITS))
             for p in (2 * j - 1, 2 * j + 3):
-                assert eigenvalues_above(g, p, q) == bareiss_count_above(g, p, q)
+                assert roots_above(char_poly(g), p, q) == bareiss_count_above(g, p, q)
 
     def test_both_signs_on_k4(self):
         # K4: 3 once and -1 three times
@@ -164,7 +164,7 @@ class TestEigenvaluesAbove:
         with pytest.raises(ValueError):
             count_above(complete_graph(3), Fraction(2))
         with pytest.raises(ValueError):  # 4/2 is the integer 2 too
-            eigenvalues_above(complete_graph(3), 4, 2)
+            roots_above(char_poly(complete_graph(3)), 4, 2)
 
 
 class TestBracket:
@@ -217,15 +217,10 @@ def every_bracket(g):
             for halvings in range(CERTIFY_HALVINGS + 1)]
 
 
-def clear_shared():
-    spectral._bracket.cache_clear()
-    spectral._count_above.cache_clear()
-
-
 class TestSharedBrackets:
-    """Brackets and counts are shared by every graph of a process, cached on
-    the characteristic polynomial and dyadic ints alone: what the cache
-    serves is what a cleared cache computes, at every halving."""
+    """Brackets are shared by every graph of a process, cached on the
+    characteristic polynomial and dyadic ints alone: what the cache serves
+    is what a cleared cache computes, at every halving."""
 
     def test_cospectral_pairs(self):
         for g, h in COSPECTRAL:
@@ -238,21 +233,27 @@ class TestSharedBrackets:
     @settings(max_examples=25, deadline=None)
     def test_shared_brackets_are_those_of_a_cleared_cache(self, bound, graphs):
         graphs = graphs + [relabeled(graphs[0])] + [g for pair in COSPECTRAL for g in pair]
+        counted = [0]
+        count = spectral.roots_above
+
+        def counting(chi, p, q):
+            counted[0] += 1
+            return count(chi, p, q)
+
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "roots_above", counting)
             if bound != spectral.SHARED_BRACKETS:  # evictions in the middle of a halving chain
-                for name in ("_bracket", "_count_above"):
-                    mp.setattr(spectral, name,
-                               lru_cache(maxsize=bound)(getattr(spectral, name).__wrapped__))
-            clear_shared()
+                mp.setattr(spectral, "_bracket",
+                           lru_cache(maxsize=bound)(spectral._bracket.__wrapped__))
+            spectral._bracket.cache_clear()
             shared = [every_bracket(g) for g in graphs]
-            shared_counts = spectral._count_above.cache_info().misses
+            shared_counts = counted[0]
             assert spectral._bracket.cache_info().currsize <= bound
-            assert spectral._count_above.cache_info().currsize <= bound
-            fresh, fresh_counts = [], 0
+            fresh = []
             for g in graphs:
-                clear_shared()
+                spectral._bracket.cache_clear()
                 fresh.append(every_bracket(g))
-                fresh_counts += spectral._count_above.cache_info().misses
+            fresh_counts = counted[0] - shared_counts
         assert shared == fresh
         assert all(None not in row for row in shared)
         if bound == spectral.SHARED_BRACKETS:  # the cospectral pairs share at least

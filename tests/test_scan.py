@@ -249,7 +249,6 @@ class TestScan:
         # brackets are shared by characteristic polynomial, so each shift
         # is counted once per polynomial in a process, whatever graph asks
         spectral._bracket.cache_clear()
-        spectral._count_above.cache_clear()
         counted = []
         count = spectral.roots_above
 
@@ -345,8 +344,9 @@ for _ in range(600):
 
 
 #: run with ``python -c``: an n = 6 scan at --jobs 2 (five chunks) whose
-#: worker exits with code 7 in the first chunk it scans; the caller takes
-#: half a second a chunk, so the worker claims one
+#: worker exits with code 7 in the first chunk it scans; the caller scans
+#: nothing until the shared counter shows that the worker, too, has claimed
+#: a chunk (waiting a minute at most), so the worker claims one
 _DYING_WORKER = """
 import contextlib, importlib, io, multiprocessing, os, time
 from spectral_cliques.cli import main
@@ -358,7 +358,9 @@ caller, scan_chunk = os.getpid(), scan_module._scan_chunk
 def dying(chunk):
     if os.getpid() != caller:
         os._exit(7)
-    time.sleep(0.5)
+    deadline = time.monotonic() + 60
+    while scan_module._WORKER["counter"].value < 2 and time.monotonic() < deadline:
+        time.sleep(0.01)
     return scan_chunk(chunk)
 
 
